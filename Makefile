@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast bench-smoke bench-policies bench-throughput \
+.PHONY: test test-fast test-perf bench-smoke bench-policies bench-throughput \
 	bench-daemon bench-backend lint replint lint-all selfcheck solve \
 	serve clean
 
@@ -17,6 +17,12 @@ test-fast:
 		tests/test_redistribute.py tests/test_triangular_helpers.py \
 		tests/test_row_block.py tests/test_layout_equivalences.py \
 		tests/test_sched.py tests/test_policies.py
+
+## The benchmark harness's own tests.  benchmarks/perf/trace.py rebinds
+## the program's entry points by name, so a refactor that renames or
+## moves one breaks the benchmark without failing tier-1; this catches it.
+test-perf:
+	$(PYTHON) -m pytest -q benchmarks/perf/tests
 
 ## Tiny routing + serve sweeps: fails fast on routing-cost or scheduler
 ## regressions (serve asserts packed makespan < serial full grid).

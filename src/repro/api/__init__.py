@@ -6,11 +6,8 @@ a typed request submitted to a :class:`Cluster` that owns one machine and
 a pool of disjoint subgrids:
 
 * :class:`Cluster` — machine + subgrid pool + request queue
-  (``host``/``submit``/``run``);
-* :class:`ClusterConfig` — every Cluster knob as one typed object
-  (``cache``, ``policy``, ``pricing_cache``, ``backend``,
-  ``plan_cache_size``, ...); the individual keywords remain as
-  deprecation shims;
+  (``host``/``submit``/``run``), configured by six keywords (``params``,
+  ``collectives``, ``trace``, ``cache``, ``policy``, ``backend``);
 * :class:`Backend` / :func:`make_backend` — the execution backend
   (:mod:`repro.backend`): ``"sim"`` simulated clocks (default),
   ``"mpi"`` real Alltoallv transport with wall-clock measurement;
@@ -34,7 +31,7 @@ The legacy one-call entry points (``repro.trsm``,
 single-request Cluster, kept one release for compatibility.
 """
 
-from repro.api.cluster import Cluster, ClusterConfig, ClusterOutcome, RequestRecord
+from repro.api.cluster import Cluster, ClusterOutcome, RequestRecord
 from repro.api.opcache import CachePlan, OperandCache, cache_key
 from repro.api.requests import (
     Execution,
@@ -50,7 +47,6 @@ __all__ = [
     "Backend",
     "CachePlan",
     "Cluster",
-    "ClusterConfig",
     "ClusterOutcome",
     "Execution",
     "InvRequest",

@@ -63,12 +63,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.opcache import OperandCache
-from repro.api.requests import Execution, Request, validate_request
+from repro.api.requests import Execution, Request
 from repro.backend.base import Backend, make_backend
 from repro.dist.distmatrix import DistMatrix
 from repro.dist.layout import CyclicLayout, Layout
 from repro.dist.redistribute import stage_matrix
-from repro.dist.routing import set_plan_cache_capacity
 from repro.machine.cost import Cost, CostParams
 from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ParameterError, require
@@ -95,39 +94,6 @@ def latency_percentiles(
         rank = max(0, min(len(lats) - 1, int(math.ceil(q / 100.0 * len(lats))) - 1))
         out[q] = lats[rank]
     return out
-
-
-@dataclass(slots=True)
-class ClusterConfig:
-    """Everything a :class:`Cluster` can be configured with, in one place.
-
-    The keyword sprawl (``cache=``, ``policy=``, ``pricing_cache=``,
-    ``backend=``, ...) consolidated into a typed object: build one, pass
-    it as ``Cluster(p, config=...)``, share it across clusters.  The
-    individual ``Cluster(...)`` keywords still work as deprecation shims
-    — they fold into a config — but a config and a legacy keyword
-    together is an error, not a silent merge.
-    """
-
-    #: machine cost parameters (None = the default CostParams)
-    params: CostParams | None = None
-    #: collective cost strategy (see repro.machine.collective_models)
-    collectives: str = "butterfly"
-    #: record per-charge TraceEvents on the machine
-    trace: bool = False
-    #: staged-copy reuse across requests (False = uncached PR-3 behavior)
-    cache: bool = True
-    #: packing decision rule ("lpt", "backfill", "optimal", "horizon",
-    #: or a PackingPolicy instance; see repro.sched.policies)
-    policy: PackingPolicy | str | None = None
-    #: memoize scheduler pricing across decision points
-    pricing_cache: bool = True
-    #: execution backend: None/"sim" (default, simulated clocks), "mpi"
-    #: (real Alltoallv transport), or a Backend instance
-    backend: Backend | str | None = None
-    #: resize the process-global routing_plan() LRU (None = leave as is;
-    #: see repro.dist.routing.set_plan_cache_capacity)
-    plan_cache_size: int | None = None
 
 
 @dataclass(slots=True)
@@ -267,60 +233,35 @@ class Cluster:
         self,
         p: int,
         params: CostParams | None = None,
-        collectives: str | None = None,
-        trace: bool | None = None,
-        cache: bool | None = None,
+        collectives: str = "butterfly",
+        trace: bool = False,
+        cache: bool = True,
         policy: PackingPolicy | str | None = None,
-        pricing_cache: bool | None = None,
         backend: Backend | str | None = None,
-        config: ClusterConfig | None = None,
     ):
         """Build a cluster of ``p`` ranks.
 
-        Configuration lives on :class:`ClusterConfig` (``config=``); the
-        individual keywords are deprecation shims that fold into one.
-        Passing both a ``config`` and a legacy keyword is an error.
+        ``params`` are the machine cost constants (default
+        :class:`CostParams`), ``collectives`` the collective cost strategy
+        (:mod:`repro.machine.collective_models`), ``trace`` records
+        per-charge ``TraceEvent``\\ s, ``cache=False`` disables staged-copy
+        reuse, ``policy`` names the packing rule and ``backend`` the
+        execution backend (``None``/``"sim"``, ``"mpi"``, or a
+        :class:`~repro.backend.Backend` instance).
         """
         require(
             is_power_of_two(p), ParameterError, f"p must be a power of two, got {p}"
         )
-        legacy = {
-            "params": params,
-            "collectives": collectives,
-            "trace": trace,
-            "cache": cache,
-            "policy": policy,
-            "pricing_cache": pricing_cache,
-            "backend": backend,
-        }
-        passed = {k: v for k, v in legacy.items() if v is not None}
-        if config is None:
-            config = ClusterConfig(**passed)
-        else:
-            require(
-                not passed,
-                ParameterError,
-                f"legacy keyword(s) {sorted(passed)} conflict with config=; "
-                "set them on the ClusterConfig instead",
-            )
-        self.config = config
         self.p = int(p)
-        self.params = config.params or CostParams()
+        self.params = params or CostParams()
         #: the execution backend plans route through (repro.backend)
-        self.backend = make_backend(config.backend)
+        self.backend = make_backend(backend)
         self.machine = self.backend.make_machine(
-            self.p,
-            params=self.params,
-            trace=config.trace,
-            collectives=config.collectives,
+            self.p, params=self.params, trace=trace, collectives=collectives
         )
-        if config.plan_cache_size is not None:
-            # process-global by design: plans are pure index maps shared
-            # across machines (see set_plan_cache_capacity)
-            set_plan_cache_capacity(config.plan_cache_size)
         #: the packing decision rule ("lpt", "backfill", "optimal",
         #: "horizon", or a PackingPolicy instance; see repro.sched.policies)
-        self.policy = make_policy(config.policy)
+        self.policy = make_policy(policy)
         #: the quadrant pool over all ranks (repro.sched.SubgridAllocator)
         self.pool = self.machine.grid_pool()
         #: the data plane: hosted operands live here in a cyclic layout
@@ -332,12 +273,9 @@ class Cluster:
         #: cache off.
         self.opcache: OperandCache | None = (
             OperandCache()
-            if config.cache and not self.policy.requires_uncached
+            if cache and not self.policy.requires_uncached
             else None
         )
-        #: memoize scheduler pricing across decision points (bit-identical
-        #: schedules; False re-derives every price, the pre-memo behavior)
-        self.pricing_cache = bool(config.pricing_cache)
         self._queue: list[Request] = []
         self._next_rid = 0
         self._exec_hits = 0
@@ -404,7 +342,12 @@ class Cluster:
 
     def submit(self, request: Request) -> int:
         """Queue a typed request; returns its id for :meth:`ClusterOutcome.record`."""
-        validate_request(request)
+        require(
+            isinstance(request, Request),
+            ParameterError,
+            f"submit() takes a Request (TrsmRequest, MMRequest, InvRequest, "
+            f"PreparedSolveRequest), got {type(request).__name__}",
+        )
         self._queue.append(request)
         rid = self._next_rid
         self._next_rid += 1
@@ -436,11 +379,7 @@ class Cluster:
             # them mid-run and diverge the plan from the measurement).
             self.opcache.evict_grid(self.pool.root_grid)
         schedule = Scheduler(
-            self.pool,
-            self.params,
-            cache=self.opcache,
-            policy=self.policy,
-            pricing_cache=self.pricing_cache,
+            self.pool, self.params, cache=self.opcache, policy=self.policy
         ).schedule(queue)
         require(
             self.pool.drained(),

@@ -50,11 +50,10 @@ from repro.api.online.admission import (
     Deferred,
     Rejected,
 )
-from repro.api.requests import TrsmRequest
+from repro.api.serve import _trsm_requests
 from repro.dist.routing import plan_cache_stats
 from repro.machine.cost import CostParams
 from repro.machine.validate import ParameterError, require
-from repro.util.randmat import random_dense, random_lower_triangular
 
 __all__ = ["DaemonConfig", "ServeDaemon"]
 
@@ -76,7 +75,6 @@ class DaemonConfig:
     params: CostParams | None = None
     policy: str | None = None
     cache: bool = True
-    pricing_cache: bool = True
     verify: bool = False
     time_scale: float = 1e-6
     batch: int = 8
@@ -270,29 +268,9 @@ class ServeDaemon:
             return {"completed": 0, "results": []}
         cfg = self.config
         base = min(e.arrival for e in drained)
-        cluster = Cluster(
-            cfg.p,
-            params=cfg.params,
-            cache=cfg.cache,
-            policy=cfg.policy,
-            pricing_cache=cfg.pricing_cache,
-        )
-        rid_of: dict[int, int] = {}
-        for e in drained:
-            L = cluster.host(random_lower_triangular(e.n, seed=e.seed))
-            B = cluster.host(random_dense(e.n, e.k, seed=e.seed + 1))
-            cluster_rid = cluster.submit(
-                TrsmRequest(
-                    L=L,
-                    B=B,
-                    verify=cfg.verify,
-                    arrival=e.arrival - base,
-                    priority=e.priority,
-                    deadline=None if e.deadline is None else e.deadline - base,
-                    tenant=e.tenant,
-                )
-            )
-            rid_of[cluster_rid] = e.rid
+        cluster = Cluster(cfg.p, params=cfg.params, cache=cfg.cache, policy=cfg.policy)
+        requests = _trsm_requests(cluster, drained, verify=cfg.verify, base=base)
+        rid_of = {cluster.submit(req): e.rid for req, e in zip(requests, drained)}
         self._queue.clear()
         outcome = cluster.run()
         self.last_outcome = outcome

@@ -14,17 +14,27 @@ subgrid through :func:`repro.dist.redistribute.stage_matrix`, charged at
 the exact per-pair routing cost, and the same
 :func:`~repro.dist.redistribute.staging_plan` prices the migration for the
 scheduler before the placement is committed.
+
+**How a request is planned.**  Algorithm, tuned parameters, working grid
+and operand layouts are fixed a priori from ``(n, k, p)`` (paper Section
+VIII), once, by the request type's ``_plan(grid, params)``.  Everything
+else reads that one plan: ``_staging_targets`` (what the scheduler
+prices) is its resident placements, and ``execute`` (what the machine
+runs) places its operands in order and hands them to the kernel — so a
+placement cannot be priced one way and executed another.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
+
 import numpy as np
 
 from repro.api.opcache import cache_key
 from repro.dist.distmatrix import DistMatrix
-from repro.dist.layout import CyclicLayout
+from repro.dist.layout import CyclicLayout, Layout
 from repro.dist.redistribute import staging_plan
 from repro.machine.cost import Cost, CostParams
 from repro.machine.topology import ProcessorGrid
@@ -53,6 +63,18 @@ def _shape_of(M) -> tuple[int, int]:
     return (A.shape[0], A.shape[1] if A.ndim == 2 else 1)
 
 
+def _order_of(L, n0: int | None) -> int:
+    """The order ``n`` of the square operand ``L``; ``n0`` must divide it."""
+    n, n2 = _shape_of(L)
+    require(n == n2, ShapeError, "L must be square")
+    require(
+        n0 is None or (n0 >= 1 and n % n0 == 0),
+        ParameterError,
+        f"n0={n0} must divide n={n}",
+    )
+    return n
+
+
 def _operand_key(M):
     """The pricing identity of one operand.
 
@@ -72,6 +94,46 @@ class Execution:
     algorithm: str
     residual: float | None = None
     choice: TuningChoice | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """One request on one subgrid: the a-priori decision everything else
+    (pricing, staging, execution) is derived from."""
+
+    algorithm: str
+    choice: TuningChoice | None
+    #: the subgrid reshaped to the kernel's working grid
+    grid: ProcessorGrid
+    #: ``(operand, target grid, layout, shape, label)`` per operand, in
+    #: staging order (``Cost`` sums and the cache hit/miss replay are
+    #: order-sensitive)
+    placements: tuple[tuple, ...]
+
+
+def _on(name: str, M, grid: ProcessorGrid, shape: tuple[int, int], layout: Layout | None = None):
+    """Placement of operand ``name``: cyclic over the 2D ``grid`` unless
+    the kernel wants another ``layout``."""
+    if layout is None:
+        layout = CyclicLayout(*grid.shape)
+    return (M, grid, layout, shape, f"cluster.stage_{name}")
+
+
+def _plan_3d(
+    algorithm: str, grid: ProcessorGrid, c: TuningChoice, n: int, factors, B=None, k: int = 0
+) -> _Plan:
+    """The It-Inv-TRSM placement on ``p1 x p1 x p2``: the ``n x n``
+    ``(name, operand)`` factors cyclic on the ``z = 0`` plane, then the
+    right-hand side (if any) row-cyclic / column-blocked on ``y = 0``."""
+    from repro.trsm.iterative import _RowCyclicColBlocked
+
+    work = grid.reshape((c.p1, c.p1, c.p2))
+    front = work.plane(2, 0)
+    placements = [_on(name, M, front, (n, n)) for name, M in factors]
+    if B is not None:
+        layout = _RowCyclicColBlocked(c.p1, c.p2)
+        placements.append(_on("B", B, work.plane(1, 0), (n, k), layout))
+    return _Plan(algorithm, c, work, tuple(placements))
 
 
 @dataclass(kw_only=True, eq=False, slots=True)
@@ -98,6 +160,10 @@ class Request:
     deadline: float | None = None
     tenant: str = "default"
     kind: str = field(default="request", init=False)
+    #: the attributes a price depends on and the operand attributes — the
+    #: type-specific part of :meth:`pricing_key` (empty = opt out)
+    _priced: ClassVar[tuple[str, ...]] = ()
+    _operands: ClassVar[tuple[str, ...]] = ()
 
     def candidate_sizes(self, capacity: int) -> list[int]:
         base = self._natural_sizes(capacity)
@@ -150,9 +216,18 @@ class Request:
             targets.append((key, target_grid, cost, hit))
         return charged, saved, tuple(targets)
 
+    def _plan(self, grid: ProcessorGrid, params: CostParams) -> _Plan:
+        """The type's one placement decision for the subgrid ``grid``."""
+        raise NotImplementedError
+
     def _staging_targets(self, grid: ProcessorGrid, params: CostParams):
-        """Yield ``(resident_matrix, target_grid, target_layout)`` triples."""
-        return ()
+        """``(resident_matrix, target_grid, target_layout)`` per resident
+        operand of the plan, in placement order."""
+        return [
+            (M, target_grid, layout)
+            for M, target_grid, layout, _, _ in self._plan(grid, params).placements
+            if isinstance(M, DistMatrix)
+        ]
 
     def pricing_key(self):
         """Hashable pricing identity, or ``None`` to opt out of sharing.
@@ -167,25 +242,30 @@ class Request:
         verification flags are deliberately excluded — they never affect
         a price.
         """
-        return None
+        if not self._priced:
+            return None
+        return (
+            self.kind,
+            self.sizes,
+            *(getattr(self, name) for name in self._priced),
+            *(_operand_key(getattr(self, name)) for name in self._operands),
+        )
 
     def execute(self, cluster, grid: ProcessorGrid) -> Execution:
         raise NotImplementedError
 
 
-def _place(
-    cluster,
-    operand,
-    grid: ProcessorGrid,
-    layout,
-    shape: tuple[int, int],
-    label: str,
-):
-    """Resident operands migrate (exact charge, cache-aware); globals are free."""
-    if isinstance(operand, DistMatrix):
-        return cluster.stage_resident(operand, grid, layout, label=label)
-    A = np.asarray(operand, dtype=np.float64).reshape(shape)
-    return DistMatrix.from_global(cluster.machine, grid, layout, A)
+def _place(cluster, plan: _Plan) -> list[DistMatrix]:
+    """Put the plan's operands where it says, in order: resident operands
+    migrate (exact charge, cache-aware); globals are free."""
+    placed = []
+    for M, grid, layout, shape, label in plan.placements:
+        if isinstance(M, DistMatrix):
+            placed.append(cluster.stage_resident(M, grid, layout, label=label))
+        else:
+            A = np.asarray(M, dtype=np.float64).reshape(shape)
+            placed.append(DistMatrix.from_global(cluster.machine, grid, layout, A))
+    return placed
 
 
 def _as_global(operand) -> np.ndarray:
@@ -208,6 +288,8 @@ class TrsmRequest(Request):
     n: int = field(init=False)
     k: int = field(init=False)
     _choices: dict[tuple[int, CostParams], TuningChoice] = field(init=False, repr=False)
+    _priced = ("n", "k", "algorithm", "tune", "n0", "base_n")
+    _operands = ("L", "B")
 
     def __post_init__(self) -> None:
         self.kind = "trsm"
@@ -221,15 +303,8 @@ class TrsmRequest(Request):
             ParameterError,
             f"unknown tune mode {self.tune!r}",
         )
-        n, n2 = _shape_of(self.L)
-        require(n == n2, ShapeError, "L must be square")
-        self.n = n
+        self.n = _order_of(self.L, self.n0)
         self.k = _shape_of(self.B)[1]
-        require(
-            self.n0 is None or (self.n0 >= 1 and n % self.n0 == 0),
-            ParameterError,
-            f"n0={self.n0} must divide n={n}",
-        )
         self._choices = {}
 
     # -- scheduling hooks ---------------------------------------------------
@@ -251,14 +326,7 @@ class TrsmRequest(Request):
             else:
                 got = tuned_parameters(self.n, self.k, size)
             if self.n0 is not None:
-                got = TuningChoice(
-                    regime=got.regime,
-                    p1=got.p1,
-                    p2=got.p2,
-                    n0=self.n0,
-                    r1=got.r1,
-                    r2=got.r2,
-                )
+                got = replace(got, n0=self.n0)
             self._choices[key] = got
         return got
 
@@ -270,78 +338,31 @@ class TrsmRequest(Request):
         c = self.choice_for(size, params)
         return iterative_cost(self.n, self.k, c.n0, c.p1, c.p2)
 
-    def pricing_key(self):
-        return (
-            "trsm",
-            self.n,
-            self.k,
-            self.algorithm,
-            self.tune,
-            self.n0,
-            self.base_n,
-            self.sizes,
-            _operand_key(self.L),
-            _operand_key(self.B),
-        )
-
-    def _staging_targets(self, grid: ProcessorGrid, params: CostParams):
-        from repro.trsm.iterative import _RowCyclicColBlocked
-        from repro.trsm.recursive import choose_recursive_grid
-
+    def _plan(self, grid: ProcessorGrid, params: CostParams) -> _Plan:
+        n, k = self.n, self.k
         if self._algorithm_for(grid.size) == "recursive":
-            pr, pc = choose_recursive_grid(self.n, self.k, grid.size)
-            grid2d = grid.reshape((pr, pc))
-            layout = CyclicLayout(pr, pc)
-            for M in (self.L, self.B):
-                if isinstance(M, DistMatrix):
-                    yield M, grid2d, layout
-            return
+            from repro.trsm.recursive import choose_recursive_grid
+
+            work = grid.reshape(choose_recursive_grid(n, k, grid.size))
+            placements = (_on("L", self.L, work, (n, n)), _on("B", self.B, work, (n, k)))
+            return _Plan("recursive", None, work, placements)
         c = self.choice_for(grid.size, params)
-        grid3d = grid.reshape((c.p1, c.p1, c.p2))
-        if isinstance(self.L, DistMatrix):
-            yield self.L, grid3d.plane(2, 0), CyclicLayout(c.p1, c.p1)
-        if isinstance(self.B, DistMatrix):
-            yield self.B, grid3d.plane(1, 0), _RowCyclicColBlocked(c.p1, c.p2)
+        return _plan_3d("iterative", grid, c, n, [("L", self.L)], self.B, k)
 
     # -- execution ----------------------------------------------------------
 
     def execute(self, cluster, grid: ProcessorGrid) -> Execution:
-        from repro.trsm.iterative import _RowCyclicColBlocked, it_inv_trsm
-        from repro.trsm.recursive import choose_recursive_grid, rec_trsm
+        from repro.trsm.iterative import it_inv_trsm
+        from repro.trsm.recursive import rec_trsm
 
-        machine = cluster.machine
         n, k = self.n, self.k
-        algorithm = self._algorithm_for(grid.size)
-
-        if algorithm == "recursive":
-            pr, pc = choose_recursive_grid(n, k, grid.size)
-            grid2d = grid.reshape((pr, pc))
-            layout = CyclicLayout(pr, pc)
-            Ld = _place(cluster, self.L, grid2d, layout, (n, n), "cluster.stage_L")
-            Bd = _place(cluster, self.B, grid2d, layout, (n, k), "cluster.stage_B")
+        plan = self._plan(grid, cluster.params)
+        Ld, Bd = _place(cluster, plan)
+        if plan.choice is None:
             X = rec_trsm(Ld, Bd).to_global()
-            choice = None
         else:
-            choice = self.choice_for(grid.size, cluster.params)
-            grid3d = grid.reshape((choice.p1, choice.p1, choice.p2))
-            Ld = _place(
-                cluster,
-                self.L,
-                grid3d.plane(2, 0),
-                CyclicLayout(choice.p1, choice.p1),
-                (n, n),
-                "cluster.stage_L",
-            )
-            Bd = _place(
-                cluster,
-                self.B,
-                grid3d.plane(1, 0),
-                _RowCyclicColBlocked(choice.p1, choice.p2),
-                (n, k),
-                "cluster.stage_B",
-            )
             X = it_inv_trsm(
-                machine, grid3d, Ld, Bd, n0=choice.n0, base_n=self.base_n
+                cluster.machine, plan.grid, Ld, Bd, n0=plan.choice.n0, base_n=self.base_n
             ).to_global()
 
         residual = None
@@ -349,7 +370,7 @@ class TrsmRequest(Request):
             residual = relative_residual(
                 _as_global(self.L), X, _as_global(self.B).reshape(n, k)
             )
-        return Execution(value=X, algorithm=algorithm, residual=residual, choice=choice)
+        return Execution(value=X, algorithm=plan.algorithm, residual=residual, choice=plan.choice)
 
 
 @dataclass(kw_only=True, eq=False, slots=True)
@@ -364,6 +385,8 @@ class MMRequest(Request):
     m: int = field(init=False)
     n: int = field(init=False)
     k: int = field(init=False)
+    _priced = ("m", "n", "k", "p1")
+    _operands = ("A", "X")
 
     def __post_init__(self) -> None:
         self.kind = "mm"
@@ -399,34 +422,18 @@ class MMRequest(Request):
         p1, p2 = self._split(size, params)
         return mm3d_cost(self.n, self.k, p1, p2, m=self.m)
 
-    def pricing_key(self):
-        return (
-            "mm",
-            self.m,
-            self.n,
-            self.k,
-            self.p1,
-            self.sizes,
-            _operand_key(self.A),
-            _operand_key(self.X),
-        )
-
-    def _staging_targets(self, grid: ProcessorGrid, params: CostParams):
+    def _plan(self, grid: ProcessorGrid, params: CostParams) -> _Plan:
         sp = math.isqrt(grid.size)
-        grid2d = grid.reshape((sp, sp))
-        layout = CyclicLayout(sp, sp)
-        for M in (self.A, self.X):
-            if isinstance(M, DistMatrix):
-                yield M, grid2d, layout
+        work = grid.reshape((sp, sp))
+        A = _on("A", self.A, work, (self.m, self.n))
+        X = _on("X", self.X, work, (self.n, self.k))
+        return _Plan("mm3d", None, work, (A, X))
 
     def execute(self, cluster, grid: ProcessorGrid) -> Execution:
         from repro.mm.mm3d import mm3d
 
-        sp = math.isqrt(grid.size)
-        grid2d = grid.reshape((sp, sp))
-        layout = CyclicLayout(sp, sp)
-        Ad = _place(cluster, self.A, grid2d, layout, (self.m, self.n), "cluster.stage_A")
-        Xd = _place(cluster, self.X, grid2d, layout, (self.n, self.k), "cluster.stage_X")
+        plan = self._plan(grid, cluster.params)
+        Ad, Xd = _place(cluster, plan)
         p1, _ = self._split(grid.size, cluster.params)
         B = mm3d(Ad, Xd, p1, scale=self.scale).to_global()
         residual = None
@@ -434,7 +441,7 @@ class MMRequest(Request):
             residual = relative_residual(
                 self.scale * _as_global(self.A), _as_global(self.X), B
             )
-        return Execution(value=B, algorithm=f"mm3d(p1={p1})", residual=residual)
+        return Execution(value=B, algorithm=f"{plan.algorithm}(p1={p1})", residual=residual)
 
 
 @dataclass(kw_only=True, eq=False, slots=True)
@@ -448,17 +455,12 @@ class InvRequest(Request):
     base_n: int = 8
     verify: bool = False
     n: int = field(init=False)
+    _priced = ("n", "n0", "k_hint", "base_n")
+    _operands = ("L",)
 
     def __post_init__(self) -> None:
         self.kind = "inv" if self.n0 is None else "diag_inv"
-        n, n2 = _shape_of(self.L)
-        require(n == n2, ShapeError, "L must be square")
-        self.n = n
-        require(
-            self.n0 is None or (self.n0 >= 1 and n % self.n0 == 0),
-            ParameterError,
-            f"n0={self.n0} must divide n={n}",
-        )
+        self.n = _order_of(self.L, self.n0)
 
     def _natural_sizes(self, capacity: int) -> list[int]:
         if self.n0 is None:
@@ -469,16 +471,7 @@ class InvRequest(Request):
     def choice_for(self, size: int) -> TuningChoice:
         """Diagonal-inverter grid choice scoped to the subgrid (paper VIII)."""
         choice = tuned_parameters(self.n, max(self.k_hint, 1), size)
-        if self.n0 is not None and self.n0 != choice.n0:
-            choice = TuningChoice(
-                regime=choice.regime,
-                p1=choice.p1,
-                p2=choice.p2,
-                n0=self.n0,
-                r1=choice.r1,
-                r2=choice.r2,
-            )
-        return choice
+        return choice if self.n0 is None else replace(choice, n0=self.n0)
 
     def modeled_cost(self, size: int, params: CostParams) -> Cost:
         if self.n0 is None:
@@ -491,38 +484,22 @@ class InvRequest(Request):
         c = self.choice_for(size)
         return iterative_parts(self.n, max(self.k_hint, 1), c.n0, c.p1, c.p2).inversion
 
-    def pricing_key(self):
-        return (
-            "inv",
-            self.n,
-            self.n0,
-            self.k_hint,
-            self.base_n,
-            self.sizes,
-            _operand_key(self.L),
-        )
-
-    def _staging_targets(self, grid: ProcessorGrid, params: CostParams):
-        if not isinstance(self.L, DistMatrix):
-            return
-        if self.n0 is None:
-            sp = math.isqrt(grid.size)
-            yield self.L, grid.reshape((sp, sp)), CyclicLayout(sp, sp)
-        else:
-            c = self.choice_for(grid.size)
-            grid3d = grid.reshape((c.p1, c.p1, c.p2))
-            yield self.L, grid3d.plane(2, 0), CyclicLayout(c.p1, c.p1)
-
-    def execute(self, cluster, grid: ProcessorGrid) -> Execution:
-        machine = cluster.machine
+    def _plan(self, grid: ProcessorGrid, params: CostParams) -> _Plan:
         n = self.n
         if self.n0 is None:
+            sp = math.isqrt(grid.size)
+            work = grid.reshape((sp, sp))
+            return _Plan("rec_tri_inv", None, work, (_on("L", self.L, work, (n, n)),))
+        c = self.choice_for(grid.size)
+        return _plan_3d("diagonal_inverter", grid, c, n, [("L", self.L)])
+
+    def execute(self, cluster, grid: ProcessorGrid) -> Execution:
+        n = self.n
+        plan = self._plan(grid, cluster.params)
+        (Ld,) = _place(cluster, plan)
+        if plan.choice is None:
             from repro.inversion.rec_tri_inv import rec_tri_inv
 
-            sp = math.isqrt(grid.size)
-            grid2d = grid.reshape((sp, sp))
-            layout = CyclicLayout(sp, sp)
-            Ld = _place(cluster, self.L, grid2d, layout, (n, n), "cluster.stage_L")
             Linv = rec_tri_inv(Ld, base_n=self.base_n).to_global()
             residual = None
             if self.verify:
@@ -530,25 +507,15 @@ class InvRequest(Request):
                     np.linalg.norm(_as_global(self.L) @ Linv - np.eye(n))
                     / math.sqrt(n)
                 )
-            return Execution(value=Linv, algorithm="rec_tri_inv", residual=residual)
+            return Execution(value=Linv, algorithm=plan.algorithm, residual=residual)
 
         from repro.trsm.diagonal_inverter import diagonal_inverter
 
-        choice = self.choice_for(grid.size)
-        grid3d = grid.reshape((choice.p1, choice.p1, choice.p2))
-        Ld = _place(
-            cluster,
-            self.L,
-            grid3d.plane(2, 0),
-            CyclicLayout(choice.p1, choice.p1),
-            (n, n),
-            "cluster.stage_L",
-        )
-        with machine.phase("inversion"):
+        with cluster.machine.phase("inversion"):
             Ltilde = diagonal_inverter(
-                Ld, choice.n0, pool=grid3d.ranks(), base_n=self.base_n
+                Ld, plan.choice.n0, pool=plan.grid.ranks(), base_n=self.base_n
             ).to_global()
-        return Execution(value=Ltilde, algorithm="diagonal_inverter", choice=choice)
+        return Execution(value=Ltilde, algorithm=plan.algorithm, choice=plan.choice)
 
 
 @dataclass(kw_only=True, eq=False, slots=True)
@@ -573,6 +540,8 @@ class PreparedSolveRequest(Request):
     verify: bool = True
     n: int = field(init=False)
     k: int = field(init=False)
+    _priced = ("n", "k")
+    _operands = ("L", "Ltilde", "B")
 
     def __post_init__(self) -> None:
         self.kind = "prepared_solve"
@@ -598,16 +567,7 @@ class PreparedSolveRequest(Request):
         if size == prepared.p:
             return prepared.choice
         choice = tuned_parameters(self.n, max(self.k, 1), size)
-        if choice.n0 != prepared.choice.n0:
-            choice = TuningChoice(
-                regime=choice.regime,
-                p1=choice.p1,
-                p2=choice.p2,
-                n0=prepared.choice.n0,
-                r1=choice.r1,
-                r2=choice.r2,
-            )
-        return choice
+        return replace(choice, n0=prepared.choice.n0)
 
     def modeled_cost(self, size: int, params: CostParams) -> Cost:
         from repro.trsm.cost_model import iterative_parts
@@ -619,65 +579,34 @@ class PreparedSolveRequest(Request):
     def pricing_key(self):
         # the prepared solver prices through its TuningChoice; distinct
         # PreparedTrsm objects stay distinct (id), shared ones share
-        return (
-            "prepared_solve",
-            id(self.prepared),
-            self.n,
-            self.k,
-            self.sizes,
-            _operand_key(self.L),
-            _operand_key(self.Ltilde),
-            _operand_key(self.B),
-        )
+        return (id(self.prepared), *Request.pricing_key(self))
 
-    def _staging_targets(self, grid: ProcessorGrid, params: CostParams):
-        from repro.trsm.iterative import _RowCyclicColBlocked
-
+    def _plan(self, grid: ProcessorGrid, params: CostParams) -> _Plan:
+        # Hosted factor/inverse handles migrate (cache-amortized across the
+        # stream); otherwise they are the solver's own state — plain arrays,
+        # so their placement is free, exactly as before.
+        prepared = self.prepared
+        factors = [
+            ("L", prepared.L if self.L is None else self.L),
+            ("Ltilde", prepared.Ltilde if self.Ltilde is None else self.Ltilde),
+        ]
         c = self.choice_for(grid.size)
-        grid3d = grid.reshape((c.p1, c.p1, c.p2))
-        plane_L = grid3d.plane(2, 0)
-        lay_L = CyclicLayout(c.p1, c.p1)
-        for M in (self.L, self.Ltilde):
-            if isinstance(M, DistMatrix):
-                yield M, plane_L, lay_L
-        if isinstance(self.B, DistMatrix):
-            yield self.B, grid3d.plane(1, 0), _RowCyclicColBlocked(c.p1, c.p2)
+        return _plan_3d("it_inv_trsm(prepared)", grid, c, self.n, factors, self.B, self.k)
 
     def execute(self, cluster, grid: ProcessorGrid) -> Execution:
-        from repro.trsm.iterative import _RowCyclicColBlocked, it_inv_trsm
+        from repro.trsm.iterative import it_inv_trsm
 
-        machine = cluster.machine
         prepared = self.prepared
         n, k = self.n, self.k
-        choice = self.choice_for(grid.size)
-        grid3d = grid.reshape((choice.p1, choice.p1, choice.p2))
-        plane_L = grid3d.plane(2, 0)
-        lay_L = CyclicLayout(choice.p1, choice.p1)
-        # Hosted factor/inverse handles migrate (cache-amortized across the
-        # stream); otherwise they are the solver's own state — placement is
-        # free, exactly as before.
-        if self.L is not None:
-            Ld = _place(cluster, self.L, plane_L, lay_L, (n, n), "cluster.stage_L")
-        else:
-            Ld = DistMatrix.from_global(machine, plane_L, lay_L, prepared.L)
-        if self.Ltilde is not None:
-            Ltilde = _place(
-                cluster, self.Ltilde, plane_L, lay_L, (n, n), "cluster.stage_Ltilde"
-            )
-        else:
-            Ltilde = DistMatrix.from_global(
-                machine, plane_L, lay_L, prepared._Ltilde_global
-            )
-        Bd = _place(
-            cluster,
-            self.B,
-            grid3d.plane(1, 0),
-            _RowCyclicColBlocked(choice.p1, choice.p2),
-            (n, k),
-            "cluster.stage_B",
-        )
+        plan = self._plan(grid, cluster.params)
+        Ld, Ltilde, Bd = _place(cluster, plan)
         X = it_inv_trsm(
-            machine, grid3d, Ld, Bd, n0=choice.n0, base_n=prepared.base_n,
+            cluster.machine,
+            plan.grid,
+            Ld,
+            Bd,
+            n0=plan.choice.n0,
+            base_n=prepared.base_n,
             Ltilde=Ltilde,
         ).to_global()
         residual = None
@@ -689,17 +618,4 @@ class PreparedSolveRequest(Request):
                 ShapeError,
                 f"prepared solve verification failed (residual {residual:.3e})",
             )
-        return Execution(
-            value=X, algorithm="it_inv_trsm(prepared)", residual=residual, choice=choice
-        )
-
-
-def validate_request(req: object) -> Request:
-    """Typed-submission guard for :meth:`Cluster.submit`."""
-    require(
-        isinstance(req, Request),
-        ParameterError,
-        f"submit() takes a Request (TrsmRequest, MMRequest, InvRequest, "
-        f"PreparedSolveRequest), got {type(req).__name__}",
-    )
-    return req
+        return Execution(value=X, algorithm=plan.algorithm, residual=residual, choice=plan.choice)

@@ -95,6 +95,47 @@ def poisson_stream(
     ]
 
 
+def _trsm_requests(
+    cluster: Cluster,
+    entries,
+    resident: bool = True,
+    shared: bool = False,
+    verify: bool = True,
+    base: float = 0.0,
+) -> list[TrsmRequest]:
+    """One :class:`TrsmRequest` per stream entry, operands from its seed.
+
+    The one stream-entry → request step :func:`replay`,
+    :func:`schedule_stream` and the daemon's flush share.  ``resident``
+    hosts the operands on ``cluster``'s data plane; ``shared`` makes one
+    ``(L, B)`` pair per distinct ``(n, k)`` shape (seeded by the shape's
+    first entry) serve every same-shape entry; ``base`` is subtracted
+    from arrivals and deadlines (the daemon rebases each batch).
+    """
+    pairs: dict[tuple[int, int], tuple] = {}
+    requests = []
+    for s in entries:
+        pair = pairs.get((s.n, s.k)) if shared else None
+        if pair is None:
+            L = random_lower_triangular(s.n, seed=s.seed)
+            B = random_dense(s.n, s.k, seed=s.seed + 1)
+            pair = (cluster.host(L), cluster.host(B)) if resident else (L, B)
+            if shared:
+                pairs[(s.n, s.k)] = pair
+        requests.append(
+            TrsmRequest(
+                L=pair[0],
+                B=pair[1],
+                verify=verify,
+                arrival=s.arrival - base,
+                priority=s.priority,
+                deadline=None if s.deadline is None else s.deadline - base,
+                tenant=s.tenant,
+            )
+        )
+    return requests
+
+
 def replay(
     stream: list[StreamRequest],
     p: int,
@@ -104,7 +145,6 @@ def replay(
     policy=None,
     cache: bool = True,
     shared_operands: bool = False,
-    pricing_cache: bool = True,
     backend=None,
 ) -> ClusterOutcome:
     """Submit a stream to a fresh Cluster and run it to completion.
@@ -123,47 +163,17 @@ def replay(
     ``(n, k)`` shape (seeded by the shape's first stream entry) and lets
     every same-shape request reference it — the serve-scale regime where
     the operand cache, the routing-plan cache and the pricing memo all
-    amortize across the stream.  ``pricing_cache=False`` re-derives every
-    scheduler price (the pre-memo behavior, for parity benches).
+    amortize across the stream.
 
     ``backend`` selects the execution backend (``None``/``"sim"``/``"mpi"``
     or a :class:`~repro.backend.Backend` instance; see :mod:`repro.backend`)
     — values are bit-identical across backends, a real backend adds
     measured wall-clock transport alongside the model.
     """
-    cluster = Cluster(
-        p,
-        params=params,
-        cache=cache,
-        policy=policy,
-        pricing_cache=pricing_cache,
-        backend=backend,
-    )
-    shared: dict[tuple[int, int], tuple] = {}
-    for s in stream:
-        if resident and shared_operands:
-            pair = shared.get((s.n, s.k))
-            if pair is None:
-                L = cluster.host(random_lower_triangular(s.n, seed=s.seed))
-                B = cluster.host(random_dense(s.n, s.k, seed=s.seed + 1))
-                pair = shared[(s.n, s.k)] = (L, B)
-            L, B = pair
-        else:
-            L = random_lower_triangular(s.n, seed=s.seed)
-            B = random_dense(s.n, s.k, seed=s.seed + 1)
-            if resident:
-                L, B = cluster.host(L), cluster.host(B)
-        cluster.submit(
-            TrsmRequest(
-                L=L,
-                B=B,
-                verify=verify,
-                arrival=s.arrival,
-                priority=s.priority,
-                deadline=s.deadline,
-                tenant=s.tenant,
-            )
-        )
+    cluster = Cluster(p, params=params, cache=cache, policy=policy, backend=backend)
+    shared = resident and shared_operands
+    for request in _trsm_requests(cluster, stream, resident, shared, verify):
+        cluster.submit(request)
     return cluster.run()
 
 
@@ -185,30 +195,11 @@ def schedule_stream(
     is the scheduler+routing hot path in isolation, which is what the
     serve-scale throughput bench measures and what capacity planning
     ("how would this day of traffic pack?") actually needs.
+    ``pricing_cache=False`` re-derives every scheduler price (the
+    pre-memo behavior, the parity benches' reference).
     """
-    cluster = Cluster(
-        p, params=params, cache=cache, policy=policy, pricing_cache=pricing_cache
-    )
-    shared: dict[tuple[int, int], tuple] = {}
-    requests = []
-    for s in stream:
-        pair = shared.get((s.n, s.k))
-        if pair is None:
-            L = cluster.host(random_lower_triangular(s.n, seed=s.seed))
-            B = cluster.host(random_dense(s.n, s.k, seed=s.seed + 1))
-            pair = shared[(s.n, s.k)] = (L, B)
-        L, B = pair
-        requests.append(
-            TrsmRequest(
-                L=L,
-                B=B,
-                verify=False,
-                arrival=s.arrival,
-                priority=s.priority,
-                deadline=s.deadline,
-                tenant=s.tenant,
-            )
-        )
+    cluster = Cluster(p, params=params, cache=cache, policy=policy)
+    requests = _trsm_requests(cluster, stream, shared=True, verify=False)
     return Scheduler(
         cluster.pool,
         cluster.params,

@@ -10,7 +10,6 @@ from repro.backend.base import (
     BACKEND_NAMES,
     Backend,
     BackendExecutionError,
-    ComputeMeasurement,
     PlanMeasurement,
     make_backend,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "BACKEND_NAMES",
     "Backend",
     "BackendExecutionError",
-    "ComputeMeasurement",
     "PlanMeasurement",
     "SimBackend",
     "make_backend",

@@ -12,16 +12,13 @@ the scheduler — speaks to execution through a :class:`Backend`:
   ``plan.apply`` verbatim; :class:`~repro.backend.mpi.MPIBackend` moves
   the same payloads over a real communicator with ``Alltoallv``
   count/displacement rounds and times them;
-* :meth:`Backend.execute_compute` runs (or models) one compute kernel of
-  a given shape and flop count — the gamma-calibration primitive the
-  modeled-vs-measured report uses;
 * :meth:`Backend.barrier` / :meth:`Backend.timer` — synchronization and
   the backend's clock (simulated seconds for the simulator, wall seconds
   for MPI);
 * capability flags — ``name``, ``is_real`` (are measured seconds real
   wall-clock readings?), ``world_size`` (processes backing execution).
 
-Every plan and kernel execution appends a measurement record, so
+Every plan execution appends a measurement record, so
 :mod:`repro.analysis.validation` can compare the model's predictions with
 what execution observed — trivially self-consistent under the simulator,
 a genuine hardware validation under MPI.
@@ -36,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.machine.cost import Cost, CostParams
+from repro.machine.cost import CostParams
 from repro.machine.machine import Machine
 from repro.machine.validate import ParameterError, require
 
@@ -82,22 +79,6 @@ class PlanMeasurement:
         return (self.measured_seconds - self.modeled_seconds) / self.modeled_seconds
 
 
-@dataclass(slots=True, frozen=True)
-class ComputeMeasurement:
-    """One executed compute kernel: modeled gamma-seconds vs observed."""
-
-    kind: str
-    shape: tuple[int, ...]
-    flops: float
-    modeled_seconds: float
-    measured_seconds: float
-
-    def relative_error(self) -> float:
-        if self.modeled_seconds == 0.0:
-            return 0.0
-        return (self.measured_seconds - self.modeled_seconds) / self.modeled_seconds
-
-
 class Backend(abc.ABC):
     """Abstract execution backend; see the module docstring.
 
@@ -118,9 +99,6 @@ class Backend(abc.ABC):
         self.machine: Machine | None = None
         self.params: CostParams = CostParams()
         self.plan_log: deque[PlanMeasurement] = deque(maxlen=MEASUREMENT_LOG_LIMIT)
-        self.compute_log: deque[ComputeMeasurement] = deque(
-            maxlen=MEASUREMENT_LOG_LIMIT
-        )
 
     # -- machine binding ----------------------------------------------------
 
@@ -174,17 +152,6 @@ class Backend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def execute_compute(self, kind: str, shape: tuple[int, ...], flops: float) -> float:
-        """Execute (or model) one kernel; returns seconds observed.
-
-        ``kind`` is ``"gemm"`` (shape ``(m, n, k)``), ``"trsm"`` (shape
-        ``(n, k)``) or ``"axpy"`` (shape ``(n,)``); ``flops`` is the
-        model's count for it.  The simulator returns the modeled
-        ``gamma * flops``; a real backend runs the kernel and returns
-        wall seconds.
-        """
-
-    @abc.abstractmethod
     def barrier(self) -> None:
         """Synchronize all ranks (simulated clocks, or the communicator)."""
 
@@ -216,34 +183,12 @@ class Backend(abc.ABC):
         self.plan_log.append(record)
         return record
 
-    def _log_compute(
-        self,
-        kind: str,
-        shape: tuple[int, ...],
-        flops: float,
-        measured_seconds: float,
-    ) -> ComputeMeasurement:
-        record = ComputeMeasurement(
-            kind=kind,
-            shape=tuple(int(s) for s in shape),
-            flops=float(flops),
-            modeled_seconds=Cost(0.0, 0.0, float(flops)).time(self.params),
-            measured_seconds=float(measured_seconds),
-        )
-        self.compute_log.append(record)
-        return record
-
     def measurements(self) -> list[PlanMeasurement]:
         """Executed-plan records, oldest first (bounded history)."""
         return list(self.plan_log)
 
-    def compute_measurements(self) -> list[ComputeMeasurement]:
-        """Executed-kernel records, oldest first (bounded history)."""
-        return list(self.compute_log)
-
     def clear_measurements(self) -> None:
         self.plan_log.clear()
-        self.compute_log.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, world={self.world_size})"

@@ -339,32 +339,6 @@ class MPIBackend(Backend):
         )
         return expected_out
 
-    def execute_compute(self, kind: str, shape: tuple[int, ...], flops: float) -> float:
-        rng = np.random.default_rng(0)
-        if kind == "gemm" and len(shape) == 3:
-            m, n, k = (int(s) for s in shape)
-            A = rng.standard_normal((m, k))
-            B = rng.standard_normal((k, n))
-            t0 = time.perf_counter()
-            A @ B
-            seconds = time.perf_counter() - t0
-        elif kind == "trsm" and len(shape) == 2:
-            n, k = (int(s) for s in shape)
-            L = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
-            B = rng.standard_normal((n, k))
-            t0 = time.perf_counter()
-            np.linalg.solve(L, B)
-            seconds = time.perf_counter() - t0
-        else:
-            n = int(np.prod([int(s) for s in shape], dtype=np.int64)) if shape else 1
-            x = rng.standard_normal(max(n, 1))
-            y = rng.standard_normal(max(n, 1))
-            t0 = time.perf_counter()
-            x + y
-            seconds = time.perf_counter() - t0
-        self._log_compute(kind, shape, flops, measured_seconds=seconds)
-        return seconds
-
     def barrier(self) -> None:
         self.comm.Barrier()
 

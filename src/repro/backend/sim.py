@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.backend.base import Backend
 from repro.dist.routing import RoutingPlan
-from repro.machine.cost import Cost
 
 
 class SimBackend(Backend):
@@ -35,11 +34,6 @@ class SimBackend(Backend):
         result = plan.apply(blocks, out=out)
         self._log_plan(plan, label, measured_seconds=plan.cost().time(self.params))
         return result
-
-    def execute_compute(self, kind: str, shape: tuple[int, ...], flops: float) -> float:
-        seconds = Cost(0.0, 0.0, float(flops)).time(self.params)
-        self._log_compute(kind, shape, flops, measured_seconds=seconds)
-        return seconds
 
     def barrier(self) -> None:
         if self.machine is not None:

@@ -55,7 +55,6 @@ suite):
 from __future__ import annotations
 
 import contextlib
-import os
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
@@ -85,29 +84,10 @@ INT32_LIMIT = 2**31 - 1
 #: vectorization loops in repro.dist.routing_reference (parity benches)
 _REFERENCE_MODE = False
 
-def _initial_plan_cache_capacity() -> int:
-    """The LRU capacity :func:`routing_plan` starts with.
-
-    ``REPRO_PLAN_CACHE_SIZE`` overrides the default (1024) for the whole
-    process; a non-integer or negative value is ignored rather than
-    failing at import time.  :func:`set_plan_cache_capacity` (and
-    ``ClusterConfig.plan_cache_size`` through it) changes the capacity at
-    runtime.
-    """
-    raw = os.environ.get("REPRO_PLAN_CACHE_SIZE")
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            return 1024
-        if value >= 0:
-            return value
-    return 1024
-
-
 #: (src fingerprint, dst fingerprint, shape) -> RoutingPlan, LRU order
 _PLAN_CACHE: "OrderedDict[tuple, RoutingPlan]" = OrderedDict()
-_PLAN_CACHE_MAX = _initial_plan_cache_capacity()
+#: LRU capacity; :func:`set_plan_cache_capacity` is the one way to change it
+_PLAN_CACHE_MAX = 1024
 _PLAN_CACHE_ENABLED = True
 _PLAN_CACHE_HITS = 0
 _PLAN_CACHE_MISSES = 0
@@ -661,12 +641,10 @@ def set_plan_cache_capacity(capacity: int) -> int:
 
     The cache is process-global (plans are pure index maps, shareable
     across machines), so the capacity is too: sizing it to the working
-    set of distinct transitions — e.g. ``ClusterConfig.plan_cache_size``,
-    or the ``REPRO_PLAN_CACHE_SIZE`` environment override read at import
-    — trades memory for repeat-stream hit rate.  Shrinking evicts the
-    least recently used plans immediately; ``0`` keeps the cache
-    permanently empty (every call builds a fresh plan, hit/miss counters
-    still advance).
+    set of distinct transitions trades memory for repeat-stream hit
+    rate.  Shrinking evicts the least recently used plans immediately;
+    ``0`` keeps the cache permanently empty (every call builds a fresh
+    plan, hit/miss counters still advance).
     """
     require(
         int(capacity) >= 0,

@@ -681,88 +681,6 @@ def _search_window(
     return best["plan"], best["makespan"], nodes
 
 
-class OptimalPolicy(PackingPolicy):
-    """Branch-and-bound exhaustive packing of a small queue (ground truth).
-
-    Explores every *event-aligned* schedule — placements happen at t = 0,
-    at an arrival, or at a modeled finish, which is exactly the set of
-    decision points the event loop offers, and some optimal schedule is
-    always of this form (shifting any placement earlier to the previous
-    event never hurts) — including deliberately idling capacity that the
-    greedy rules would grab.  Pruned by the area bound (remaining
-    rank-seconds over capacity), by per-request release-plus-execution
-    lower bounds, and by state dominance; the first descent follows the
-    greedy scoring so the incumbent starts at (roughly) the LPT makespan
-    and the search space only shrinks it.  The LPT schedule itself is in
-    the search space, so the result is never worse than LPT.
-
-    Exhaustive search is exponential: queues above ``max_requests``
-    (default 8, the tractability bound the gap report advertises) are
-    rejected — :class:`HorizonPolicy` serves longer queues by running
-    this same search over a sliding window.  The policy pre-plans the
-    whole timeline at the first decision point, so it must see the same
-    prices at commit time — combining it with an operand cache is refused
-    (``requires_uncached``); :class:`~repro.api.cluster.Cluster` drops
-    its cache automatically when given this policy.
-    """
-
-    name = "optimal"
-    requires_uncached = True
-
-    def __init__(self, max_requests: int = 8) -> None:
-        require(
-            max_requests >= 1,
-            ParameterError,
-            f"max_requests must be positive, got {max_requests}",
-        )
-        self.max_requests = int(max_requests)
-        self._plan: list[PlanEntry] | None = None
-        self._plan_span = 0.0
-        self._cursor = 0
-        #: search-size statistic of the last planning pass (for reports)
-        self.nodes_explored = 0
-
-    def reset(self, requests: Sequence[object]) -> None:
-        require(
-            len(requests) <= self.max_requests,
-            ParameterError,
-            f"OptimalPolicy searches exhaustively: a queue of "
-            f"{len(requests)} requests exceeds max_requests="
-            f"{self.max_requests} (use horizon/lpt/backfill for long "
-            "queues)",
-        )
-        self._plan = None
-        self._plan_span = 0.0
-        self._cursor = 0
-
-    def choose(self, ctx: PolicyContext) -> Decision | None:
-        if self._plan is None:
-            self._plan, self._plan_span, self.nodes_explored = _search_window(
-                ctx, list(ctx.pending), list(ctx.running)
-            )
-        if self._cursor >= len(self._plan):
-            return None
-        index, req, size, start, grid = self._plan[self._cursor]
-        tol = _plan_tolerance(start, self._plan_span)
-        if ctx.now < start - tol or ctx.now < req.arrival:
-            # idle on purpose until the planned start — the arrival check
-            # keeps the tolerance floor from matching a planned start
-            # whose arrival sits closer to the clock than the floor
-            return None
-        require(
-            ctx.now <= start + tol,
-            ParameterError,
-            "optimal plan diverged from the event loop (planned start "
-            f"{start!r}, loop reached {ctx.now!r})",
-        )
-        cand = ctx.price(req, size)
-        if cand is None or cand.grid != grid:
-            # more releases land at this same timestamp; wait for them
-            return None
-        self._cursor += 1
-        return Decision(index, req, cand)
-
-
 def _plan_tolerance(start: float, span: float) -> float:
     """Slack for matching a planned start against the event loop's clock.
 
@@ -783,10 +701,10 @@ class HorizonPolicy(PackingPolicy):
     """Rolling-horizon packing: branch-and-bound over a sliding window.
 
     Closes the measured policy gaps from both sides: on queues that fit
-    the window this *is* :class:`OptimalPolicy` (the plans are
-    bit-identical — property-tested), and on longer queues it keeps the
-    exhaustive search tractable by planning only a window of requests at
-    a time:
+    the window this is the exhaustive optimum (:class:`OptimalPolicy` is
+    this class with the whole queue in the window and no node budget),
+    and on longer queues it keeps the exhaustive search tractable by
+    planning only a window of requests at a time:
 
     * at each decision point the window holds the first ``window``
       unplaced requests — arrived requests in priority/LPT serving order
@@ -813,10 +731,12 @@ class HorizonPolicy(PackingPolicy):
     incumbent immediately and further nodes only improve it — so on
     adversarial windows the policy degrades toward greedy quality instead
     of stalling the stream.  Per-decision cost is thereby bounded by
-    O(budget) regardless of queue length.  Like the optimum it composes,
-    the policy pre-plans placements, so it requires the operand cache off
-    (``requires_uncached``).  ``replans`` and ``nodes_explored`` expose
-    the planning effort for reports.
+    O(budget) regardless of queue length.  The policy pre-plans
+    placements, so it must see the same prices at commit time: combining
+    it with an operand cache is refused (``requires_uncached``;
+    :class:`~repro.api.cluster.Cluster` drops its cache automatically).
+    ``replans`` and ``nodes_explored`` expose the planning effort for
+    reports.
     """
 
     name = "horizon"
@@ -894,7 +814,7 @@ class HorizonPolicy(PackingPolicy):
         require(
             ctx.now <= start + tol,
             ParameterError,
-            "horizon plan diverged from the event loop (planned start "
+            f"{self.name} plan diverged from the event loop (planned start "
             f"{start!r}, loop reached {ctx.now!r})",
         )
         cand = ctx.price(req, size)
@@ -922,6 +842,53 @@ class HorizonPolicy(PackingPolicy):
             if cand is not None:
                 return Decision(jndex, jreq, cand)
         return None
+
+
+class OptimalPolicy(HorizonPolicy):
+    """Branch-and-bound exhaustive packing of a small queue (ground truth).
+
+    :class:`HorizonPolicy` with the whole queue in the window and no node
+    budget: the first decision point plans every request at once, the
+    window's membership never changes, so nothing is ever re-planned or
+    backfilled.  The search explores every *event-aligned* schedule —
+    placements happen at t = 0, at an arrival, or at a modeled finish,
+    which is exactly the set of decision points the event loop offers,
+    and some optimal schedule is always of this form (shifting any
+    placement earlier to the previous event never hurts) — including
+    deliberately idling capacity that the greedy rules would grab.
+    Pruned by the area bound (remaining rank-seconds over capacity), by
+    per-request release-plus-execution lower bounds, and by state
+    dominance; the first descent follows the greedy scoring so the
+    incumbent starts at (roughly) the LPT makespan and the search space
+    only shrinks it.  The LPT schedule itself is in the search space, so
+    the result is never worse than LPT.
+
+    Exhaustive search is exponential: queues above ``max_requests``
+    (default 8, the tractability bound the gap report advertises) are
+    rejected — :class:`HorizonPolicy` proper serves longer queues.
+    """
+
+    name = "optimal"
+
+    def __init__(self, max_requests: int = 8) -> None:
+        require(
+            max_requests >= 1,
+            ParameterError,
+            f"max_requests must be positive, got {max_requests}",
+        )
+        super().__init__(window=max_requests, node_budget=None)
+        self.max_requests = self.window
+
+    def reset(self, requests: Sequence[object]) -> None:
+        require(
+            len(requests) <= self.max_requests,
+            ParameterError,
+            f"OptimalPolicy searches exhaustively: a queue of "
+            f"{len(requests)} requests exceeds max_requests="
+            f"{self.max_requests} (use horizon/lpt/backfill for long "
+            "queues)",
+        )
+        super().reset(requests)
 
 
 #: policy registry: the names ``--policy`` and ``Cluster(policy=...)`` accept

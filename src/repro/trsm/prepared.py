@@ -27,11 +27,13 @@ instead of calling :meth:`solve`.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.machine.cost import Cost, CostParams
 from repro.machine.validate import ParameterError, ShapeError, require
-from repro.tuning.parameters import TuningChoice, tuned_parameters
+from repro.tuning.parameters import tuned_parameters
 from repro.util.mathutil import is_power_of_two
 
 
@@ -80,14 +82,7 @@ class PreparedTrsm:
         choice = tuned_parameters(self.n, self.k_hint, p)
         if n0 is not None:
             require(self.n % n0 == 0, ParameterError, f"n0={n0} must divide n={self.n}")
-            choice = TuningChoice(
-                regime=choice.regime,
-                p1=choice.p1,
-                p2=choice.p2,
-                n0=n0,
-                r1=choice.r1,
-                r2=choice.r2,
-            )
+            choice = replace(choice, n0=n0)
         self.choice = choice
 
         # One-off preparation: a single diagonal-inversion request on its

@@ -45,7 +45,7 @@ from repro.machine.validate import GridError, ShapeError, require
 from repro.mm.dispatch import choose_mm_split
 from repro.mm.mm3d import mm3d
 from repro.trsm.sequential import trsm_lower_sequential
-from repro.util.mathutil import prev_power_of_two
+from repro.util.mathutil import next_power_of_two, prev_power_of_two
 
 
 def default_recursive_n0(n: int, k: int, p: int) -> int:
@@ -275,10 +275,12 @@ def choose_recursive_grid(n: int, k: int, p: int) -> tuple[int, int]:
     sp = math.sqrt(p)
     pc_target = max(sp, min(float(p), math.sqrt(p * k / n)))
     pc = prev_power_of_two(max(int(pc_target), 1))
-    # snap: pc must divide p and be >= sqrt(p)
+    # snap: pc must divide p and be >= sqrt(p) — the floor rounds *up*, so
+    # an odd power of two (p = 8) gets 2 x 4, never the pr > pc that
+    # rec_trsm rejects
     while p % pc != 0 and pc > 1:
         pc //= 2
-    pc = max(pc, prev_power_of_two(max(int(sp), 1)))
+    pc = max(pc, next_power_of_two(math.ceil(sp)))
     while p % pc != 0:
         pc *= 2
     pr = p // pc

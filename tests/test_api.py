@@ -265,3 +265,56 @@ class TestRegionAccounting:
         # phases still attribute innermost, now rank-scopable
         assert machine.phase_cost("solve", ranks=[2, 3]).W == 0.0
         assert machine.phase_cost("solve").W == 10.0
+
+
+def _prepared_solve(cluster, Lh, Bh):
+    prepared = PreparedTrsm(Lh.to_global(), p=cluster.p, k_hint=Bh.shape[1])
+    return PreparedSolveRequest(
+        prepared=prepared, B=Bh, L=Lh, Ltilde=cluster.host(prepared.Ltilde)
+    )
+
+
+#: one request of every shape over hosted ``(cluster, L, B)`` operands
+HOSTED_SHAPES = {
+    "trsm-iterative": lambda c, L, B: TrsmRequest(L=L, B=B, algorithm="iterative"),
+    "trsm-recursive": lambda c, L, B: TrsmRequest(L=L, B=B, algorithm="recursive"),
+    "mm": lambda c, L, B: MMRequest(A=L, X=B),
+    "inv-full": lambda c, L, B: InvRequest(L=L),
+    "inv-diagonal": lambda c, L, B: InvRequest(L=L, n0=16, k_hint=B.shape[1]),
+    "prepared-solve": _prepared_solve,
+}
+
+
+class TestPriceWhatYouExecute:
+    """What the scheduler prices (``_staging_targets``) and what ``execute``
+    stages are read off one plan: same operands, same target ranks, same
+    layouts, same order — on every candidate subgrid of every request type."""
+
+    @pytest.mark.parametrize("shape", sorted(HOSTED_SHAPES))
+    def test_executed_stagings_equal_priced_targets(self, shape, monkeypatch):
+        from repro.api.opcache import cache_key
+
+        cluster = Cluster(16, cache=False)
+        Lh = cluster.host(random_lower_triangular(64, seed=0))
+        Bh = cluster.host(random_dense(64, 8, seed=1))
+        req = HOSTED_SHAPES[shape](cluster, Lh, Bh)
+        staged = []
+        stage_resident = cluster.stage_resident
+
+        def spy(operand, grid, layout, label="cluster.stage"):
+            staged.append(cache_key(operand, grid, layout))
+            return stage_resident(operand, grid, layout, label=label)
+
+        monkeypatch.setattr(cluster, "stage_resident", spy)
+        sizes = req.candidate_sizes(cluster.p)
+        assert sizes
+        for size in sizes:
+            grid = cluster.pool.preview(size)
+            priced = [
+                cache_key(D, g, layout)
+                for D, g, layout in req._staging_targets(grid, cluster.params)
+            ]
+            assert priced, "every operand is resident"
+            del staged[:]
+            req.execute(cluster, grid)
+            assert staged == priced, f"{shape} on {size} ranks"

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import Cluster, ClusterConfig
+from repro.api import Cluster
 from repro.api.serve import poisson_stream, replay
 from repro.backend import (
     BACKEND_NAMES,
@@ -116,7 +116,7 @@ class TestSimBackendGoldens:
 
 
 # ---------------------------------------------------------------------------
-# backend resolution and ClusterConfig
+# backend resolution and Cluster configuration
 # ---------------------------------------------------------------------------
 
 
@@ -147,30 +147,28 @@ class TestMakeBackend:
 class TestClusterConfig:
     def test_defaults(self):
         cluster = Cluster(8)
-        assert isinstance(cluster.config, ClusterConfig)
         assert isinstance(cluster.backend, SimBackend)
         assert cluster.machine.backend is cluster.backend
+        assert cluster.machine.trace_enabled is False
+        assert cluster.opcache is not None
 
-    def test_legacy_kwargs_fold_into_config(self):
-        cluster = Cluster(8, trace=True, cache=False, pricing_cache=False)
-        assert cluster.config.trace is True
-        assert cluster.config.cache is False
-        assert cluster.pricing_cache is False
+    def test_keywords_are_honoured(self):
+        cluster = Cluster(8, trace=True, cache=False)
+        assert cluster.machine.trace_enabled is True
+        assert cluster.opcache is None
 
-    def test_config_object_is_honoured(self):
+    def test_backend_instance_is_threaded_through(self):
         backend = SimBackend()
-        cluster = Cluster(8, config=ClusterConfig(trace=True, backend=backend))
-        assert cluster.config.trace is True
+        cluster = Cluster(8, backend=backend)
         assert cluster.backend is backend
-
-    def test_legacy_kwarg_conflicts_with_config(self):
-        with pytest.raises(ParameterError, match="config="):
-            Cluster(8, trace=True, config=ClusterConfig())
+        assert cluster.machine.backend is backend
 
     def test_plan_cache_size_resizes_the_global_lru(self):
         before = routing.plan_cache_stats()["capacity"]
         try:
-            Cluster(8, config=ClusterConfig(plan_cache_size=7))
+            assert routing.set_plan_cache_capacity(7) == before
+            assert routing.plan_cache_stats()["capacity"] == 7
+            Cluster(8)  # building a cluster leaves the process-global size alone
             assert routing.plan_cache_stats()["capacity"] == 7
         finally:
             routing.set_plan_cache_capacity(before)
@@ -192,44 +190,6 @@ class TestClusterConfig:
         finally:
             routing.set_plan_cache_capacity(before)
             routing.clear_plan_cache()
-
-    def test_env_override_sets_initial_capacity(self):
-        env = dict(os.environ)
-        env["REPRO_PLAN_CACHE_SIZE"] = "77"
-        env["PYTHONPATH"] = str(ROOT / "src")
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.dist.routing import plan_cache_stats;"
-                "print(plan_cache_stats()['capacity'])",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=ROOT,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "77"
-
-    def test_env_override_ignores_garbage(self):
-        env = dict(os.environ)
-        env["REPRO_PLAN_CACHE_SIZE"] = "not-a-number"
-        env["PYTHONPATH"] = str(ROOT / "src")
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.dist.routing import plan_cache_stats;"
-                "print(plan_cache_stats()['capacity'])",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=ROOT,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "1024"
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +336,6 @@ class TestLoopbackMPIBackend:
         assert backend.is_real is True
         assert backend.world_size == 1
         assert backend.timer() > 0.0
-
-    def test_compute_measurements_time_real_kernels(self):
-        backend = MPIBackend(comm=LoopbackComm())
-        seconds = backend.execute_compute("gemm", (32, 16, 8), flops=2.0 * 32 * 16 * 8)
-        assert seconds >= 0.0
-        (rec,) = backend.compute_measurements()
-        assert rec.kind == "gemm"
-        assert rec.measured_seconds == seconds
-        backend.clear_measurements()
-        assert backend.compute_measurements() == []
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,20 @@ class TestGridChoice:
         pr, pc = choose_recursive_grid(4096, 16, 64)
         assert pr == pc == 8  # never wider than square in rows
 
+    @pytest.mark.parametrize("p", [2, 8, 32, 128])
+    @pytest.mark.parametrize("n,k", [(64, 8), (64, 64), (32, 256)])
+    def test_odd_power_of_two_never_taller_than_wide(self, n, k, p):
+        """sqrt(p) is irrational for p = 2, 8, 32, 128: the pc >= sqrt(p)
+        floor must round up, or pr > pc and rec_trsm rejects the grid."""
+        from repro import trsm
+
+        pr, pc = choose_recursive_grid(n, k, p)
+        assert pr * pc == p
+        assert pc >= pr and pc % pr == 0
+        L = random_lower_triangular(n, seed=p)
+        B = random_dense(n, k, seed=p + 1)
+        assert trsm(L, B, p=p, algorithm="recursive").residual < 1e-10
+
     def test_default_n0_2d_regime(self):
         n0 = default_recursive_n0(4096, 4, 64)
         assert 1 <= n0 <= 4096
