@@ -59,13 +59,13 @@ def _check(report: SelfCheckReport, name: str, fn) -> None:
 def run_selfcheck(quick: bool = False) -> SelfCheckReport:
     """Run the acceptance battery; returns a report (never raises)."""
     from repro import (
+        Machine,
         PreparedTrsm,
         random_dense,
         random_lower_triangular,
         random_spd,
         trsm,
     )
-    from repro.backend import SimBackend
     from repro.factor import cholesky_factor, lu_factor_distributed
 
     report = SelfCheckReport()
@@ -103,7 +103,7 @@ def run_selfcheck(quick: bool = False) -> SelfCheckReport:
 
     def chol():
         A = random_spd(n, seed=5)
-        machine = SimBackend().make_machine(4)
+        machine = Machine(4)
         grid = machine.grid(2, 2)
         Lc = cholesky_factor(machine, grid, A, block=max(n // 4, 1))
         G = Lc.to_global()
@@ -115,7 +115,7 @@ def run_selfcheck(quick: bool = False) -> SelfCheckReport:
     def lu():
         rng = np.random.default_rng(6)
         A = rng.standard_normal((n, n))
-        machine = SimBackend().make_machine(4)
+        machine = Machine(4)
         grid = machine.grid(2, 2)
         L, U, perm = lu_factor_distributed(machine, grid, A, block=max(n // 4, 1))
         assert np.allclose(

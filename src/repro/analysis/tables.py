@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend.sim import SimBackend
 from repro.machine.cost import Cost
+from repro.machine.machine import Machine
 from repro.trsm.cost_model import conclusion_row
 from repro.tuning.regimes import TrsmRegime
 
@@ -88,7 +88,7 @@ def mm_line_table(
     sq = math.isqrt(p2)
     sp = p1 * sq
     p = sp * sp
-    machine = SimBackend().make_machine(p)
+    machine = Machine(p)
     grid = machine.grid(sp, sp)
     layout = CyclicLayout(sp, sp)
     A = random_dense(m, n, seed=seed)
@@ -146,7 +146,7 @@ def iterative_parts_table(
     from repro.trsm.iterative import it_inv_trsm_global
     from repro.util.randmat import random_dense, random_lower_triangular
 
-    machine = SimBackend().make_machine(p1 * p1 * p2)
+    machine = Machine(p1 * p1 * p2)
     L = random_lower_triangular(n, seed=seed)
     B = random_dense(n, k, seed=seed + 1)
     it_inv_trsm_global(machine, L, B, p1=p1, p2=p2, n0=n0)

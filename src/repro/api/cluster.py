@@ -69,6 +69,7 @@ from repro.dist.distmatrix import DistMatrix
 from repro.dist.layout import CyclicLayout, Layout
 from repro.dist.redistribute import stage_matrix
 from repro.machine.cost import Cost, CostParams
+from repro.machine.machine import Machine
 from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ParameterError, require
 from repro.sched.policies import PackingPolicy, make_policy
@@ -256,8 +257,12 @@ class Cluster:
         self.params = params or CostParams()
         #: the execution backend plans route through (repro.backend)
         self.backend = make_backend(backend)
-        self.machine = self.backend.make_machine(
-            self.p, params=self.params, trace=trace, collectives=collectives
+        self.machine = Machine(
+            self.p,
+            params=self.params,
+            trace=trace,
+            collectives=collectives,
+            backend=self.backend,
         )
         #: the packing decision rule ("lpt", "backfill", "optimal",
         #: "horizon", or a PackingPolicy instance; see repro.sched.policies)

@@ -196,6 +196,13 @@ class ServeDaemon:
         now = self.sim_now()
         n = int(msg["n"])
         k = int(msg.get("k", 1))
+        # refuse a shape no solve accepts *before* admission: admitted, it
+        # would fail the next flush for every request batched with it
+        require(
+            n >= 1 and k >= 1,
+            ParameterError,
+            f"trsm needs n >= 1 and k >= 1, got n={n}, k={k}",
+        )
         seed = int(msg.get("seed", 0))
         priority = int(msg.get("priority", 0))
         tenant = str(msg.get("tenant", "default"))

@@ -39,8 +39,11 @@ decision (``tests/test_opcache.py`` proves exact parity).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.dist.distmatrix import DistMatrix, StagedCopy
 from repro.dist.layout import Layout
+from repro.machine.cost import Cost
 
 #: (source uid, source generation, target grid, layout fingerprint)
 CacheKey = tuple
@@ -167,6 +170,32 @@ class CachePlan:
 
     def __contains__(self, key: CacheKey) -> bool:
         return key in self._ranks
+
+    def price(
+        self, raw_targets: Iterable[tuple[CacheKey, object, Cost]]
+    ) -> tuple[Cost, Cost, tuple]:
+        """Cache-aware staging price of one placement: ``(charged, saved,
+        targets)``.
+
+        ``raw_targets`` are the placement's ``(cache key, target grid,
+        migration cost)`` triples in staging order.  A target prices at
+        zero when a valid staged copy is (or, earlier in this same
+        placement, will be) resident, and at its full migration cost
+        otherwise; ``targets`` appends the ``hit`` decision to each triple
+        so the scheduler can commit it.
+        """
+        charged, saved = Cost.zero(), Cost.zero()
+        targets = []
+        staged_here: set = set()
+        for key, target_grid, cost in raw_targets:
+            hit = key in self._ranks or key in staged_here
+            if hit:
+                saved = saved + cost
+            else:
+                charged = charged + cost
+                staged_here.add(key)
+            targets.append((key, target_grid, cost, hit))
+        return charged, saved, tuple(targets)
 
     def add(self, key: CacheKey, grid) -> None:
         """Record that a committed placement will stage this key."""

@@ -201,20 +201,17 @@ class Request:
         ``targets`` lists ``(cache key, target grid, cost, hit)`` per
         resident operand so the scheduler can commit the decisions.
         """
-        charged, saved = Cost.zero(), Cost.zero()
-        targets = []
-        staged_here: set = set()
+        return plan.price(self._raw_targets(grid, params))
+
+    def _raw_targets(self, grid: ProcessorGrid, params: CostParams):
+        """``(cache key, target grid, migration cost)`` per resident
+        operand, in staging order — what a cache view prices."""
         for D, target_grid, layout in self._staging_targets(grid, params):
-            key = cache_key(D, target_grid, layout)
-            cost = staging_plan(D, target_grid, layout).cost()
-            hit = key in plan or key in staged_here
-            if hit:
-                saved = saved + cost
-            else:
-                charged = charged + cost
-                staged_here.add(key)
-            targets.append((key, target_grid, cost, hit))
-        return charged, saved, tuple(targets)
+            yield (
+                cache_key(D, target_grid, layout),
+                target_grid,
+                staging_plan(D, target_grid, layout).cost(),
+            )
 
     def _plan(self, grid: ProcessorGrid, params: CostParams) -> _Plan:
         """The type's one placement decision for the subgrid ``grid``."""

@@ -195,8 +195,9 @@ def schedule_stream(
     is the scheduler+routing hot path in isolation, which is what the
     serve-scale throughput bench measures and what capacity planning
     ("how would this day of traffic pack?") actually needs.
-    ``pricing_cache=False`` re-derives every scheduler price (the
-    pre-memo behavior, the parity benches' reference).
+    ``pricing_cache=False`` re-derives every scheduler price
+    (:class:`~repro.sched.pricing.DirectPricing`, the parity tests'
+    reference).
     """
     cluster = Cluster(p, params=params, cache=cache, policy=policy)
     requests = _trsm_requests(cluster, stream, shared=True, verify=False)

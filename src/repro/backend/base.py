@@ -3,10 +3,10 @@
 Everything above this package — ``DistMatrix`` transitions, the Cluster,
 the scheduler — speaks to execution through a :class:`Backend`:
 
-* :meth:`Backend.make_machine` builds the :class:`~repro.machine.machine.
-  Machine` the backend executes for (the *model state* — per-rank clocks,
-  counters, phases — is always simulated; a real backend adds wall-clock
-  measurement alongside it, it does not replace the model);
+* ``Machine(..., backend=...)`` binds the backend to the :class:`~repro.
+  machine.machine.Machine` it executes for (the *model state* — per-rank
+  clocks, counters, phases — is always simulated; a real backend adds
+  wall-clock measurement alongside it, it does not replace the model);
 * :meth:`Backend.execute_plan` routes a :class:`~repro.dist.routing.
   RoutingPlan`'s blocks.  :class:`~repro.backend.sim.SimBackend` is
   ``plan.apply`` verbatim; :class:`~repro.backend.mpi.MPIBackend` moves
@@ -33,12 +33,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.machine.cost import CostParams
-from repro.machine.machine import Machine
 from repro.machine.validate import ParameterError, require
 
 if TYPE_CHECKING:
     from repro.dist.routing import RoutingPlan
+    from repro.machine.machine import Machine
 
 #: measurement records kept per backend (oldest dropped beyond this; the
 #: aggregate report reads recent history, not an unbounded daemon log)
@@ -82,10 +81,10 @@ class PlanMeasurement:
 class Backend(abc.ABC):
     """Abstract execution backend; see the module docstring.
 
-    A backend instance binds to (at most) one machine:
-    :meth:`make_machine` builds and binds one, :meth:`adopt` binds an
-    existing one.  ``repro.backend.make_backend`` resolves the ``"sim"`` /
-    ``"mpi"`` spellings the public APIs accept.
+    A backend instance executes for one machine: ``Machine(...,
+    backend=self)`` sets :attr:`machine`, and nothing else does.
+    ``repro.backend.make_backend`` resolves the ``"sim"`` / ``"mpi"``
+    spellings the public APIs accept.
     """
 
     #: registry name ("sim", "mpi")
@@ -95,43 +94,12 @@ class Backend(abc.ABC):
     #: processes backing execution (1 for the simulator)
     world_size: int = 1
 
+    #: the machine this backend executes for, whose phase, clocks and cost
+    #: constants it reads (set by ``Machine.__init__``)
+    machine: "Machine"
+
     def __init__(self) -> None:
-        self.machine: Machine | None = None
-        self.params: CostParams = CostParams()
         self.plan_log: deque[PlanMeasurement] = deque(maxlen=MEASUREMENT_LOG_LIMIT)
-
-    # -- machine binding ----------------------------------------------------
-
-    def make_machine(
-        self,
-        n_ranks: int,
-        params: CostParams | None = None,
-        trace: bool = False,
-        collectives: str = "butterfly",
-    ) -> Machine:
-        """Build the machine this backend executes for and bind to it.
-
-        The construction path every front-end uses (`Cluster`,
-        ``trsm()``): the machine carries the model state either way; the
-        backend decides whether executing a plan also moves real bytes.
-        """
-        machine = Machine(
-            n_ranks,
-            params=params,
-            trace=trace,
-            collectives=collectives,
-            backend=self,
-        )
-        self.adopt(machine)
-        return machine
-
-    def adopt(self, machine: Machine) -> None:
-        """Bind to an existing machine (its params become the model)."""
-        self.machine = machine
-        self.params = machine.params
-
-    def _phase(self) -> str:
-        return self.machine.current_phase() if self.machine is not None else ""
 
     # -- the execution protocol ---------------------------------------------
 
@@ -172,10 +140,10 @@ class Backend(abc.ABC):
         _, _, words = plan._pair_arrays()
         record = PlanMeasurement(
             label=label,
-            phase=self._phase(),
+            phase=self.machine.current_phase(),
             words=int(words.sum(dtype=np.int64)),
             messages=int(len(words)),
-            modeled_seconds=plan.cost().time(self.params),
+            modeled_seconds=plan.cost().time(self.machine.params),
             measured_seconds=float(measured_seconds),
             rounds=int(rounds),
             colocated_words=int(colocated_words),

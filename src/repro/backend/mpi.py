@@ -288,12 +288,10 @@ class MPIBackend(Backend):
         label: str = "route",
     ) -> dict[int, np.ndarray]:
         messages = plan_messages(plan)
-        n_vranks = 1 + max(
-            (max(m.src_vrank, m.dst_vrank) for m in messages),
-            default=self.machine.n_ranks - 1 if self.machine is not None else 0,
+        n_vranks = max(
+            self.machine.n_ranks,
+            1 + max((max(m.src_vrank, m.dst_vrank) for m in messages), default=0),
         )
-        if self.machine is not None:
-            n_vranks = max(n_vranks, self.machine.n_ranks)
         vmap = virtual_rank_map(n_vranks, self.world_size)
         colocated = sum(
             m.words for m in messages if vmap[m.src_vrank] == vmap[m.dst_vrank]

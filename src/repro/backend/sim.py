@@ -32,13 +32,12 @@ class SimBackend(Backend):
         label: str = "route",
     ) -> dict[int, np.ndarray]:
         result = plan.apply(blocks, out=out)
-        self._log_plan(plan, label, measured_seconds=plan.cost().time(self.params))
+        self._log_plan(plan, label, measured_seconds=plan.cost().time(self.machine.params))
         return result
 
     def barrier(self) -> None:
-        if self.machine is not None:
-            self.machine.barrier()
+        self.machine.barrier()
 
     def timer(self) -> float:
         """The simulated clock: the bound machine's critical-path seconds."""
-        return self.machine.time() if self.machine is not None else 0.0
+        return self.machine.time()

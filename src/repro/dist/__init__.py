@@ -48,8 +48,6 @@ from repro.dist.routing import (
     TransitionPlan,
     fuse_transitions,
     gather_frame,
-    plan_cache_disabled,
-    reference_mode,
     scatter_frame,
 )
 from repro.dist.triangular import (
@@ -85,8 +83,6 @@ __all__ = [
     "fuse_transitions",
     "gather_frame",
     "scatter_frame",
-    "reference_mode",
-    "plan_cache_disabled",
     "is_lower_triangular",
     "require_square",
     "require_lower_triangular",

@@ -286,22 +286,17 @@ def stage_matrix(
     grid: "ProcessorGrid",
     layout: Layout,
     label: str = "stage",
-    pointwise: bool = True,
 ) -> DistMatrix:
     """Migrate ``D`` onto a (sub)grid at the exact routing charge.
 
     The Cluster's operand-staging primitive: the fused plan routes blocks
-    rank-to-rank, and by default the charge is *pointwise*
+    rank-to-rank and the charge is *pointwise*
     (:meth:`RoutingPlan.charge_pointwise`) — each sender/receiver pays its
     own traffic with no group barrier, so staging one request does not
-    serialize solves running concurrently on disjoint subgrids.  Pass
-    ``pointwise=False`` for the synchronized semantics of
-    :func:`redistribute`.
+    serialize solves running concurrently on disjoint subgrids.
+    (:func:`redistribute` is the synchronized transition.)
     """
     plan = staging_plan(D, grid, layout)
-    if pointwise:
-        plan.charge_pointwise(D.machine, label=label)
-    else:
-        plan.charge(D.machine, label=label)
+    plan.charge_pointwise(D.machine, label=label)
     blocks = D.machine.backend.execute_plan(plan, D.blocks, label=label)
     return DistMatrix(D.machine, grid, layout, D.shape, blocks)

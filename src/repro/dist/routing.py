@@ -35,9 +35,8 @@ hot paths in :mod:`repro.dist.redistribute` and :mod:`repro.mm.mm3d` skip
 the ``DistMatrix.to_global()`` scratch assembly.
 
 Two serve-scale mechanisms sit on top (both bit-identical to the original
-per-pair loops, which are pinned verbatim in
-:mod:`repro.dist.routing_reference` and replayed by the hypothesis parity
-suite):
+per-pair loops, which are pinned verbatim under ``tests/`` as the parity
+oracle the hypothesis suite compares every plan against):
 
 * the pair enumeration, per-rank traffic summaries and block routing are
   **vectorized** — one stable argsort/group-by over owner pairs per axis,
@@ -47,16 +46,14 @@ suite):
 * :func:`routing_plan` memoizes whole plans in an LRU keyed by the two
   ends' full fingerprints plus the frame shape, so a stream of requests
   re-pricing and re-staging the same transitions builds each plan once
-  (:func:`plan_cache_stats` / :func:`clear_plan_cache` for tests,
-  :func:`set_plan_cache_enabled` / :func:`set_reference_mode` for parity
-  benches).
+  (:func:`plan_cache_stats` / :func:`clear_plan_cache` for tests;
+  :func:`set_plan_cache_capacity` sizes it, ``0`` switching it off).
 """
 
 from __future__ import annotations
 
-import contextlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -80,15 +77,10 @@ _AxisGroups = dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
 #: (accumulators are int64 throughout, so the guard is exact).
 INT32_LIMIT = 2**31 - 1
 
-#: when True every RoutingPlan method delegates to the pinned pre-
-#: vectorization loops in repro.dist.routing_reference (parity benches)
-_REFERENCE_MODE = False
-
 #: (src fingerprint, dst fingerprint, shape) -> RoutingPlan, LRU order
 _PLAN_CACHE: "OrderedDict[tuple, RoutingPlan]" = OrderedDict()
 #: LRU capacity; :func:`set_plan_cache_capacity` is the one way to change it
 _PLAN_CACHE_MAX = 1024
-_PLAN_CACHE_ENABLED = True
 _PLAN_CACHE_HITS = 0
 _PLAN_CACHE_MISSES = 0
 
@@ -382,21 +374,12 @@ class RoutingPlan:
         Words between the source rank at frame coords ``(a, b)`` and the
         destination rank at ``(x, y)`` factor as ``R[a, x] * C[b, y]``.
         """
-        if _REFERENCE_MODE:
-            from repro.dist.routing_reference import reference_pairs
-
-            return reference_pairs(self)
         sr, dr, words = self._pair_arrays()
         return list(zip(sr.tolist(), dr.tolist(), words.tolist()))
 
     def cost(self) -> Cost:
         """The exact transition charge (full-duplex critical path)."""
         if self._cost is None:
-            if _REFERENCE_MODE:
-                from repro.dist.routing_reference import reference_cost
-
-                self._cost = reference_cost(self)
-                return self._cost
             ranks, sent, recv, s_pairs, r_pairs = self._per_rank()
             if len(ranks) == 0:
                 self._cost = Cost(S=0.0, W=0.0, F=0.0)
@@ -453,10 +436,6 @@ class RoutingPlan:
         Ranks ascend (the reference iterates a set union; charges to
         distinct ranks commute, and the per-rank values are bit-identical).
         """
-        if _REFERENCE_MODE:
-            from repro.dist.routing_reference import reference_pointwise_costs
-
-            return reference_pointwise_costs(self)
         cached = self._pointwise_cache
         if cached is None:
             ranks, sent, recv, s_pairs, r_pairs = self._per_rank()
@@ -553,10 +532,6 @@ class RoutingPlan:
         matrix routed into itself), the source is snapshotted first so
         reads never observe partial writes.  Returns ``out``.
         """
-        if _REFERENCE_MODE:
-            from repro.dist.routing_reference import reference_apply
-
-            return reference_apply(self, blocks, out=out)
         if out is None:
             out = {
                 self.dst.grid.rank(coord): np.zeros(
@@ -605,8 +580,6 @@ def routing_plan(src: End, dst: End, shape: tuple[int, int]) -> RoutingPlan:
     hold no matrix data — so reuse across requests is safe by
     construction.
     """
-    if not _PLAN_CACHE_ENABLED:
-        return RoutingPlan(src, dst, shape)
     global _PLAN_CACHE_HITS, _PLAN_CACHE_MISSES
     key = (
         src.fingerprint(),
@@ -665,48 +638,6 @@ def clear_plan_cache() -> None:
     _PLAN_CACHE.clear()
     _PLAN_CACHE_HITS = 0
     _PLAN_CACHE_MISSES = 0
-
-
-def set_plan_cache_enabled(enabled: bool) -> bool:
-    """Toggle the :func:`routing_plan` LRU; returns the previous setting
-    (parity benches restore it in a ``finally``)."""
-    global _PLAN_CACHE_ENABLED
-    previous = _PLAN_CACHE_ENABLED
-    _PLAN_CACHE_ENABLED = bool(enabled)
-    return previous
-
-
-def set_reference_mode(enabled: bool) -> bool:
-    """Route every plan through the pinned pre-vectorization loops in
-    :mod:`repro.dist.routing_reference`; returns the previous setting.
-    For parity tests and the before/after throughput bench only."""
-    global _REFERENCE_MODE
-    previous = _REFERENCE_MODE
-    _REFERENCE_MODE = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def reference_mode(enabled: bool = True) -> Iterator[None]:
-    """Scoped :func:`set_reference_mode`: restores the prior setting even
-    when the body raises, so a failing parity test can't leak reference
-    routing into the rest of the session."""
-    previous = set_reference_mode(enabled)
-    try:
-        yield
-    finally:
-        set_reference_mode(previous)
-
-
-@contextlib.contextmanager
-def plan_cache_disabled() -> Iterator[None]:
-    """Scoped cache bypass: every :func:`routing_plan` call inside builds a
-    fresh plan; the prior enabled/disabled state is restored on exit."""
-    previous = set_plan_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_plan_cache_enabled(previous)
 
 
 class TransitionPlan:

@@ -2,15 +2,16 @@
 
 The cost model's exactness rests on invariants that no general-purpose
 linter knows about: every data movement is charged, hot paths never
-gather to a global frame, parity toggles don't leak, golden streams stay
-reproducible.  ``python -m repro lint`` proves them at lint time:
+gather to a global frame, virtual-time layers never read the host clock,
+golden streams stay reproducible.  ``python -m repro lint`` proves them
+at lint time:
 
 * :mod:`repro.lint.engine` — file collection, module naming, the
   ``# replint: disable=<rule> -- <why>`` escape hatch (justification
   required), ``[tool.replint]`` configuration and rule dispatch;
 * :mod:`repro.lint.rules` — the rule catalogue (no-global-gather,
-  charge-soundness, reference-isolation, toggle-hygiene, slots-required,
-  rng-discipline, int32-accumulation).
+  charge-soundness, slots-required, rng-discipline, int32-accumulation,
+  wallclock-discipline, backend-discipline).
 """
 
 from repro.lint.engine import (

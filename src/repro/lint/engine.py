@@ -116,9 +116,9 @@ class LintConfig:
     #: virtual-time-only modules: wall-clock reads are banned
     #: (wallclock-discipline; the online daemon is allowlisted)
     wallclock_modules: tuple[str, ...] = ("repro.sched", "repro.dist", "repro.api")
-    #: modules that must go through repro.backend for execution: direct
-    #: Machine construction and time.* reads are banned there
-    #: (backend-discipline; repro.backend and repro.machine are exempt)
+    #: modules that must read wall time through repro.backend: time.*
+    #: reads are banned there (backend-discipline; repro.backend and
+    #: repro.machine are exempt)
     backend_modules: tuple[str, ...] = ("repro",)
     #: path substrings skipped during collection (fixtures are linted by
     #: their golden tests, not by the repo-wide run)

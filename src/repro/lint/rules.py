@@ -1,4 +1,4 @@
-"""The replint rule catalogue: nine invariants of the cost model, as AST checks.
+"""The replint rule catalogue: seven invariants of the cost model, as AST checks.
 
 Every rule proves (a conservative approximation of) a property the
 reproduction's exactness depends on:
@@ -10,12 +10,6 @@ reproduction's exactness depends on:
   mutation in the dist/machine layers is reachable only from functions
   that pair it with a ``charge``/``charge_pointwise``; an uncharged copy
   is a silently wrong critical path.
-* ``reference-isolation`` — the pinned pre-vectorization loops in
-  ``routing_reference`` exist to *check* the fast path, so only
-  ``repro.dist.routing`` itself, tests and benchmarks may import them.
-* ``toggle-hygiene`` — the process-global parity toggles
-  (``set_reference_mode``/``set_plan_cache_enabled``) leak across tests
-  when flipped raw; they may only appear inside context-managed helpers.
 * ``slots-required`` — dataclasses on the serve hot path (``sched``,
   ``api``, ``dist``) must declare ``slots=True``: attribute-dict churn is
   measurable at 10^4-request scale and silent attribute typos break the
@@ -33,11 +27,10 @@ reproduction's exactness depends on:
   ``time.time()``/``time.monotonic()`` read there couples schedules to
   the host and breaks replay determinism.  Only the online daemon — the
   bridge from live arrivals to the simulated machine — is allowlisted.
-* ``backend-discipline`` — execution is the backend's business: outside
-  ``repro.backend``/``repro.machine``, library code must not construct a
-  ``Machine`` directly (``SimBackend().make_machine(...)`` instead) or
-  read the wall clock (``Backend.timer`` is the capability).  The MPI
-  backend and the daemon bridge are allowlisted in pyproject.
+* ``backend-discipline`` — wall time is the backend's capability
+  (``Backend.timer``): outside ``repro.backend``/``repro.machine`` no
+  library code, in any layer, reads the host clock.  The daemon bridge
+  and the selfcheck stopwatch are allowlisted in pyproject.
 
 Rules are project-level: each receives the full :class:`~repro.lint.engine.Project`
 so cross-file checks (the charge-soundness call-graph walk) and per-file
@@ -48,14 +41,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.lint.engine import Finding, LintConfig, Project, SourceFile, module_matches
 
 GLOBAL_GATHERS = ("to_global", "from_global", "gather_frame")
 MUTATORS = ("apply", "set_local")
 CHARGES = ("charge", "charge_pointwise", "charge_local")
-TOGGLES = ("set_reference_mode", "set_plan_cache_enabled")
 INT_REDUCTIONS = ("sum", "prod", "cumsum", "cumprod")
 RNG_SAFE_IMPORTS = ("default_rng", "Generator", "SeedSequence", "BitGenerator")
 WALLCLOCK_FNS = (
@@ -230,84 +222,6 @@ def check_charge_soundness(project: Project, config: LintConfig) -> list[Finding
 
 
 # ---------------------------------------------------------------------------
-# reference-isolation
-
-
-def check_reference_isolation(project: Project, config: LintConfig) -> list[Finding]:
-    allowed = ("repro.dist.routing", "repro.dist.routing_reference", "tests", "benchmarks")
-    out: list[Finding] = []
-    for src in project.files:
-        if module_matches(src.module, allowed):
-            continue
-        quals = _qualnames(src.tree)
-        for node in ast.walk(src.tree):
-            names: list[str] = []
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [a.name for a in node.names]
-            if any("routing_reference" in n for n in names):
-                out.append(
-                    _finding(
-                        "reference-isolation",
-                        src,
-                        node,
-                        "the pinned reference loops are for parity checks only: "
-                        "import `routing_reference` from routing.py, tests or "
-                        "benchmarks, not from library code",
-                        quals[node],
-                    )
-                )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# toggle-hygiene
-
-
-def _is_contextmanager(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for dec in fn.decorator_list:
-        name = dec.id if isinstance(dec, ast.Name) else getattr(dec, "attr", None)
-        if name in ("contextmanager", "asynccontextmanager"):
-            return True
-    return False
-
-
-def check_toggle_hygiene(project: Project, config: LintConfig) -> list[Finding]:
-    out: list[Finding] = []
-    for src in project.files:
-        if src.module == "repro.dist.routing":
-            continue  # the toggles and their context managers live here
-        cm_funcs: set[str] = set()
-        quals = _qualnames(src.tree)
-        for node in ast.walk(src.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if _is_contextmanager(node):
-                    cm_funcs.add(quals[node])
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node.func)
-            if name not in TOGGLES:
-                continue
-            qual = quals[node]
-            inside_cm = any(qual == f or qual.startswith(f + ".") for f in cm_funcs)
-            if inside_cm:
-                continue
-            out.append(
-                _finding(
-                    "toggle-hygiene",
-                    src,
-                    node,
-                    f"raw `{name}` call leaks global state on failure: use the "
-                    "`reference_mode()`/`plan_cache_disabled()` context managers",
-                    qual,
-                )
-            )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # slots-required
 
 
@@ -460,134 +374,81 @@ def check_int32_accumulation(project: Project, config: LintConfig) -> list[Findi
 
 
 # ---------------------------------------------------------------------------
-# wallclock-discipline
+# wallclock-discipline / backend-discipline
 
 
-def check_wallclock_discipline(project: Project, config: LintConfig) -> list[Finding]:
-    """Virtual-time layers must never read the host clock.
+def _clock_reads(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
+    """Every host-clock read in ``tree`` as ``(node, description)``.
 
-    Flags ``time.<fn>`` attribute access (calls *and* bare references —
+    ``time.<fn>`` attribute access (calls *and* bare references —
     ``clock=time.monotonic`` smuggles the wall clock just as well) and
     ``from time import <fn>`` for the reading functions; ``time.sleep``
     and the struct/formatting helpers are not clock reads and pass.
     """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "time":
+            bad = [a.name for a in node.names if a.name in WALLCLOCK_FNS]
+            if bad:
+                yield node, f"wall-clock import(s) {', '.join(bad)} from `time`"
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in WALLCLOCK_FNS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "time"
+        ):
+            yield node, f"wall-clock read `time.{node.attr}`"
+
+
+def check_wallclock_discipline(project: Project, config: LintConfig) -> list[Finding]:
+    """Virtual-time layers must never read the host clock."""
     out: list[Finding] = []
     for src in project.in_modules(config.wallclock_modules):
         quals = _qualnames(src.tree)
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "time":
-                bad = [a.name for a in node.names if a.name in WALLCLOCK_FNS]
-                if bad:
-                    out.append(
-                        _finding(
-                            "wallclock-discipline",
-                            src,
-                            node,
-                            f"wall-clock import(s) {', '.join(bad)} from `time`: "
-                            "virtual-time layers schedule on the modeled "
-                            "alpha-beta-gamma clock only",
-                            quals[node],
-                        )
-                    )
-                continue
-            if not (
-                isinstance(node, ast.Attribute)
-                and node.attr in WALLCLOCK_FNS
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "time"
-            ):
-                continue
+        for node, what in _clock_reads(src.tree):
             out.append(
                 _finding(
                     "wallclock-discipline",
                     src,
                     node,
-                    f"wall-clock read `time.{node.attr}`: virtual-time layers "
-                    "schedule on the modeled alpha-beta-gamma clock only "
-                    "(inject a clock if one is genuinely needed)",
+                    f"{what}: virtual-time layers schedule on the modeled "
+                    "alpha-beta-gamma clock only (inject a clock if one is "
+                    "genuinely needed)",
                     quals[node],
                 )
             )
     return out
 
 
-# ---------------------------------------------------------------------------
-# backend-discipline
-
-#: modules the rule never patrols: the backend package (it owns execution
-#: and the real clock) and the machine layer (it defines Machine)
+#: modules backend-discipline never patrols: the backend package (it owns
+#: the real clock) and the machine layer (the simulated clock it reads)
 BACKEND_EXEMPT = ("repro.backend", "repro.machine")
 
 
 def check_backend_discipline(project: Project, config: LintConfig) -> list[Finding]:
-    """Execution goes through :mod:`repro.backend`, nowhere else.
+    """Wall time is read through :mod:`repro.backend`, nowhere else.
 
-    Outside the backend package (and ``repro.machine``, which defines the
-    class), library code must not construct a ``Machine`` directly — a
-    machine built behind the backend's back executes plans no backend
-    sees, so its transitions can never be measured.  Real-clock reads are
-    flagged for the same reason wallclock-discipline flags them, but over
-    the *whole* ``repro`` tree: wall time is the backend's capability
-    (``Backend.timer``), not ambient authority.  Construct machines with
-    ``SimBackend().make_machine(...)`` (or the lazy ``machine.backend``
-    adoption) and read clocks through the backend.
+    The same reads wallclock-discipline flags, but over the *whole*
+    ``repro`` tree: wall time is the backend's capability
+    (``Backend.timer``), not ambient authority.
     """
     out: list[Finding] = []
     for src in project.in_modules(config.backend_modules):
-        if module_matches(src.module, BACKEND_EXEMPT):
-            continue
         # wallclock-discipline already owns clock reads in its modules;
         # re-flagging them here would double-report every finding.
-        clock_covered = module_matches(src.module, config.wallclock_modules)
+        if module_matches(src.module, BACKEND_EXEMPT + config.wallclock_modules):
+            continue
         quals = _qualnames(src.tree)
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.Call) and _call_name(node.func) == "Machine":
-                out.append(
-                    _finding(
-                        "backend-discipline",
-                        src,
-                        node,
-                        "direct `Machine(...)` construction bypasses the "
-                        "execution backend: use "
-                        "`SimBackend().make_machine(...)` (repro.backend)",
-                        quals[node],
-                    )
+        for node, what in _clock_reads(src.tree):
+            out.append(
+                _finding(
+                    "backend-discipline",
+                    src,
+                    node,
+                    f"{what} outside repro.backend: wall time is the "
+                    "backend's capability (Backend.timer)",
+                    quals[node],
                 )
-                continue
-            if clock_covered:
-                continue
-            if isinstance(node, ast.ImportFrom) and node.module == "time":
-                bad = [a.name for a in node.names if a.name in WALLCLOCK_FNS]
-                if bad:
-                    out.append(
-                        _finding(
-                            "backend-discipline",
-                            src,
-                            node,
-                            f"wall-clock import(s) {', '.join(bad)} from "
-                            "`time` outside repro.backend: wall time is the "
-                            "backend's capability (Backend.timer)",
-                            quals[node],
-                        )
-                    )
-                continue
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in WALLCLOCK_FNS
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "time"
-            ):
-                out.append(
-                    _finding(
-                        "backend-discipline",
-                        src,
-                        node,
-                        f"wall-clock read `time.{node.attr}` outside "
-                        "repro.backend: wall time is the backend's "
-                        "capability (Backend.timer)",
-                        quals[node],
-                    )
-                )
+            )
     return out
 
 
@@ -606,16 +467,6 @@ RULES: dict[str, Rule] = {
             "charge-soundness",
             "every plan.apply/set_local mutation must be reachable from a charge pairing",
             check_charge_soundness,
-        ),
-        Rule(
-            "reference-isolation",
-            "routing_reference is importable only from routing.py, tests and benchmarks",
-            check_reference_isolation,
-        ),
-        Rule(
-            "toggle-hygiene",
-            "global parity toggles only inside context-managed helpers",
-            check_toggle_hygiene,
         ),
         Rule(
             "slots-required",
@@ -639,7 +490,7 @@ RULES: dict[str, Rule] = {
         ),
         Rule(
             "backend-discipline",
-            "Machine construction and time.* reads only inside repro.backend/repro.machine",
+            "time.* reads only inside repro.backend/repro.machine",
             check_backend_discipline,
         ),
     )

@@ -79,30 +79,14 @@ class Machine:
         #: across nesting: a charge counts toward every active region)
         self._region_acc: dict[str, np.ndarray] = {}
         self._next_rank = 0
-        #: the execution backend data movement routes through (see
-        #: repro.backend); None = a SimBackend is adopted on first use
-        self._backend: "Backend | None" = backend
-
-    @property
-    def backend(self) -> "Backend":
-        """The :class:`~repro.backend.Backend` executing this machine's plans.
-
-        Machines built directly (rather than through
-        :meth:`Backend.make_machine`) lazily adopt a fresh
-        :class:`~repro.backend.SimBackend` — the pre-backend behavior,
-        bit for bit — so no construction site is forced to name one.
-        """
-        if self._backend is None:
+        if backend is None:
             from repro.backend.sim import SimBackend
 
             backend = SimBackend()
-            backend.adopt(self)
-            self._backend = backend
-        return self._backend
-
-    @backend.setter
-    def backend(self, backend: "Backend") -> None:
-        self._backend = backend
+        #: the execution backend data movement routes through (see
+        #: repro.backend), bound here, once, in both directions
+        self.backend: "Backend" = backend
+        backend.machine = self
 
     # -- grid allocation ------------------------------------------------------
 

@@ -27,8 +27,8 @@ implementations the gap report in :mod:`repro.analysis.serve` compares:
   for arrived requests beyond the window.  Serves queues of any length
   at bounded per-decision cost.
 
-Every placement option a policy considers is priced by the scheduler's
-own pricing hook (closed-form execution cost plus the exact
+Every placement option a policy considers is priced by the scheduling
+pass's one pricing object (closed-form execution cost plus the exact
 :mod:`repro.dist.routing` staging cost of the request's resident operands
 on the *concrete* candidate subgrid), so the prices a policy compares are
 exactly the prices the commit pays.
@@ -37,13 +37,13 @@ exactly the prices the commit pays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.machine.cost import Cost, CostParams
 from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ParameterError, require
 from repro.sched.allocator import SubgridAllocator
-from repro.sched.pricing import PricingMemo
+from repro.sched.pricing import DirectPricing, PricingMemo
 
 if TYPE_CHECKING:
     from repro.sched.scheduler import SchedulableRequest
@@ -107,11 +107,12 @@ class PolicyContext:
     ``running`` lists committed, unfinished placements as
     ``(finish, index, size, grid)`` in finish order.
 
-    ``arrived`` and ``memo`` are performance hooks the scheduler may
-    supply: a pre-filtered arrived list (so :meth:`arrived` skips the
-    queue scan) and a :class:`~repro.sched.pricing.PricingMemo` every
-    pricing helper then routes through.  Without them the helpers fall
-    back to the original direct computations, value for value.
+    ``pricing`` is the pass's pricing object — a
+    :class:`~repro.sched.pricing.PricingMemo` or its un-memoized parity
+    reference :class:`~repro.sched.pricing.DirectPricing` — and every
+    pricing helper below is one delegation to it.  ``arrived`` is a
+    performance hook: a pre-filtered arrived list, so :meth:`arrived`
+    skips the queue scan.
     """
 
     def __init__(
@@ -121,21 +122,17 @@ class PolicyContext:
         params: CostParams,
         pending: Sequence[tuple[int, SchedulableRequest]],
         running: Sequence[tuple[float, int, int, ProcessorGrid]],
-        pricer: Callable[
-            [SchedulableRequest, ProcessorGrid], tuple[Cost, Cost, tuple]
-        ],
+        pricing: PricingMemo | DirectPricing,
         *,
         arrived: Sequence[tuple[int, SchedulableRequest]] | None = None,
-        memo: PricingMemo | None = None,
     ) -> None:
         self.now = now
         self.allocator = allocator
         self.params = params
         self.pending = pending
         self.running = running
-        self._pricer = pricer
+        self._pricing = pricing
         self._arrived = arrived
-        self._memo = memo
 
     @property
     def capacity(self) -> int:
@@ -150,48 +147,32 @@ class PolicyContext:
     # -- pricing ------------------------------------------------------------
 
     def candidate_sizes(self, req: SchedulableRequest) -> list[int]:
-        """The request's candidate subgrid sizes on this pool (memoized)."""
-        if self._memo is not None:
-            return self._memo.sizes(req)
-        return req.candidate_sizes(self.capacity)
+        """The request's candidate subgrid sizes on this pool."""
+        return self._pricing.sizes(req)
 
     def exec_seconds(self, req: SchedulableRequest, size: int) -> float:
-        if self._memo is not None:
-            return self._memo.exec_seconds(req, size)
-        return req.modeled_cost(size, self.params).time(self.params)
+        return self._pricing.exec_seconds(req, size)
 
     def min_exec_seconds(self, req: SchedulableRequest) -> float:
         """Best-case execution seconds over the request's candidate sizes."""
-        if self._memo is not None:
-            return self._memo.min_exec_seconds(req)
-        return min(
-            (self.exec_seconds(req, s) for s in req.candidate_sizes(self.capacity)),
-            default=0.0,
-        )
+        return self._pricing.min_exec_seconds(req)
 
     def min_area(self, req: SchedulableRequest) -> float:
         """Fewest rank-seconds any placement of ``req`` consumes."""
-        if self._memo is not None:
-            return self._memo.min_area(req)
-        return min(
-            (s * self.exec_seconds(req, s) for s in req.candidate_sizes(self.capacity)),
-            default=0.0,
-        )
+        return self._pricing.min_area(req)
 
     def rest_area(self, index: int) -> float:
         """Minimum rank-seconds the rest of the queue still owes."""
-        if self._memo is not None:
-            return self._memo.rest_area(index)
-        return sum(self.min_area(r) for j, r in self.pending if j != index)
+        return self._pricing.rest_area(index)
 
     def staging_seconds(self, req: SchedulableRequest, grid: ProcessorGrid) -> float:
         """Seconds to stage ``req``'s resident operands onto ``grid``.
 
-        The raw charged-staging time of the scheduler's pricing hook —
-        what the branch-and-bound search memoizes per (request, concrete
-        grid) without building a full :class:`Candidate`.
+        The raw charged-staging time of the pass's staging price — what
+        the branch-and-bound search memoizes per (request, concrete grid)
+        without building a full :class:`Candidate`.
         """
-        staging, _saved, _targets = self._pricer(req, grid)
+        staging, _saved, _targets = self._pricing.staging(req, grid)
         return staging.time(self.params)
 
     def price(
@@ -213,11 +194,8 @@ class PolicyContext:
         grid = pool.preview(size)
         if grid is None:
             return None
-        staging, saved, targets = self._pricer(req, grid)
-        if self._memo is not None:
-            modeled = self._memo.modeled_cost(req, size)
-        else:
-            modeled = req.modeled_cost(size, self.params)
+        staging, saved, targets = self._pricing.staging(req, grid)
+        modeled = self._pricing.modeled_cost(req, size)
         duration = staging.time(self.params) + modeled.time(self.params)
         return Candidate(
             size=size,

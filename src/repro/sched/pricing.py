@@ -29,11 +29,12 @@ What is and is not cached:
 * **replayed fresh on every call**: the cache hit/miss decisions.  The
   scheduler's :class:`~repro.api.opcache.CachePlan` view mutates as
   placements commit and blocks coalesce, so
-  :meth:`PricingMemo.staging` re-runs the exact hit logic of
-  ``Request.staging_breakdown`` against the *current* view over the
-  memoized raw targets — bit-identical to the uncached path by
-  construction (the parity suite in ``tests/test_throughput.py`` pins
-  this);
+  :meth:`PricingMemo.staging` re-runs the hit logic
+  ``Request.staging_breakdown`` runs (:meth:`CachePlan.price
+  <repro.api.opcache.CachePlan.price>`, the one copy of it) against the
+  *current* view over the memoized raw targets — bit-identical to the
+  uncached path by construction (the parity suite in
+  ``tests/test_throughput.py`` pins this);
 * **invalidated implicitly**: a memo lives for one ``schedule()`` pass.
   Operand generations (part of every cache key) only change when
   execution mutates a matrix, which never happens while a pass is
@@ -46,13 +47,17 @@ per query — replacing the reference's full re-sum.  The incremental
 float sums can differ from the re-sum in the last ulp; the policies'
 1 ppm score tie band absorbs that, and the golden-schedule tests pin
 that the schedules stay identical.
+
+:class:`DirectPricing` is that reference: the same interface with nothing
+memoized, every price re-derived from the request on every call.
+``Scheduler(pricing_cache=False)`` selects it, and the parity suite
+requires the two to produce flatten-identical schedules.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.dist.redistribute import staging_plan
 from repro.machine.cost import Cost, CostParams
 
 if TYPE_CHECKING:
@@ -60,18 +65,79 @@ if TYPE_CHECKING:
     from repro.machine.topology import ProcessorGrid
 
 
+class DirectPricing:
+    """Un-memoized pricing for one scheduling pass: the parity reference.
+
+    :class:`PricingMemo`'s interface, each answer re-derived from the
+    request when asked; the only state is the pending queue
+    :meth:`rest_area` re-sums, in index order, on every call.
+    """
+
+    __slots__ = ("params", "capacity", "view", "_pending")
+
+    #: nothing is memoized, so there is no memo traffic to report
+    hits = 0
+    misses = 0
+
+    def __init__(
+        self, params: CostParams, capacity: int, view: "CachePlan | None" = None
+    ) -> None:
+        self.params = params
+        self.capacity = int(capacity)
+        self.view = view
+        self._pending: dict[int, Any] = {}
+
+    def sizes(self, req: Any) -> list[int]:
+        return req.candidate_sizes(self.capacity)
+
+    def modeled_cost(self, req: Any, size: int) -> Cost:
+        return req.modeled_cost(size, self.params)
+
+    def exec_seconds(self, req: Any, size: int) -> float:
+        return self.modeled_cost(req, size).time(self.params)
+
+    def min_exec_seconds(self, req: Any) -> float:
+        return min((self.exec_seconds(req, s) for s in self.sizes(req)), default=0.0)
+
+    def min_area(self, req: Any) -> float:
+        return min((s * self.exec_seconds(req, s) for s in self.sizes(req)), default=0.0)
+
+    def seed(self, items: Iterable[tuple[int, Any]]) -> None:
+        """Register the enumerated queue (index order) as pending."""
+        self._pending = dict(items)
+
+    def remove(self, index: int) -> None:
+        """A request committed: it no longer owes any area."""
+        del self._pending[index]
+
+    def rest_area(self, index: int) -> float:
+        """Minimum rank-seconds the queue minus ``index`` still owes."""
+        return sum(self.min_area(r) for j, r in self._pending.items() if j != index)
+
+    def staging(self, req: Any, grid: "ProcessorGrid") -> tuple[Cost, Cost, tuple]:
+        """``(charged, saved, per-target decisions)`` for one placement:
+        the request's own cache-aware breakdown when there is a cache view
+        (and the request has one), its full migration cost otherwise."""
+        breakdown = getattr(req, "staging_breakdown", None)
+        if self.view is None or breakdown is None:
+            return req.staging_cost(grid, self.params), Cost.zero(), ()
+        return breakdown(grid, self.params, self.view)
+
+
 class PricingMemo:
-    """Memoized pricing hooks for one scheduling pass.
+    """Memoized pricing for one scheduling pass.
 
     One instance per :meth:`~repro.sched.scheduler.Scheduler.schedule`
-    call: create, :meth:`seed` with the enumerated queue, consult through
-    the :class:`~repro.sched.policies.PolicyContext` helpers, and
+    call: create (with the pass's cache view, if any), :meth:`seed` with
+    the enumerated queue, consult through the
+    :class:`~repro.sched.policies.PolicyContext` helpers, and
     :meth:`remove` each request as it commits.
     """
 
     __slots__ = (
         "params",
         "capacity",
+        "view",
         "hits",
         "misses",
         "_keys",
@@ -86,9 +152,12 @@ class PricingMemo:
         "_request_base",
     )
 
-    def __init__(self, params: CostParams, capacity: int) -> None:
+    def __init__(
+        self, params: CostParams, capacity: int, view: "CachePlan | None" = None
+    ) -> None:
         self.params = params
         self.capacity = int(capacity)
+        self.view = view
         #: staging-target memo traffic (for tests and reports)
         self.hits = 0
         self.misses = 0
@@ -211,42 +280,24 @@ class PricingMemo:
             self.hits += 1
             return got
         self.misses += 1
-        from repro.api.opcache import cache_key
-
-        got = self._targets[key] = tuple(
-            (cache_key(D, g, lay), g, staging_plan(D, g, lay).cost())
-            for D, g, lay in req._staging_targets(grid, self.params)
-        )
+        got = self._targets[key] = tuple(req._raw_targets(grid, self.params))
         return got
 
-    def staging(
-        self, req: Any, grid: "ProcessorGrid", view: "CachePlan | None"
-    ) -> tuple[Cost, Cost, tuple]:
-        """The scheduler's pricing hook: ``(charged, saved, targets)``.
+    def staging(self, req: Any, grid: "ProcessorGrid") -> tuple[Cost, Cost, tuple]:
+        """The pass's staging price: ``(charged, saved, targets)``.
 
-        Mirrors the uncached hook exactly: without a cache view (or a
-        ``staging_breakdown``) the full migration cost is charged; with
-        one, the stock breakdown's hit logic is replayed over the
-        memoized raw targets against the *live* view.  Requests with
-        overridden staging hooks bypass the memo entirely.
+        Mirrors :meth:`DirectPricing.staging` exactly: without a cache
+        view (or a ``staging_breakdown``) the full migration cost is
+        charged; with one, the view prices the memoized raw targets as it
+        stands *now*.  Requests with overridden staging hooks bypass the
+        memo entirely.
         """
         breakdown = getattr(req, "staging_breakdown", None)
-        if view is None or breakdown is None:
+        if self.view is None or breakdown is None:
             return self.staging_cost(req, grid), Cost.zero(), ()
         if not self._stock_staging(req):
-            return breakdown(grid, self.params, view)
-        charged, saved = Cost.zero(), Cost.zero()
-        targets = []
-        staged_here: set = set()
-        for key, target_grid, cost in self._raw_targets(req, grid):
-            hit = key in view or key in staged_here
-            if hit:
-                saved = saved + cost
-            else:
-                charged = charged + cost
-                staged_here.add(key)
-            targets.append((key, target_grid, cost, hit))
-        return charged, saved, tuple(targets)
+            return breakdown(grid, self.params, self.view)
+        return self.view.price(self._raw_targets(req, grid))
 
     def staging_cost(self, req: Any, grid: "ProcessorGrid") -> Cost:
         """Plain (cache-blind) staging price, memoized when stock."""

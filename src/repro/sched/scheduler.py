@@ -55,7 +55,7 @@ from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ParameterError, require
 from repro.sched.allocator import SubgridAllocator
 from repro.sched.policies import PackingPolicy, PolicyContext, make_policy
-from repro.sched.pricing import PricingMemo
+from repro.sched.pricing import DirectPricing, PricingMemo
 
 if TYPE_CHECKING:
     from repro.api.opcache import CachePlan, OperandCache
@@ -206,8 +206,9 @@ class Scheduler:
             "Cluster(cache=False))",
         )
         self.cache = cache
-        #: memoize pricing across decision points (bit-identical schedules;
-        #: pass False to re-derive every price, the pre-memo behavior)
+        #: memoize pricing across decision points (PricingMemo); False
+        #: re-derives every price (DirectPricing, the parity reference —
+        #: bit-identical schedules)
         self.pricing_cache = bool(pricing_cache)
 
     def schedule(self, requests: Sequence[SchedulableRequest]) -> Schedule:
@@ -221,10 +222,17 @@ class Scheduler:
         )
         self.policy.reset(requests)
         items = list(enumerate(requests))
-        memo: PricingMemo | None = None
+        view: "CachePlan | None" = (
+            self.cache.plan() if self.cache is not None else None
+        )
+        # How a placement is priced is decided here, once: memoized, or
+        # (the parity reference) re-derived from the request every time.
+        pricing: PricingMemo | DirectPricing
         if self.pricing_cache:
-            memo = PricingMemo(params, alloc.capacity)
-            memo.seed(items)
+            pricing = PricingMemo(params, alloc.capacity, view)
+        else:
+            pricing = DirectPricing(params, alloc.capacity, view)
+        pricing.seed(items)
         # The event queue: requests not yet arrived, in (arrival, index)
         # order behind ``ptr``; arrived-but-unplaced requests live in
         # ``arrived``, kept index-sorted (the queue order policies see).
@@ -236,9 +244,6 @@ class Scheduler:
         running: list[tuple[float, int, Assignment]] = []  # (finish, seq, a)
         out: list[Assignment] = []
         now, seq = 0.0, 0
-        view: "CachePlan | None" = (
-            self.cache.plan() if self.cache is not None else None
-        )
         evictions: list[tuple[float, ProcessorGrid]] = []
 
         def drain_arrivals() -> None:
@@ -269,22 +274,6 @@ class Scheduler:
                     del future[j]
                     return
             raise AssertionError(f"placed request {index} is not pending")
-
-        def candidate_sizes(req: SchedulableRequest) -> list[int]:
-            if memo is not None:
-                return memo.sizes(req)
-            return req.candidate_sizes(alloc.capacity)
-
-        def staging_for(
-            req: SchedulableRequest, grid: ProcessorGrid
-        ) -> tuple[Cost, Cost, tuple]:
-            """(charged, saved, per-target decisions) for one placement."""
-            if memo is not None:
-                return memo.staging(req, grid, view)
-            breakdown = getattr(req, "staging_breakdown", None)
-            if view is None or breakdown is None:
-                return req.staging_cost(grid, params), Cost.zero(), ()
-            return breakdown(grid, params, view)
 
         def on_destroy(grid: ProcessorGrid) -> None:
             # A block stopped existing: its staged copies die with it, in
@@ -323,9 +312,8 @@ class Scheduler:
                         params=params,
                         pending=_LazyList(pending_view),
                         running=_LazyList(running_view),
-                        pricer=staging_for,
+                        pricing=pricing,
                         arrived=arrived,
-                        memo=memo,
                     )
                     decision = self.policy.choose(ctx)
                     if decision is None:
@@ -361,8 +349,7 @@ class Scheduler:
                     seq += 1
                     out.append(a)
                     remove_pending(index)
-                    if memo is not None:
-                        memo.remove(index)
+                    pricing.remove(index)
                     placed = True  # re-consult against the shrunken pool
                 # Advance to the next event: the earliest running finish OR the
                 # next arrival, whichever comes first — a request arriving while
@@ -391,7 +378,7 @@ class Scheduler:
                          and not any(
                              alloc.can_allocate(s)
                              for it in arrived
-                             for s in candidate_sizes(it[1])
+                             for s in pricing.sizes(it[1])
                          )),
                     ParameterError,
                     "a pending request fits no allocatable subgrid size",
@@ -404,6 +391,6 @@ class Scheduler:
             capacity=alloc.capacity,
             evictions=evictions,
             policy=self.policy.name,
-            pricing_hits=memo.hits if memo is not None else 0,
-            pricing_misses=memo.misses if memo is not None else 0,
+            pricing_hits=pricing.hits,
+            pricing_misses=pricing.misses,
         )

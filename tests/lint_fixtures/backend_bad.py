@@ -1,5 +1,5 @@
 # replint-fixture-module: repro.analysis.fixture_backend_bad
-"""Bad: analysis code building a Machine behind the backend's back."""
+"""Bad: analysis code timing a machine with the host clock."""
 
 import time
 from time import perf_counter  # noqa: F401

@@ -1,12 +1,11 @@
 # replint-fixture-module: repro.analysis.fixture_backend_good
-"""Good: machines come from a backend; clocks are the backend's timer."""
+"""Good: the clock is the machine's backend's timer."""
 
-from repro.backend.sim import SimBackend
+from repro.machine.machine import Machine
 
 
 def simulate(p: int) -> float:
-    backend = SimBackend()
-    machine = backend.make_machine(p)
-    t0 = backend.timer()
+    machine = Machine(p)
+    t0 = machine.backend.timer()
     machine.barrier()
-    return backend.timer() - t0
+    return machine.backend.timer() - t0

@@ -2,9 +2,6 @@
 """Good: the stage_matrix shape — mutation paired with its charge."""
 
 
-def stage(plan, machine, blocks, pointwise=True):
-    if pointwise:
-        plan.charge_pointwise(machine, label="stage")
-    else:
-        plan.charge(machine, label="stage")
+def stage(plan, machine, blocks):
+    plan.charge_pointwise(machine, label="stage")
     return plan.apply(blocks)

@@ -4,12 +4,12 @@ When :mod:`repro.dist.routing` was vectorized (argsort/group-by over owner
 pairs instead of per-pair ``np.nonzero`` scans), the original per-pair loop
 implementations moved here unchanged, exactly as ``tests/test_policies.py``
 pinned the pre-refactor LPT scheduler.  The hypothesis parity suite in
-``tests/test_throughput.py`` replays every plan through both paths and
-asserts bit-identical pairs, costs, pointwise charges and routed blocks;
-``benchmarks/bench_throughput.py`` measures the speedup against this path.
+``tests/test_throughput.py`` runs every plan through both implementations
+and asserts bit-identical pairs, costs, pointwise charges and routed blocks.
 
-Nothing here is exported to the library proper — the only consumers are
-tests, benches and :func:`repro.dist.routing.set_reference_mode`.
+An oracle *beside* the fast path: each function takes a built
+:class:`~repro.dist.routing.RoutingPlan` and recomputes one of its answers
+the old way.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from repro.backend.mpi import (
 from repro.dist import CyclicLayout, DistMatrix, redistribute
 from repro.dist import routing
 from repro.dist.routing import End, routing_plan
-from repro.machine import CostParams
+from repro.machine import CostParams, Machine
 from repro.machine.validate import ParameterError
 from repro.trsm.solver import trsm
 
@@ -177,8 +177,7 @@ class TestClusterConfig:
         before = routing.plan_cache_stats()["capacity"]
         routing.clear_plan_cache()
         try:
-            backend = SimBackend()
-            m = backend.make_machine(4, params=UNIT)
+            m = Machine(4, params=UNIT)
             g = m.grid(2, 2)
             layout = CyclicLayout(2, 2)
             for n in (4, 6, 8):
@@ -199,8 +198,7 @@ class TestClusterConfig:
 
 def disjoint_grid_plan():
     """A 4x4 redistribute between disjoint 2x2 grids: 4 off-rank messages."""
-    backend = SimBackend()
-    m = backend.make_machine(8, params=UNIT)
+    m = Machine(8, params=UNIT)
     g1, g2 = m.grid(2, 2), m.grid(2, 2)
     layout = CyclicLayout(2, 2)
     src = End(g1, layout, (4, 4))
@@ -218,8 +216,7 @@ class TestPlanCompiler:
             assert msg.words == 4
 
     def test_identity_plan_has_no_messages(self):
-        backend = SimBackend()
-        m = backend.make_machine(4, params=UNIT)
+        m = Machine(4, params=UNIT)
         g = m.grid(2, 2)
         end = End(g, CyclicLayout(2, 2), (4, 4))
         assert plan_messages(routing.RoutingPlan(end, end, (4, 4))) == []
@@ -297,7 +294,7 @@ class TestLoopbackMPIBackend:
         A = np.arange(36.0).reshape(6, 6)
 
         def run(backend: Backend):
-            m = backend.make_machine(8, params=UNIT)
+            m = Machine(8, params=UNIT, backend=backend)
             g1, g2 = m.grid(2, 2), m.grid(2, 2)
             D = DistMatrix.from_global(m, g1, CyclicLayout(2, 2), A)
             return redistribute(D, g2, CyclicLayout(2, 2)).to_global()
@@ -316,7 +313,7 @@ class TestLoopbackMPIBackend:
     def test_chunking_produces_multiple_rounds_and_wall_clock(self):
         backend = MPIBackend(comm=LoopbackComm(), chunk_limit=5)
         A = np.arange(36.0).reshape(6, 6)
-        m = backend.make_machine(8, params=UNIT)
+        m = Machine(8, params=UNIT, backend=backend)
         g1, g2 = m.grid(2, 2), m.grid(2, 2)
         D = DistMatrix.from_global(m, g1, CyclicLayout(2, 2), A)
         redistribute(D, g2, CyclicLayout(2, 2))

@@ -37,7 +37,7 @@ class TestNoGlobalGather:
 
 class TestChargeSoundness:
     def test_good(self):
-        """The stage_matrix shape: charge_pointwise/charge paired with apply."""
+        """The stage_matrix shape: charge_pointwise paired with apply."""
         assert lint_fixture("charge_good.py") == []
 
     def test_bad(self):
@@ -76,25 +76,6 @@ class TestChargeSoundness:
         p.write_text(src)
         found = lint_paths([str(p)], config=LintConfig(exclude=()))
         assert [(f.rule, f.line) for f in found] == [("charge-soundness", 10)]
-
-
-class TestReferenceIsolation:
-    def test_good(self):
-        assert lint_fixture("reference_good.py") == []
-
-    def test_bad(self):
-        assert lint_fixture("reference_bad.py") == [("reference-isolation", 4)]
-
-
-class TestToggleHygiene:
-    def test_good(self):
-        assert lint_fixture("toggle_good.py") == []
-
-    def test_bad(self):
-        assert lint_fixture("toggle_bad.py") == [
-            ("toggle-hygiene", 8),
-            ("toggle-hygiene", 10),
-        ]
 
 
 class TestSlotsRequired:
@@ -155,21 +136,20 @@ class TestWallclockDiscipline:
 
 class TestBackendDiscipline:
     def test_good(self):
-        """Machines from a backend, clocks through backend.timer: silent."""
+        """A directly built machine, clocks through backend.timer: silent."""
         assert lint_fixture("backend_good.py") == []
 
     def test_bad(self):
-        """A bare Machine(p) plus three flavors of wall-clock read."""
+        """Three flavors of wall-clock read (the bare Machine(p) is fine)."""
         assert lint_fixture("backend_bad.py") == [
             ("backend-discipline", 5),
-            ("backend-discipline", 11),
             ("backend-discipline", 12),
             ("backend-discipline", 14),
         ]
 
     def test_backend_and_machine_packages_are_exempt(self, tmp_path):
-        """The packages that *implement* execution may build machines and
-        read real clocks — the rule is about everyone else."""
+        """The packages that *implement* execution may read real clocks —
+        the rule is about everyone else."""
         src = (
             "# replint-fixture-module: repro.backend.fixture_impl\n"
             "import time\n"
@@ -271,8 +251,6 @@ class TestEngine:
         assert set(RULES) == {
             "no-global-gather",
             "charge-soundness",
-            "reference-isolation",
-            "toggle-hygiene",
             "slots-required",
             "rng-discipline",
             "int32-accumulation",
@@ -301,5 +279,4 @@ class TestRepoTree:
         rc = run_lint([], list_rules=True)
         out = capsys.readouterr().out
         assert rc == 0
-        for rule_id in RULES:
-            assert rule_id in out
+        assert [line.split()[0] for line in out.splitlines()] == list(RULES)

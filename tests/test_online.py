@@ -495,6 +495,28 @@ class TestDaemon:
         bad = d.handle('{"op": "trsm"}')  # missing n
         assert bad["ok"] is False and "KeyError" in bad["error"]
 
+    def test_bad_shape_is_refused_before_admission(self):
+        """Regression: ``k=0`` / ``n<=0`` used to be admitted (token spent,
+        rid handed out) and then failed the next flush for the whole
+        batch, so its valid neighbours were drained and never ran."""
+        d = daemon(batch=8, verify=True)
+        assert d.handle('{"op": "trsm", "n": 64, "k": 8}')["decision"] == "admitted"
+        for bad in (
+            '{"op": "trsm", "n": 64, "k": 0}',
+            '{"op": "trsm", "n": 0, "k": 4}',
+            '{"op": "trsm", "n": -3}',
+        ):
+            out = d.handle(bad)
+            assert out["ok"] is False and out["op"] == "trsm"
+            assert "ParameterError" in out["error"]
+        assert d.handle('{"op": "trsm", "n": 32, "k": 4}')["decision"] == "admitted"
+        assert d.admission.stats()["admitted"] == 2
+        assert d.admission.pending() == 2
+        flushed = d.handle('{"op": "flush"}')
+        assert flushed["ok"] and flushed["completed"] == 2
+        assert {r["rid"] for r in flushed["results"]} == {0, 1}
+        assert all(r["residual"] < 1e-10 for r in flushed["results"])
+
     def test_shutdown_flushes_and_stops(self):
         d = daemon(batch=8)
         d.handle('{"op": "trsm", "n": 64}')

@@ -46,6 +46,7 @@ from repro.sched import (
     make_policy,
 )
 from repro.sched.policies import PolicyContext, _plan_tolerance
+from repro.sched.pricing import DirectPricing
 from repro.trsm.prepared import PreparedTrsm
 from repro.util.randmat import random_lower_triangular
 
@@ -433,14 +434,13 @@ class TestHorizonPolicy:
         the plan instead of raising."""
         reqs = [FakeRequest({8: 1.0}), FakeRequest({8: 2.0})]
 
-        def pricer(req, grid):
-            return Cost.zero(), Cost.zero(), ()
-
         pool = make_pool(16)
         policy = OptimalPolicy()
         policy.reset(reqs)
         pending = list(enumerate(reqs))
-        first = policy.choose(PolicyContext(0.0, pool, UNIT, pending, [], pricer))
+        pricing = DirectPricing(UNIT, pool.capacity)
+        pricing.seed(pending)
+        first = policy.choose(PolicyContext(0.0, pool, UNIT, pending, [], pricing))
         assert first is not None and first.index == 0
         grid = pool.allocate(first.candidate.size)
         assert grid == first.candidate.grid
@@ -449,6 +449,7 @@ class TestHorizonPolicy:
         # plan's makespan is 2.0, so the tolerance floor is 2e-9)
         drift = 1e-12
         assert drift <= _plan_tolerance(0.0, 2.0)
+        pricing.remove(first.index)
         second = policy.choose(
             PolicyContext(
                 drift,
@@ -456,7 +457,7 @@ class TestHorizonPolicy:
                 UNIT,
                 [pending[1]],
                 [(first.candidate.finish, 0, first.candidate.size, grid)],
-                pricer,
+                pricing,
             )
         )
         assert second is not None and second.index == 1

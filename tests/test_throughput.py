@@ -5,13 +5,14 @@ changed.  This suite pins that:
 
 * **vectorized routing parity** — the argsort/group-by implementations of
   ``pairs``/``cost``/``charge_pointwise``/``apply`` are bit-identical to
-  the pinned pre-refactor loops in :mod:`repro.dist.routing_reference`,
+  the pinned pre-refactor loops in ``tests/routing_reference.py``,
   property-tested across grids, layout families, shapes and transposed
-  destinations;
+  destinations — and checked over every plan a served stream leaves in
+  the plan LRU;
 * **plan cache** — :func:`repro.dist.routing.routing_plan` returns the
-  *same object* for equal (src, dst, shape) fingerprints, falls back to
-  fresh plans when disabled, evicts LRU-first, and cache-on/off schedules
-  are identical;
+  *same object* for equal (src, dst, shape) fingerprints, builds fresh
+  plans at capacity 0, evicts LRU-first, and cache-on/off schedules are
+  identical;
 * **overflow guard** — a plan whose per-pair word count cannot be held in
   an int32 is rejected at construction instead of silently wrapping;
 * **pricing memo parity** — scheduling with the memo on and off yields
@@ -38,17 +39,17 @@ from repro.dist import (
 )
 from repro.dist import routing
 from repro.dist.layout import Layout
-from repro.dist.routing_reference import (
-    reference_apply,
-    reference_cost,
-    reference_pairs,
-    reference_pointwise_costs,
-)
 from repro.machine import CostParams, Machine
 from repro.machine.validate import ShapeError
 from repro.sched import Scheduler
 from repro.sched.pricing import PricingMemo
 from repro.util.randmat import random_dense, random_lower_triangular
+from routing_reference import (
+    reference_apply,
+    reference_cost,
+    reference_pairs,
+    reference_pointwise_costs,
+)
 from test_policies import FakeRequest, flatten, golden_stream, make_pool
 
 UNIT = CostParams(alpha=1.0, beta=1.0, gamma=1.0, name="unit")
@@ -132,38 +133,22 @@ class TestVectorizedRoutingParity:
         for rank in vec:
             assert vec[rank].tobytes() == ref[rank].tobytes()
 
-    def test_reference_mode_toggle_round_trips(self):
-        """set_reference_mode returns the previous value and, while on,
-        routes the public plan methods through the pinned loops."""
-        machine = Machine(4, params=UNIT)
-        grid = machine.grid(2, 2)
-        plan = RoutingPlan(
-            End(grid, CyclicLayout(2, 2), (6, 6)),
-            End(grid, BlockedLayout(2, 2), (6, 6)),
-            (6, 6),
+    def test_served_stream_plans_match_reference(self):
+        """Parity over the plans the serve path really builds: every plan
+        a scheduled stream leaves in the LRU answers exactly as the pinned
+        loops do."""
+        routing.clear_plan_cache()
+        stream = poisson_stream(
+            count=20, rate=2e5, n_range=(32, 64), k_range=(4, 8), seed=3
         )
-        fast = (plan.pairs(), plan.cost())
-        # replint: disable=toggle-hygiene -- this test pins the raw toggle's return-previous contract itself
-        prev = routing.set_reference_mode(True)
-        try:
-            assert prev is False
-            assert (plan.pairs(), plan.cost()) == fast
-        finally:
-            # replint: disable=toggle-hygiene -- restoring via the raw call is the contract under test
-            assert routing.set_reference_mode(prev) is True
-
-    def test_reference_mode_context_manager_restores_on_error(self):
-        """The scoped helper restores the prior state even when the body
-        raises — the leak the raw toggle was prone to."""
-        assert routing._REFERENCE_MODE is False
-        with pytest.raises(RuntimeError):
-            with routing.reference_mode():
-                assert routing._REFERENCE_MODE is True
-                raise RuntimeError("boom")
-        assert routing._REFERENCE_MODE is False
-        with routing.reference_mode(False):
-            assert routing._REFERENCE_MODE is False
-        assert routing._REFERENCE_MODE is False
+        schedule_stream(stream, p=16)
+        plans = list(routing._PLAN_CACHE.values())
+        assert len(plans) > 20, "the stream must exercise the plan cache"
+        assert any(not plan.is_free() for plan in plans)
+        for plan in plans:
+            assert plan.pairs() == reference_pairs(plan)
+            assert plan.cost() == reference_cost(plan)
+            assert plan._pointwise_costs() == reference_pointwise_costs(plan)
 
 
 class TestPlanCache:
@@ -189,11 +174,15 @@ class TestPlanCache:
         grid = machine.grid(2, 2)
         src = End(grid, CyclicLayout(2, 2), (8, 8))
         dst = End(grid, BlockedLayout(2, 2), (8, 8))
-        with routing.plan_cache_disabled():
+        previous = routing.set_plan_cache_capacity(0)
+        try:
             p1 = routing.routing_plan(src, dst, (8, 8))
             p2 = routing.routing_plan(src, dst, (8, 8))
             assert p1 is not p2
             assert p1.cost() == p2.cost()
+            assert routing.plan_cache_stats()["entries"] == 0
+        finally:
+            routing.set_plan_cache_capacity(previous)
 
     def test_lru_evicts_the_oldest_entry(self, monkeypatch):
         routing.clear_plan_cache()
@@ -226,8 +215,11 @@ class TestPlanCache:
         )
         routing.clear_plan_cache()
         on = schedule_stream(stream, p=16)
-        with routing.plan_cache_disabled():
+        previous = routing.set_plan_cache_capacity(0)
+        try:
             off = schedule_stream(stream, p=16)
+        finally:
+            routing.set_plan_cache_capacity(previous)
         assert flatten(on) == flatten(off)
 
 
