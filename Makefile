@@ -1,9 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-perf bench-smoke bench-policies bench-throughput \
-	bench-daemon bench-backend lint replint lint-all selfcheck solve \
-	serve clean
+.PHONY: test test-fast test-perf bench-smoke bench-policies bench-backend \
+	lint replint lint-all selfcheck solve serve clean
 
 ## Run the tier-1 test suite (what CI gates on).
 test:
@@ -28,8 +27,7 @@ test-perf:
 ## regressions (serve asserts packed makespan < serial full grid).
 bench-smoke:
 	BENCH_SMOKE=1 $(PYTHON) -m pytest -x -q benchmarks/bench_redistribute.py \
-		benchmarks/bench_serve.py benchmarks/bench_throughput.py \
-		benchmarks/bench_daemon.py
+		benchmarks/bench_serve.py
 
 ## Full-fat serve + policy-comparison sweep: gates backfill <= LPT (with
 ## the mixed-stream strict win), horizon <= min(lpt, backfill) on every
@@ -38,20 +36,6 @@ bench-smoke:
 ## writes benchmarks/results/BENCH_serve.json (the CI bench job uploads it).
 bench-policies:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_serve.py
-
-## Serve-scale throughput floors: 10^4-request scheduling above the RPS
-## floor and the ~100x-grown executed replay (fast-path bit-identity is
-## tier-1: tests/test_throughput.py; its speed gate is sched_pack in
-## BENCHMARK.json); writes benchmarks/results/BENCH_throughput.json (CI uploads it).
-bench-throughput:
-	$(PYTHON) -m pytest -x -q benchmarks/bench_throughput.py
-
-## Online-daemon load test: the full serving pipeline (arrivals ->
-## admission -> priority queue -> batch flushes) gated on a sustained
-## wall-clock req/s floor; writes benchmarks/results/BENCH_daemon.json
-## (CI uploads it).
-bench-daemon:
-	$(PYTHON) -m pytest -x -q benchmarks/bench_daemon.py
 
 ## Backend parity + modeled-vs-measured calibration: one replay through
 ## SimBackend and the loopback MPIBackend, bit-identical solutions

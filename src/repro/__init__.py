@@ -54,12 +54,10 @@ from repro.dist import (
     End,
     Layout,
     RoutingPlan,
-    TransitionPlan,
     change_layout,
     expected_local_words,
     extract_submatrix,
     embed_submatrix,
-    fuse_transitions,
     gather_frame,
     redistribute,
     route_embed,
@@ -156,8 +154,6 @@ __all__ = [
     "route_embed",
     "End",
     "RoutingPlan",
-    "TransitionPlan",
-    "fuse_transitions",
     "gather_frame",
     "mm3d",
     "mm1d",

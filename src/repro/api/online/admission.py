@@ -150,8 +150,9 @@ class AdmissionController:
     """Typed admit/reject/defer decisions plus a priority admission queue.
 
     ``offer(request, now)`` runs the gate; admitted requests are held in
-    a priority queue and handed to the scheduler by ``drain()`` in
-    (priority class descending, admission order) order — strictly FIFO
+    a priority queue and handed to the scheduler by ``drain()`` (each
+    with its admission ``seq``) in (priority class descending, admission
+    order) order — strictly FIFO
     within a class, which is the fairness contract the property tests
     pin.  ``now`` must be non-decreasing across calls.
     """
@@ -245,19 +246,20 @@ class AdmissionController:
         self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + 1
         return Rejected(reason=reason)
 
-    def drain(self) -> list[object]:
-        """Hand every queued request to the caller, priority-class order.
+    def drain(self) -> list[tuple[int, object]]:
+        """Hand every queued ``(seq, request)`` to the caller, priority-class order.
 
         Higher priority classes first; within a class strictly FIFO in
-        admission order (the heap key is ``(-priority, seq)``).  Every
-        admitted request is drained exactly once — nothing the controller
-        admits can be starved forever, because each drain empties the
-        queue and admission order breaks all ties.
+        admission order (the heap key is ``(-priority, seq)``); ``seq`` is
+        the one :class:`Admitted` carried.  Every admitted request is
+        drained exactly once — nothing the controller admits can be
+        starved forever, because each drain empties the queue and
+        admission order breaks all ties.
         """
         out = []
         while self._heap:
-            _neg, _seq, request = heapq.heappop(self._heap)
+            _neg, seq, request = heapq.heappop(self._heap)
             tenant = str(getattr(request, "tenant", "default"))
             self._depth_by_tenant[tenant] -= 1
-            out.append(request)
+            out.append((seq, request))
         return out

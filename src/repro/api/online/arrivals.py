@@ -5,10 +5,9 @@ be exercised against the arrival patterns real serving sees.  This module
 owns those generators — every one seeded and pure, so load tests and
 property suites are exactly reproducible:
 
-* :func:`poisson_arrivals` — the memoryless baseline (the process
-  :func:`repro.api.serve.poisson_stream` always used, refactored here so
-  the replay benches and the daemon's load-test mode share one
-  implementation);
+* :func:`poisson_arrivals` — the memoryless baseline (the process behind
+  :func:`repro.api.serve.poisson_stream` and
+  :func:`repro.api.serve.replay_prepared`; ``rate = 0`` is the burst);
 * :func:`lognormal_arrivals` — heavy-tailed inter-arrivals: the same mean
   rate as Poisson but with bursts and lulls (coefficient of variation
   ``sqrt(exp(sigma^2) - 1)``), the "flash crowd" shape;
@@ -53,10 +52,10 @@ def poisson_arrivals(
 ) -> np.ndarray:
     """Arrival times of a homogeneous Poisson process (``rate`` req/s).
 
-    ``rate = 0`` degenerates to the burst workload: everything at t = 0.
-    Passing ``rng`` instead of ``seed`` lets a caller thread one generator
-    through arrivals and shape draws (how ``poisson_stream`` keeps its
-    pre-refactor streams bit-identical).
+    ``rate = 0`` degenerates to the burst workload: everything at t = 0,
+    no draw consumed.  Passing ``rng`` instead of ``seed`` lets a caller
+    thread one generator through arrivals and shape draws (how
+    :func:`synthetic_stream` keeps the historical streams bit-identical).
     """
     require(count >= 1, ParameterError, "need at least one arrival")
     require(rate >= 0.0, ParameterError, f"rate must be >= 0, got {rate}")
@@ -157,9 +156,18 @@ def make_arrivals(
         f"{sorted(ARRIVAL_PROCESSES)})",
     )
     assert fn is not None
-    if process == "poisson" and rate == 0.0:
-        return np.zeros(count)
     return fn(count, rate, seed=seed, rng=rng, **knobs)
+
+
+def _pow2_choices(lo: int, hi: int) -> list[int]:
+    out = []
+    v = 1
+    while v <= hi:
+        if v >= lo:
+            out.append(v)
+        v *= 2
+    require(bool(out), ParameterError, f"no power of two in [{lo}, {hi}]")
+    return out
 
 
 def synthetic_stream(
@@ -176,16 +184,17 @@ def synthetic_stream(
 ) -> list:
     """A seeded stream of mixed solve requests under any arrival process.
 
-    The superset of :func:`repro.api.serve.poisson_stream` (which
-    delegates here): shapes are drawn uniformly from the powers of two in
-    their ranges, tenants round-robin over ``tenants``, priorities are
-    drawn uniformly from ``priorities``, and ``deadline_slack`` (when
-    given) stamps every request with the SLA deadline ``arrival +
-    deadline_slack`` in simulated seconds.  With the defaults the output
-    is bit-identical to the historical ``poisson_stream`` — same RNG,
-    same draw order — which is what keeps the replay goldens pinned.
+    The one stream generator (:func:`repro.api.serve.poisson_stream` is
+    this function at its Poisson defaults): shapes are drawn uniformly
+    from the powers of two in their ranges, tenants round-robin over
+    ``tenants``, priorities are drawn uniformly from ``priorities``, and
+    ``deadline_slack`` (when given) stamps every request with the SLA
+    deadline ``arrival + deadline_slack`` in simulated seconds.  One
+    generator seeded by ``seed`` draws the arrivals first, then ``n`` and
+    ``k`` per entry — the historical ``poisson_stream`` draw order, which
+    is what keeps the replay goldens pinned.
     """
-    from repro.api.serve import StreamRequest, _pow2_choices
+    from repro.api.serve import StreamRequest
 
     require(count >= 1, ParameterError, "need at least one request")
     require(bool(tenants), ParameterError, "need at least one tenant")

@@ -29,18 +29,21 @@ Protocol: one JSON object per line, one JSON response per line.
 * ``{"op": "shutdown"}`` — final flush, respond, stop.
 
 Transport is stdin/stdout (:meth:`ServeDaemon.run_stdin`) or a Unix
-socket (:meth:`ServeDaemon.serve_unix`, ``--socket PATH``).  The
-load-test mode (:meth:`ServeDaemon.run_load_test`) replaces the wall
-clock with a seeded arrival process from
-:mod:`repro.api.online.arrivals` — fully reproducible, and what
-``benchmarks/bench_daemon.py`` gates sustained throughput on.
+socket (:meth:`ServeDaemon.serve_unix`, ``--socket PATH``); both run the
+same line loop.  The load-test mode (:meth:`ServeDaemon.run_load_test`)
+replaces the wall clock with a seeded arrival process from
+:mod:`repro.api.online.arrivals` — fully reproducible.  Protocol lines
+and load-test entries alike enter admission through one door,
+:meth:`ServeDaemon._admit` (the ``daemon_online`` workload of
+``benchmarks/perf`` measures the whole pipeline).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.api.cluster import Cluster, ClusterOutcome, latency_percentiles
 from repro.api.online.admission import (
@@ -50,7 +53,7 @@ from repro.api.online.admission import (
     Deferred,
     Rejected,
 )
-from repro.api.serve import _trsm_requests
+from repro.api.serve import StreamRequest, _trsm_requests
 from repro.dist.routing import plan_cache_stats
 from repro.machine.cost import CostParams
 from repro.machine.validate import ParameterError, require
@@ -66,19 +69,16 @@ class DaemonConfig:
     1e-6 makes one wall second one simulated microsecond — the scale of
     a mid-size solve, so interactive gaps become meaningful simulated
     gaps).  ``batch`` auto-flushes whenever that many requests are
-    queued; ``telemetry_every`` emits a telemetry record every N flushes
-    (0 = only on request).  ``verify`` checks every solve's residual
-    (slower; the CI smoke turns it on for one request).
+    queued.  ``verify`` checks every solve's residual (slower).  Every
+    flush runs with the operand cache on and logs one telemetry record.
     """
 
     p: int = 16
     params: CostParams | None = None
     policy: str | None = None
-    cache: bool = True
     verify: bool = False
     time_scale: float = 1e-6
     batch: int = 8
-    telemetry_every: int = 1
     admission: AdmissionConfig | None = None
 
     def __post_init__(self) -> None:
@@ -88,20 +88,6 @@ class DaemonConfig:
             ParameterError,
             f"time_scale must be > 0, got {self.time_scale}",
         )
-
-
-@dataclass(slots=True)
-class _Pending:
-    """One admitted solve waiting for its flush batch."""
-
-    rid: int
-    n: int
-    k: int
-    seed: int
-    arrival: float
-    priority: int
-    deadline: float | None
-    tenant: str
 
 
 @dataclass(slots=True)
@@ -118,6 +104,11 @@ class _Totals:
     staging_misses: int = 0
     pricing_hits: int = 0
     pricing_misses: int = 0
+
+
+def _line(obj: dict) -> str:
+    """One compact JSON protocol line."""
+    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 class ServeDaemon:
@@ -140,12 +131,9 @@ class ServeDaemon:
         self._clock = time.monotonic if clock is None else clock
         self._t0 = float(self._clock())
         self.admission = AdmissionController(self.config.admission)
-        self._queue: dict[int, _Pending] = {}
-        self._next_rid = 0
         self.totals = _Totals()
         self.last_outcome: ClusterOutcome | None = None
-        #: telemetry records emitted by ``telemetry_every`` (a transport
-        #: loop may also forward them; see :meth:`run_stdin`)
+        #: one telemetry record per flush (the line loop forwards them)
         self.telemetry_log: list[dict] = []
         self._stop = False
         self._sim_floor = 0.0
@@ -182,7 +170,7 @@ class ServeDaemon:
             if op == "stats":
                 return {"ok": True, "op": "stats", **self.telemetry()}
             if op == "shutdown":
-                final = self.flush() if self._queue else None
+                final = self.flush() if self.admission.pending() else None
                 self._stop = True
                 out = {"ok": True, "op": "shutdown", **self.telemetry()}
                 if final is not None:
@@ -193,17 +181,22 @@ class ServeDaemon:
         return {"ok": False, "error": f"unknown op {op!r}"}
 
     def _handle_trsm(self, msg: dict) -> dict:
+        """Parse and validate one ``trsm`` line, then the admit door.
+
+        Anything no solve accepts is refused here, *before* admission:
+        admitted, it would fail the next flush for every request batched
+        with it.
+        """
         now = self.sim_now()
         n = int(msg["n"])
         k = int(msg.get("k", 1))
-        # refuse a shape no solve accepts *before* admission: admitted, it
-        # would fail the next flush for every request batched with it
         require(
             n >= 1 and k >= 1,
             ParameterError,
             f"trsm needs n >= 1 and k >= 1, got n={n}, k={k}",
         )
         seed = int(msg.get("seed", 0))
+        require(seed >= 0, ParameterError, f"trsm needs seed >= 0, got {seed}")
         priority = int(msg.get("priority", 0))
         tenant = str(msg.get("tenant", "default"))
         if msg.get("deadline") is not None:
@@ -212,16 +205,33 @@ class ServeDaemon:
             deadline = now + float(msg["sla"])
         else:
             deadline = None
-        entry = _Pending(
-            rid=-1,
-            n=n,
-            k=k,
-            seed=seed,
-            arrival=now,
-            priority=priority,
-            deadline=deadline,
-            tenant=tenant,
+        require(
+            deadline is None or math.isfinite(deadline),
+            ParameterError,
+            "trsm needs a finite sla/deadline",
         )
+        return self._admit(
+            StreamRequest(
+                n=n,
+                k=k,
+                arrival=now,
+                seed=seed,
+                priority=priority,
+                deadline=deadline,
+                tenant=tenant,
+            )
+        )
+
+    def _admit(self, entry: StreamRequest) -> dict:
+        """The admit door: offer ``entry`` to admission at its arrival time.
+
+        The only caller of :meth:`AdmissionController.offer` — protocol
+        lines and load-test entries both come through here.  Returns the
+        ``trsm`` response (the typed decision; an admitted request's
+        ``rid`` *is* its admission ``seq``) and auto-flushes when the
+        queue reaches ``batch``.
+        """
+        now = entry.arrival
         decision = self.admission.offer(entry, now=now)
         if isinstance(decision, Rejected):
             return {
@@ -241,15 +251,11 @@ class ServeDaemon:
                 "sim_time": now,
             }
         assert isinstance(decision, Admitted)
-        rid = self._next_rid
-        self._next_rid += 1
-        entry.rid = rid
-        self._queue[id(entry)] = entry
         out = {
             "ok": True,
             "op": "trsm",
             "decision": "admitted",
-            "rid": rid,
+            "rid": decision.seq,
             "seq": decision.seq,
             "sim_time": now,
             "queued": self.admission.pending(),
@@ -270,15 +276,15 @@ class ServeDaemon:
         summary (per-request rid/latency/residual, makespan, occupancy,
         cache rates) and folds it into the cumulative totals.
         """
-        drained = [e for e in self.admission.drain() if isinstance(e, _Pending)]
+        drained = self.admission.drain()
         if not drained:
             return {"completed": 0, "results": []}
         cfg = self.config
-        base = min(e.arrival for e in drained)
-        cluster = Cluster(cfg.p, params=cfg.params, cache=cfg.cache, policy=cfg.policy)
-        requests = _trsm_requests(cluster, drained, verify=cfg.verify, base=base)
-        rid_of = {cluster.submit(req): e.rid for req, e in zip(requests, drained)}
-        self._queue.clear()
+        seqs, entries = zip(*drained)
+        base = min(e.arrival for e in entries)
+        cluster = Cluster(cfg.p, params=cfg.params, policy=cfg.policy)
+        requests = _trsm_requests(cluster, entries, verify=cfg.verify, base=base)
+        rid_of = {cluster.submit(req): seq for req, seq in zip(requests, seqs)}
         outcome = cluster.run()
         self.last_outcome = outcome
         t = self.totals
@@ -316,11 +322,7 @@ class ServeDaemon:
                 for q, v in outcome.latency_percentiles().items()
             },
         }
-        if (
-            cfg.telemetry_every > 0
-            and t.flushes % cfg.telemetry_every == 0
-        ):
-            self.telemetry_log.append({"op": "telemetry", **self.telemetry()})
+        self.telemetry_log.append({"op": "telemetry", **self.telemetry()})
         return summary
 
     # -- observability -------------------------------------------------------
@@ -365,40 +367,48 @@ class ServeDaemon:
 
     # -- transports ----------------------------------------------------------
 
+    def _serve_lines(self, lines, write) -> int:
+        """The line loop both transports run; returns processed count.
+
+        Blank lines are skipped; every request line gets exactly one
+        compact JSON response line through ``write``, followed by the
+        telemetry records its flushes logged.  Ends at EOF or on
+        ``shutdown``.
+        """
+        processed = 0
+        seen = len(self.telemetry_log)
+        for line in lines:
+            if not line.strip():
+                continue
+            response = self.handle(line)
+            processed += 1
+            for obj in (response, *self.telemetry_log[seen:]):
+                write(_line(obj))
+            seen = len(self.telemetry_log)
+            if self._stop:
+                break
+        return processed
+
     def run_stdin(self, stdin=None, stdout=None) -> int:
         """Line-protocol loop over stdin/stdout; returns processed count.
 
-        Blank lines are skipped; every request line gets exactly one
-        compact JSON response line.  Telemetry records due under
-        ``telemetry_every`` are written between responses.  EOF performs
-        a final flush and a telemetry line, same as ``shutdown``.
+        EOF performs a final flush and a telemetry line, same as
+        ``shutdown``.
         """
         import sys
 
         fin = sys.stdin if stdin is None else stdin
         fout = sys.stdout if stdout is None else stdout
 
-        def emit(obj: dict) -> None:
-            fout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        def write(text: str) -> None:
+            fout.write(text)
             fout.flush()
 
-        processed = 0
-        seen_telemetry = 0
-        for line in fin:
-            if not line.strip():
-                continue
-            response = self.handle(line)
-            processed += 1
-            emit(response)
-            while seen_telemetry < len(self.telemetry_log):
-                emit(self.telemetry_log[seen_telemetry])
-                seen_telemetry += 1
-            if self._stop:
-                break
+        processed = self._serve_lines(fin, write)
         if not self._stop:
-            if self._queue:
-                emit({"ok": True, "op": "flush", **self.flush()})
-            emit({"op": "telemetry", **self.telemetry()})
+            if self.admission.pending():
+                write(_line({"ok": True, "op": "flush", **self.flush()}))
+            write(_line({"op": "telemetry", **self.telemetry()}))
             self._stop = True
         return processed
 
@@ -406,7 +416,7 @@ class ServeDaemon:
         """Serve the line protocol on a Unix domain socket at ``path``.
 
         One client at a time (the operator console); each connection runs
-        the same protocol as stdin, and a ``shutdown`` op ends the accept
+        the same line loop as stdin, and a ``shutdown`` op ends the accept
         loop.  Returns the number of lines processed across connections.
         """
         import os
@@ -425,25 +435,10 @@ class ServeDaemon:
                     conn, _ = sock.accept()
                 except socket.timeout:
                     continue
-                with conn:
-                    reader = conn.makefile("r", encoding="utf-8")
-                    seen_telemetry = len(self.telemetry_log)
-                    for line in reader:
-                        if not line.strip():
-                            continue
-                        response = self.handle(line)
-                        processed += 1
-                        payload = json.dumps(response, separators=(",", ":")) + "\n"
-                        conn.sendall(payload.encode("utf-8"))
-                        while seen_telemetry < len(self.telemetry_log):
-                            extra = json.dumps(
-                                self.telemetry_log[seen_telemetry],
-                                separators=(",", ":"),
-                            )
-                            conn.sendall((extra + "\n").encode("utf-8"))
-                            seen_telemetry += 1
-                        if self._stop:
-                            break
+                with conn, conn.makefile("r", encoding="utf-8") as reader:
+                    processed += self._serve_lines(
+                        reader, lambda text: conn.sendall(text.encode("utf-8"))
+                    )
         finally:
             sock.close()
             if os.path.exists(path):
@@ -456,72 +451,39 @@ class ServeDaemon:
         self,
         count: int,
         rate: float,
-        process: str = "poisson",
         n_range: tuple[int, int] = (64, 128),
         k_range: tuple[int, int] = (8, 32),
-        seed: int = 0,
-        tenants: tuple[str, ...] = ("default",),
-        priorities: tuple[int, ...] = (0,),
-        deadline_slack: float | None = None,
-        **knobs,
+        **stream_knobs,
     ) -> dict:
         """Drive the daemon from a seeded arrival process, no wall clock.
 
-        The load-test mode the arrival generators exist for: a
-        :func:`~repro.api.online.arrivals.synthetic_stream` is offered to
-        admission at its own simulated arrival times (bypassing the wall
+        The load-test mode the arrival generators exist for: each entry of
+        ``synthetic_stream(count, rate, n_range, k_range, **stream_knobs)``
+        (see :func:`~repro.api.online.arrivals.synthetic_stream` for
+        ``process``, ``seed``, ``tenants``, ``priorities``,
+        ``deadline_slack`` and the per-process knobs) goes through the
+        admit door at its own simulated arrival time (bypassing the wall
         clock entirely, so runs are exactly reproducible), batches flush
         on the daemon's normal ``batch`` boundary, and the returned
-        summary adds offered/admitted/rejected counts to the telemetry.
-        ``benchmarks/bench_daemon.py`` gates its sustained-throughput
-        floor on this.
+        summary adds the offered count and this run's rejected/deferred
+        counts (from the admission controller's counters) to the
+        telemetry.
         """
         from repro.api.online.arrivals import synthetic_stream
 
         stream = synthetic_stream(
-            count,
-            rate=rate,
-            process=process,
-            n_range=n_range,
-            k_range=k_range,
-            seed=seed,
-            tenants=tenants,
-            priorities=priorities,
-            deadline_slack=deadline_slack,
-            **knobs,
+            count, rate=rate, n_range=n_range, k_range=k_range, **stream_knobs
         )
-        offered = len(stream)
-        rejected = deferred = 0
+        before = self.admission.stats()
         for s in stream:
-            now = max(s.arrival, self._sim_floor)
-            self._sim_floor = now
-            entry = _Pending(
-                rid=-1,
-                n=s.n,
-                k=s.k,
-                seed=s.seed,
-                arrival=now,
-                priority=s.priority,
-                deadline=s.deadline,
-                tenant=s.tenant,
-            )
-            decision = self.admission.offer(entry, now=now)
-            if isinstance(decision, Rejected):
-                rejected += 1
-                continue
-            if isinstance(decision, Deferred):
-                deferred += 1
-                continue
-            entry.rid = self._next_rid
-            self._next_rid += 1
-            self._queue[id(entry)] = entry
-            if self.admission.pending() >= self.config.batch:
-                self.flush()
-        if self._queue:
+            self._sim_floor = max(s.arrival, self._sim_floor)
+            self._admit(replace(s, arrival=self._sim_floor))
+        if self.admission.pending():
             self.flush()
+        after = self.admission.stats()
         return {
-            "offered": offered,
-            "rejected": rejected,
-            "deferred": deferred,
+            "offered": len(stream),
+            "rejected": after["rejected"] - before["rejected"],
+            "deferred": after["deferred"] - before["deferred"],
             **self.telemetry(),
         }

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.api.cluster import Cluster, ClusterOutcome
 from repro.api.requests import PreparedSolveRequest, TrsmRequest
 from repro.machine.cost import CostParams
@@ -40,17 +38,6 @@ class StreamRequest:
     tenant: str = "default"
 
 
-def _pow2_choices(lo: int, hi: int) -> list[int]:
-    out = []
-    v = 1
-    while v <= hi:
-        if v >= lo:
-            out.append(v)
-        v *= 2
-    require(bool(out), ParameterError, f"no power of two in [{lo}, {hi}]")
-    return out
-
-
 def poisson_stream(
     count: int,
     rate: float = 0.0,
@@ -60,39 +47,18 @@ def poisson_stream(
 ) -> list[StreamRequest]:
     """A seeded stream of ``count`` mixed (n, k) solve requests.
 
-    Arrivals are a Poisson process with ``rate`` requests per simulated
-    second (``rate = 0`` puts the whole queue at ``t = 0`` — the burst
-    workload the makespan comparison uses).  ``n`` and ``k`` are drawn
-    uniformly from the powers of two inside their ranges, so every tuned
-    block size divides ``n``.
-
-    The arrival process itself lives in
-    :func:`repro.api.online.arrivals.poisson_arrivals` (alongside the
-    heavy-tailed and diurnal generators this function's superset,
-    :func:`~repro.api.online.arrivals.synthetic_stream`, selects from);
-    delegating through the shared generator keeps this stream
-    bit-identical to its pre-refactor draws.
+    The Poisson-defaults call of
+    :func:`~repro.api.online.arrivals.synthetic_stream`, the one stream
+    generator: arrivals are a Poisson process with ``rate`` requests per
+    simulated second (``rate = 0`` puts the whole queue at ``t = 0`` —
+    the burst workload the makespan comparison uses), ``n`` and ``k`` are
+    drawn uniformly from the powers of two inside their ranges (so every
+    tuned block size divides ``n``), and every entry has priority 0, no
+    deadline and the ``"default"`` tenant.
     """
-    from repro.api.online.arrivals import poisson_arrivals
+    from repro.api.online.arrivals import synthetic_stream
 
-    require(count >= 1, ParameterError, "need at least one request")
-    rng = np.random.default_rng(seed)
-    ns = _pow2_choices(*n_range)
-    ks = _pow2_choices(*k_range)
-    arrivals = (
-        poisson_arrivals(count, rate, rng=rng)
-        if rate > 0.0
-        else np.zeros(count)
-    )
-    return [
-        StreamRequest(
-            n=int(rng.choice(ns)),
-            k=int(rng.choice(ks)),
-            arrival=float(arrivals[i]),
-            seed=seed + 17 * i,
-        )
-        for i in range(count)
-    ]
+    return synthetic_stream(count, rate=rate, n_range=n_range, k_range=k_range, seed=seed)
 
 
 def _trsm_requests(
@@ -210,63 +176,42 @@ def schedule_stream(
     ).schedule(requests)
 
 
-def replay_mixed(
-    p: int,
-    params: CostParams | None = None,
-    policy=None,
-    cache: bool = False,
-    smalls: int = 10,
-    n_small: int = 64,
-    k_small: int = 8,
-    n_big: int = 256,
-    k_big: int = 32,
-    stagger: float = 2.0e-5,
-    big_arrival: float = 5e-6,
-    verify: bool = False,
-    seed: int = 0,
-    backend=None,
-) -> ClusterOutcome:
+def replay_mixed(p: int, policy=None, smalls: int = 10) -> ClusterOutcome:
     """The mixed small/large serving scenario backfilling exists for.
 
-    A stream of small solves pinned to quarter subgrids keeps the pool
-    busy (the first four arrive at t = 0, the rest every ``stagger``
-    seconds), and one large solve pinned to the full grid arrives just
-    after the pool fills.  Greedy LPT keeps placing arriving smalls in
-    the freed blocks, so the large solve — which needs *all* blocks free
-    at once — starves behind the stream; conservative backfilling
-    reserves its earliest start and only admits smalls that finish by
-    the reservation, so the pool drains and the large solve runs.  This
-    is the paper's selective-inversion serving mix (small preconditioner
-    applications interleaved with occasional large solves), and the
-    stream ``benchmarks/bench_serve.py`` gates the backfill-vs-LPT win
-    on.
+    A stream of small solves (n = 64, k = 8) pinned to quarter subgrids
+    keeps the pool busy (the first four arrive at t = 0, the rest every
+    20 us), and one large solve (n = 256, k = 32) pinned to the full grid
+    arrives at 5 us, just after the pool fills.  Greedy LPT keeps placing
+    arriving smalls in the freed blocks, so the large solve — which needs
+    *all* blocks free at once — starves behind the stream; conservative
+    backfilling reserves its earliest start and only admits smalls that
+    finish by the reservation, so the pool drains and the large solve
+    runs.  This is the paper's selective-inversion serving mix (small
+    preconditioner applications interleaved with occasional large
+    solves), and the stream ``benchmarks/bench_serve.py`` gates the
+    backfill-vs-LPT win on.  Runs uncached and unverified on the default
+    machine constants.
     """
     require(smalls >= 5, ParameterError, "the mixed stream needs >= 5 smalls")
-    cluster = Cluster(p, params=params, cache=cache, policy=policy, backend=backend)
-    for i in range(smalls):
-        arrival = 0.0 if i < 4 else (i - 3) * stagger
-        L = random_lower_triangular(n_small, seed=seed + 100 + i)
-        B = random_dense(n_small, k_small, seed=seed + 200 + i)
+    cluster = Cluster(p, cache=False, policy=policy)
+
+    def submit(n: int, k: int, seed_l: int, seed_b: int, arrival: float, size: int) -> None:
+        L = random_lower_triangular(n, seed=seed_l)
+        B = random_dense(n, k, seed=seed_b)
         cluster.submit(
             TrsmRequest(
                 L=cluster.host(L),
                 B=cluster.host(B),
-                verify=verify,
+                verify=False,
                 arrival=arrival,
-                sizes=(p // 4,),
+                sizes=(size,),
             )
         )
-    Lb = random_lower_triangular(n_big, seed=seed + 1)
-    Bb = random_dense(n_big, k_big, seed=seed + 2)
-    cluster.submit(
-        TrsmRequest(
-            L=cluster.host(Lb),
-            B=cluster.host(Bb),
-            verify=verify,
-            arrival=big_arrival,
-            sizes=(p,),
-        )
-    )
+
+    for i in range(smalls):
+        submit(64, 8, 100 + i, 200 + i, 0.0 if i < 4 else (i - 3) * 2.0e-5, p // 4)
+    submit(256, 32, 1, 2, 5e-6, p)
     return cluster.run()
 
 
@@ -296,15 +241,12 @@ def replay_prepared(
     migration charge the first time a subgrid hosts them, and from the
     staged-copy cache on repeat tenancies.  ``size`` pins every placement
     to one subgrid size (deterministic placements for parity runs);
-    ``rate`` as in :func:`poisson_stream`.
+    ``rate`` as in :func:`poisson_stream` (arrivals drawn by
+    :func:`~repro.api.online.arrivals.poisson_arrivals` from ``seed``).
     """
-    require(count >= 1, ParameterError, "need at least one request")
-    rng = np.random.default_rng(seed)
-    arrivals = (
-        np.cumsum(rng.exponential(1.0 / rate, size=count))
-        if rate > 0.0
-        else np.zeros(count)
-    )
+    from repro.api.online.arrivals import poisson_arrivals
+
+    arrivals = poisson_arrivals(count, rate, seed=seed)
     cluster = Cluster(p, params=params, cache=cache, policy=policy, backend=backend)
     Lh = cluster.host(prepared.L)
     Lth = cluster.host(prepared.Ltilde)

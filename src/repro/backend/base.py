@@ -155,9 +155,6 @@ class Backend(abc.ABC):
         """Executed-plan records, oldest first (bounded history)."""
         return list(self.plan_log)
 
-    def clear_measurements(self) -> None:
-        self.plan_log.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, world={self.world_size})"
 

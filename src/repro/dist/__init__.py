@@ -11,8 +11,7 @@ The data-distribution substrate every algorithm layer builds on:
   provenance record the operand cache stores staged instances under;
 * :mod:`repro.dist.routing` — exact per-(sender, receiver) message plans
   derived from index-map intersections (:class:`End`,
-  :class:`RoutingPlan`, :class:`TransitionPlan`, :func:`fuse_transitions`,
-  :func:`gather_frame`);
+  :class:`RoutingPlan`, :func:`routing_plan`, :func:`gather_frame`);
 * :mod:`repro.dist.redistribute` — charged transitions between grids,
   layouts and submatrix windows (:func:`redistribute`,
   :func:`change_layout`, :func:`transpose_matrix`,
@@ -45,8 +44,6 @@ from repro.dist.redistribute import (
 from repro.dist.routing import (
     End,
     RoutingPlan,
-    TransitionPlan,
-    fuse_transitions,
     gather_frame,
     scatter_frame,
 )
@@ -79,8 +76,6 @@ __all__ = [
     "stage_matrix",
     "End",
     "RoutingPlan",
-    "TransitionPlan",
-    "fuse_transitions",
     "gather_frame",
     "scatter_frame",
     "is_lower_triangular",

@@ -213,12 +213,6 @@ class Layout:
         i0, i1 = np.searchsorted(rows, (lo, hi))
         return np.arange(i0, i1)
 
-    def local_cols_in(self, y: int, n: int, lo: int, hi: int) -> np.ndarray:
-        """Column counterpart of :meth:`local_rows_in`."""
-        cols = self.col_indices(y, n)
-        i0, i1 = np.searchsorted(cols, (lo, hi))
-        return np.arange(i0, i1)
-
     # -- data movement helpers ----------------------------------------------
 
     def local_shape(self, coord: tuple[int, int], shape: tuple[int, int]) -> tuple[int, int]:

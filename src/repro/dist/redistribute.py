@@ -19,12 +19,15 @@ directly between ranks instead of being assembled through a
   misaligned windows charge exactly the words that cross ranks;
 * :func:`route_submatrix` / :func:`route_embed` — **fused** chains.  The
   recursion call sites used to pay extract + redistribute (and
-  redistribute-back + embed) as separate charges; these helpers compose
-  the chain into one map with a single charge, the paper's three-step
-  cyclic/blocked/cyclic transition as one.
+  redistribute-back + embed) as separate charges; every intermediate end
+  of such a chain is a bijection of the frame, so the chain *is* the plan
+  from its first end to its last — one map, one charge, the paper's
+  three-step cyclic/blocked/cyclic transition as one.
 
-Every function takes a ``label`` so traces and phase benches can attribute
-the movement (e.g. ``rectriinv.route_down``).
+Every transition goes through :func:`_route`, the one place a plan is
+charged and handed to the backend: no words move without a charge by
+construction.  Every function takes a ``label`` so traces and phase
+benches can attribute the movement (e.g. ``rectriinv.route_down``).
 """
 
 from __future__ import annotations
@@ -35,12 +38,35 @@ import numpy as np
 
 from repro.dist.distmatrix import DistMatrix
 from repro.dist.layout import Layout
-from repro.dist.routing import End, RoutingPlan, fuse_transitions, routing_plan
+from repro.dist.routing import End, RoutingPlan, routing_plan
 from repro.machine.collectives import sendrecv
 from repro.machine.validate import GridError, ShapeError, require
 
 if TYPE_CHECKING:
+    from repro.machine.machine import Machine
     from repro.machine.topology import ProcessorGrid
+
+
+def _route(
+    machine: "Machine",
+    plan: RoutingPlan,
+    blocks: dict[int, np.ndarray],
+    label: str,
+    out: dict[int, np.ndarray] | None = None,
+    pointwise: bool = False,
+) -> dict[int, np.ndarray]:
+    """The dist -> backend door: charge ``plan``, then execute it.
+
+    The group charge synchronizes the union of both grids (a transition
+    inside one algorithm); ``pointwise`` charges each rank its own traffic
+    with no barrier (operand staging beside running solves).  A free plan
+    charges nothing either way.
+    """
+    if pointwise:
+        plan.charge_pointwise(machine, label=label)
+    else:
+        plan.charge(machine, label)
+    return machine.backend.execute_plan(plan, blocks, out=out, label=label)
 
 
 def redistribute(
@@ -55,7 +81,6 @@ def redistribute(
     charges nothing, and returns ``D`` itself.
     """
     plan = routing_plan(End.of(D), End(grid, layout, D.shape), D.shape)
-    plan.charge(D.machine, label)
     if plan.is_free() and grid == D.grid and layout == D.layout:
         # No word crossed a rank boundary and both sides are spelled the
         # same: nothing to rebuild.  A free plan under a *different*
@@ -63,7 +88,7 @@ def redistribute(
         # -> cyclic) still charges nothing but falls through, so the
         # result carries the layout the caller asked for.
         return D
-    blocks = D.machine.backend.execute_plan(plan, D.blocks, label=label)
+    blocks = _route(D.machine, plan, D.blocks, label)
     return DistMatrix(D.machine, grid, layout, D.shape, blocks)
 
 
@@ -140,8 +165,7 @@ def transpose_matrix(D: DistMatrix, label: str = "transpose") -> DistMatrix:
         End(grid, result_layout, (n, m)),
         (n, m),
     )
-    plan.charge(machine, label)
-    blocks = machine.backend.execute_plan(plan, D.blocks, label=label)
+    blocks = _route(machine, plan, D.blocks, label)
     return DistMatrix(machine, grid, result_layout, (n, m), blocks)
 
 
@@ -176,8 +200,7 @@ def extract_submatrix(
     plan = routing_plan(
         End.window_of(D, r0, c0), End(D.grid, D.layout, shape), shape
     )
-    plan.charge(D.machine, label)
-    blocks = D.machine.backend.execute_plan(plan, D.blocks, label=label)
+    blocks = _route(D.machine, plan, D.blocks, label)
     return DistMatrix(D.machine, D.grid, D.layout, shape, blocks)
 
 
@@ -218,16 +241,8 @@ def route_submatrix(
     """
     _check_window(D, r0, r1, c0, c1)
     shape = (r1 - r0, c1 - c0)
-    chain = fuse_transitions(
-        [
-            End.window_of(D, r0, c0),  # the window inside D
-            End(D.grid, D.layout, shape),  # (old step 1: standalone extract)
-            End(grid, layout, shape),  # (old step 2: redistribute)
-        ],
-        shape,
-    )
-    chain.charge(D.machine, label)
-    blocks = D.machine.backend.execute_plan(chain.fused, D.blocks, label=label)
+    plan = routing_plan(End.window_of(D, r0, c0), End(grid, layout, shape), shape)
+    blocks = _route(D.machine, plan, D.blocks, label)
     return DistMatrix(D.machine, grid, layout, shape, blocks)
 
 
@@ -254,13 +269,8 @@ def route_embed(
         f"submatrix of shape {sub.shape} at offset ({r0}, {c0}) "
         f"does not fit in target of shape {target.shape}",
     )
-    chain = fuse_transitions(
-        [End.of(sub), End.window_of(target, r0, c0)], (sm, sn)
-    )
-    chain.charge(target.machine, label)
-    target.machine.backend.execute_plan(
-        chain.fused, sub.blocks, out=target.blocks, label=label
-    )
+    plan = routing_plan(End.of(sub), End.window_of(target, r0, c0), (sm, sn))
+    _route(target.machine, plan, sub.blocks, label, out=target.blocks)
     target.mutated()
     return target
 
@@ -296,7 +306,5 @@ def stage_matrix(
     serialize solves running concurrently on disjoint subgrids.
     (:func:`redistribute` is the synchronized transition.)
     """
-    plan = staging_plan(D, grid, layout)
-    plan.charge_pointwise(D.machine, label=label)
-    blocks = D.machine.backend.execute_plan(plan, D.blocks, label=label)
+    blocks = _route(D.machine, staging_plan(D, grid, layout), D.blocks, label, pointwise=True)
     return DistMatrix(D.machine, grid, layout, D.shape, blocks)

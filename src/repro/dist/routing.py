@@ -7,7 +7,7 @@ Tourancheau): because a transition is fully described by the two sides'
 index maps, the per-pair word counts — hence the exact ``S`` and ``W`` —
 are derivable without moving a byte.
 
-Three layers:
+Two layers:
 
 * :class:`End` — one side of a transition: a *frame* of matrix elements
   (a full matrix, a submatrix window, an arbitrary row/column selection,
@@ -22,12 +22,10 @@ Three layers:
 
   — the full-duplex critical-path cost of posting each pairwise message.
   Words that stay on their rank are free, so identity and aligned
-  transitions cost zero *by construction*, with no special-case branch;
-* :class:`TransitionPlan` / :func:`fuse_transitions` — a chain of ends
-  (extract -> redistribute -> ... -> embed) collapsed into one composed
-  map with a single charge: the paper's three-step cyclic/blocked/cyclic
-  transition as one.  Each intermediate end is a bijection of the frame,
-  so the fused plan is simply the route from the first end to the last.
+  transitions cost zero *by construction*, with no special-case branch.
+  A chain of transitions (extract -> redistribute -> ... -> embed) needs
+  no type of its own: each intermediate end is a bijection of the frame,
+  so the fused chain is simply the plan from the first end to the last.
 
 Plans also *move* the data: :meth:`RoutingPlan.apply` routes blocks
 directly from source ranks to destination ranks, which is what lets the
@@ -638,55 +636,6 @@ def clear_plan_cache() -> None:
     _PLAN_CACHE.clear()
     _PLAN_CACHE_HITS = 0
     _PLAN_CACHE_MISSES = 0
-
-
-class TransitionPlan:
-    """A chain of transitions fused into one composed map.
-
-    Every intermediate :class:`End` is a bijection of the frame, so the
-    composition of the chain is exactly the route from the first end to
-    the last: one plan, one charge.  The unfused ``step_plans`` are kept
-    around so benches and tests can quantify what fusion saves — e.g. the
-    paper's cyclic -> blocked -> cyclic three-step transition collapses to
-    (near-)identity and costs nothing fused, while the stepwise chain pays
-    twice.
-    """
-
-    def __init__(self, ends: Sequence[End], shape: tuple[int, int]) -> None:
-        require(len(ends) >= 2, ShapeError, "a transition chain needs >= 2 ends")
-        self.ends = list(ends)
-        self.shape = (int(shape[0]), int(shape[1]))
-        self.fused = routing_plan(self.ends[0], self.ends[-1], self.shape)
-
-    def step_plans(self) -> list[RoutingPlan]:
-        """The unfused chain, one plan per consecutive pair of ends."""
-        return [
-            routing_plan(a, b, self.shape)
-            for a, b in zip(self.ends[:-1], self.ends[1:])
-        ]
-
-    def stepwise_cost(self) -> Cost:
-        """What the chain would charge without fusion."""
-        total = Cost.zero()
-        for plan in self.step_plans():
-            total = total + plan.cost()
-        return total
-
-    def cost(self) -> Cost:
-        return self.fused.cost()
-
-    def charge(self, machine: "Machine", label: str = "route") -> Cost:
-        return self.fused.charge(machine, label=label)
-
-    def apply(
-        self, blocks: Blocks, out: dict[int, np.ndarray] | None = None
-    ) -> dict[int, np.ndarray]:
-        return self.fused.apply(blocks, out=out)
-
-
-def fuse_transitions(ends: Sequence[End], shape: tuple[int, int]) -> TransitionPlan:
-    """Fuse a chain of transitions into one composed map with one charge."""
-    return TransitionPlan(ends, shape)
 
 
 def _owner_groups(owners: np.ndarray) -> list[tuple[int, np.ndarray]]:

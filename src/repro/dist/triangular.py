@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.machine.validate import ShapeError, require
-from repro.util.mathutil import ceil_div
 
 
 def require_square(A: object, name: str = "matrix") -> int:
@@ -96,10 +95,3 @@ def block_diagonal_words(n: int, n0: int) -> int:
         f"block size n0={n0} must divide n={n}",
     )
     return (n // n0) * n0 * n0
-
-
-def padded_block_count(n: int, n0: int) -> int:
-    """Number of diagonal blocks covering ``n`` rows at block size ``n0``
-    (``ceil(n/n0)``; the last block may be ragged)."""
-    require(n0 >= 1, ShapeError, f"block size must be >= 1, got {n0}")
-    return ceil_div(max(n, 0), n0)

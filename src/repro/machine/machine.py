@@ -245,9 +245,6 @@ class Machine:
     def phase_names(self) -> list[str]:
         return list(self._phase_acc.keys())
 
-    def region_names(self) -> list[str]:
-        return list(self._region_acc.keys())
-
     def _acc_cost(
         self, acc: np.ndarray | None, ranks: Sequence[int] | None
     ) -> Cost:

@@ -61,9 +61,6 @@ class MemoryTracker:
         """Largest per-rank high water (words)."""
         return float(self.peak.max())
 
-    def peak_per_rank(self) -> np.ndarray:
-        return self.peak.copy()
-
     def reset(self) -> None:
         self.current[:] = 0.0
         self.peak[:] = 0.0

@@ -87,19 +87,6 @@ class SubgridAllocator:
         """Total ranks in the pool."""
         return self._root.grid.size
 
-    def allocatable_sizes(self) -> list[int]:
-        """Every block size the pool can ever produce (descending)."""
-        sizes = []
-        s = self.capacity
-        while s >= 1:
-            sizes.append(s)
-            s //= 2
-        return sizes
-
-    def allocated_grids(self) -> list[ProcessorGrid]:
-        """Currently leased subgrids."""
-        return list(self._leases)
-
     def in_use(self) -> int:
         """Ranks currently leased."""
         return sum(g.size for g in self._leases)

@@ -289,7 +289,7 @@ class PolicyContext:
         execution first — the historical LPT rank.  The sort is stable
         and every tier is neutral under the defaults (one class, no
         deadlines), so offline streams order exactly as they always did:
-        this *is* :func:`lpt_order` when no request carries the online
+        this *is* the LPT order when no request carries the online
         fields, which is what keeps the golden schedules pinned.
         """
         arrived = self.arrived()
@@ -301,11 +301,6 @@ class PolicyContext:
             )
         )
         return arrived
-
-
-def lpt_order(ctx: PolicyContext) -> list[tuple[int, SchedulableRequest]]:
-    """Arrived requests in serving order (see :meth:`PolicyContext.class_order`)."""
-    return ctx.class_order()
 
 
 class PackingPolicy:
@@ -342,7 +337,7 @@ class LPTPolicy(PackingPolicy):
     name = "lpt"
 
     def choose(self, ctx: PolicyContext) -> Decision | None:
-        for index, req in lpt_order(ctx):
+        for index, req in ctx.class_order():
             cand = ctx.best_candidate(req, ctx.rest_area(index))
             if cand is not None:
                 return Decision(index, req, cand)
@@ -397,7 +392,7 @@ class BackfillPolicy(PackingPolicy):
         self._reserved = None
 
     def choose(self, ctx: PolicyContext) -> Decision | None:
-        order = lpt_order(ctx)
+        order = ctx.class_order()
         if not order:
             return None
         if self._reserved is not None:
@@ -813,7 +808,7 @@ class HorizonPolicy(PackingPolicy):
         block coalesces back before the plan touches the pool again and
         the planned grids still preview exactly as modeled.
         """
-        for jndex, jreq in lpt_order(ctx):
+        for jndex, jreq in ctx.class_order():
             if jndex in members:
                 continue
             cand = ctx.best_candidate(jreq, ctx.rest_area(jndex), deadline=reserve)

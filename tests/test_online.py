@@ -16,7 +16,6 @@ The property suite pins the contracts ISSUE 8 names:
 
 import io
 import json
-import math
 
 import numpy as np
 import pytest
@@ -39,6 +38,7 @@ from repro.api.online import (
     synthetic_stream,
 )
 from repro.api.serve import poisson_stream, replay
+from repro.dist.routing import clear_plan_cache
 from repro.machine.cost import Cost, CostParams
 from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ParameterError
@@ -117,6 +117,31 @@ class TestSyntheticStream:
             (s.n, s.k, s.arrival, s.seed) for s in new
         ]
         assert all(s.priority == 0 and s.deadline is None for s in new)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(count=20, rate=0.0, seed=3),  # the burst: no arrival draw
+            dict(count=12, rate=5e4, seed=7),
+            dict(count=50, rate=2e5, n_range=(32, 128), k_range=(4, 16), seed=0),
+        ],
+        ids=["burst", "rate5e4", "rate2e5"],
+    )
+    def test_poisson_stream_is_synthetic_stream(self, kw):
+        """One stream generator: ``poisson_stream`` is its Poisson defaults,
+        and the values are the pinned historical draws (arrivals first,
+        then n and k per entry, all from one generator)."""
+        stream = poisson_stream(**kw)
+        assert stream == synthetic_stream(**kw)
+        rng = np.random.default_rng(kw["seed"])
+        if kw["rate"] > 0.0:
+            arrivals = np.cumsum(rng.exponential(1.0 / kw["rate"], size=kw["count"]))
+            assert [s.arrival for s in stream] == arrivals.tolist()
+        else:
+            assert all(s.arrival == 0.0 for s in stream)
+        lo, hi = kw.get("n_range", (64, 256))
+        ns = [v for v in (2**e for e in range(12)) if lo <= v <= hi]
+        assert stream[0].n == int(rng.choice(ns))
 
     def test_uniform_priority_does_not_disturb_draws(self):
         """A single non-zero class must not consume extra RNG draws."""
@@ -201,7 +226,8 @@ class TestAdmissionInvariants:
         for r in reqs:
             assert isinstance(ctrl.offer(r, now=0.0), Admitted)
         drained = ctrl.drain()
-        assert drained == sorted(reqs, key=lambda r: (-r.priority, r.i))
+        # Req.i is the offer index, and every offer was admitted: seq == i
+        assert drained == [(r.i, r) for r in sorted(reqs, key=lambda r: (-r.priority, r.i))]
         assert ctrl.pending() == 0
         assert all(ctrl.tenant_depth(t) == 0 for t in ("a", "b", "c"))
 
@@ -218,7 +244,8 @@ class TestAdmissionInvariants:
         for r in second:
             ctrl.offer(r, now=1.0)
         drained += ctrl.drain()
-        assert sorted(r.i for r in drained) == list(range(len(reqs)))
+        assert sorted(r.i for _seq, r in drained) == list(range(len(reqs)))
+        assert sorted(seq for seq, _r in drained) == list(range(len(reqs)))
         assert ctrl.pending() == 0
 
     @given(items=OFFERS, depth=st.integers(1, 8))
@@ -230,7 +257,7 @@ class TestAdmissionInvariants:
         for r in reqs:
             decision = ctrl.offer(r, now=0.0)
             (admitted if isinstance(decision, Admitted) else rejected).append(r)
-        drained = ctrl.drain()
+        drained = [r for _seq, r in ctrl.drain()]
         assert set(r.i for r in drained) == set(r.i for r in admitted)
         assert not set(r.i for r in drained) & set(r.i for r in rejected)
         stats = ctrl.stats()
@@ -496,15 +523,21 @@ class TestDaemon:
         assert bad["ok"] is False and "KeyError" in bad["error"]
 
     def test_bad_shape_is_refused_before_admission(self):
-        """Regression: ``k=0`` / ``n<=0`` used to be admitted (token spent,
-        rid handed out) and then failed the next flush for the whole
-        batch, so its valid neighbours were drained and never ran."""
+        """Regression: ``k=0`` / ``n<=0`` — and, until PR 14, ``seed=-1``
+        (``ValueError`` out of the operand generator) or a non-finite
+        ``sla``/``deadline`` — used to be admitted (token spent, rid handed
+        out) and then failed the next flush for the whole batch, so its
+        valid neighbours were drained and never ran."""
         d = daemon(batch=8, verify=True)
         assert d.handle('{"op": "trsm", "n": 64, "k": 8}')["decision"] == "admitted"
         for bad in (
             '{"op": "trsm", "n": 64, "k": 0}',
             '{"op": "trsm", "n": 0, "k": 4}',
             '{"op": "trsm", "n": -3}',
+            '{"op": "trsm", "n": 64, "k": 8, "seed": -1}',
+            '{"op": "trsm", "n": 64, "k": 8, "sla": NaN}',
+            '{"op": "trsm", "n": 64, "k": 8, "sla": Infinity}',
+            '{"op": "trsm", "n": 64, "k": 8, "deadline": -Infinity}',
         ):
             out = d.handle(bad)
             assert out["ok"] is False and out["op"] == "trsm"
@@ -516,6 +549,7 @@ class TestDaemon:
         assert flushed["ok"] and flushed["completed"] == 2
         assert {r["rid"] for r in flushed["results"]} == {0, 1}
         assert all(r["residual"] < 1e-10 for r in flushed["results"])
+        assert d.handle('{"op": "stats"}')["completed"] == 2
 
     def test_shutdown_flushes_and_stops(self):
         d = daemon(batch=8)
@@ -547,6 +581,61 @@ class TestDaemon:
         flush = next(o for o in out if o.get("op") == "flush")
         assert flush["completed"] == 1
         assert out[-1]["op"] == "telemetry"
+
+    def test_serve_unix_runs_the_stdin_line_loop(self, tmp_path):
+        """One socket round-trip gives the responses ``run_stdin`` gives."""
+        import socket
+        import threading
+        import time
+
+        lines = [
+            json.dumps({"op": "trsm", "n": 64, "k": 4, "sla": 1e9}),
+            json.dumps({"op": "trsm", "n": 32, "k": 8, "priority": 1}),
+            json.dumps({"op": "stats"}),
+            json.dumps({"op": "shutdown"}),
+        ]
+        text = "\n".join(lines) + "\n"
+        fout = io.StringIO()
+        clear_plan_cache()  # telemetry reports the process-wide plan LRU
+        assert daemon(batch=2).run_stdin(io.StringIO(text), fout) == 4
+
+        path = str(tmp_path / "daemon.sock")
+        d = daemon(batch=2)
+        clear_plan_cache()
+        served = []
+        server = threading.Thread(
+            target=lambda: served.append(d.serve_unix(path, accept_timeout=0.05)),
+            daemon=True,  # a wedged accept loop must fail the test, not hang it
+        )
+        server.start()
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+            conn.settimeout(10.0)
+            for _ in range(200):  # wait for the daemon to bind
+                try:
+                    conn.connect(path)
+                    break
+                except OSError:
+                    time.sleep(0.01)
+            conn.sendall(text.encode("utf-8"))
+            with conn.makefile("r", encoding="utf-8") as reader:
+                received = list(reader)  # until the daemon hangs up
+        server.join(timeout=10)
+        assert not server.is_alive() and d.stopped and served == [4]
+        assert "".join(received) == fout.getvalue()
+        out = [json.loads(x) for x in received]
+        assert [o["op"] for o in out] == ["trsm", "trsm", "telemetry", "stats", "shutdown"]
+        assert out[1]["flushed"]["completed"] == 2 and out[-1]["completed"] == 2
+
+    @pytest.mark.parametrize("process", ["poisson", "lognormal", "diurnal"])
+    def test_load_test_completes_the_offered_count(self, process):
+        """Arrival shapes move the latency tail, never the completion
+        count: with no admission limits everything offered runs."""
+        summary = daemon(batch=4).run_load_test(
+            12, rate=2e4, process=process, n_range=(64, 128), k_range=(8, 32), seed=0
+        )
+        assert summary["offered"] == summary["completed"] == 12
+        assert summary["rejected"] == 0 and summary["deferred"] == 0
+        assert summary["admission"]["admitted"] == 12 and summary["queued"] == 0
 
     def test_load_test_is_reproducible(self):
         def run():

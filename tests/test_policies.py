@@ -389,7 +389,9 @@ class TestHorizonPolicy:
         with pytest.raises(ParameterError):
             Scheduler(make_pool(16), UNIT, policy="optimal").schedule(reqs)
         pool = make_pool(16)
-        policy = HorizonPolicy()
+        # the anytime search: a 2 000-node budget rolls the same 5 windows
+        # the 50 000-node default does, in 0.5 s instead of 18
+        policy = HorizonPolicy(node_budget=2_000)
         hor = Scheduler(pool, UNIT, policy=policy).schedule(reqs)
         assert_valid_schedule(hor, golden_stream(2, 12, 8.0), pool)
         assert policy.replans >= 2, "a 12-request queue must roll the window"
