@@ -89,6 +89,7 @@ from repro.api import (
 )
 from repro.sched import (
     BackfillPolicy,
+    HorizonPolicy,
     LPTPolicy,
     OptimalPolicy,
     PackingPolicy,
@@ -129,6 +130,7 @@ __all__ = [
     "LPTPolicy",
     "BackfillPolicy",
     "OptimalPolicy",
+    "HorizonPolicy",
     "make_policy",
     "Cost",
     "CostParams",

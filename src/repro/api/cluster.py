@@ -443,9 +443,9 @@ class Cluster:
                     staging_hit=a.cache_hits > 0,
                     staging_saved_seconds=a.staging_saved_seconds,
                     arrival=a.request.arrival,
-                    priority=getattr(a.request, "priority", 0),
-                    deadline=getattr(a.request, "deadline", None),
-                    tenant=getattr(a.request, "tenant", "default"),
+                    priority=a.request.priority,
+                    deadline=a.request.deadline,
+                    tenant=a.request.tenant,
                 )
             )
         if self.opcache is not None:

@@ -60,6 +60,13 @@ from repro.machine.validate import ParameterError, require
 
 __all__ = ["DaemonConfig", "ServeDaemon"]
 
+#: The largest solve one protocol line may ask for, in operand words
+#: (``n*n + n*k``; 2**24 float64 words = 128 MiB, n just under 4096).
+#: Admission allocates nothing, so without a bound an oversized line is
+#: admitted and then surfaces as a ``MemoryError`` — or the OOM killer —
+#: inside the next flush, taking the batch it was queued with down too.
+MAX_OPERAND_WORDS = 1 << 24
+
 
 @dataclass(frozen=True, slots=True)
 class DaemonConfig:
@@ -104,6 +111,19 @@ class _Totals:
     staging_misses: int = 0
     pricing_hits: int = 0
     pricing_misses: int = 0
+
+
+def _whole(msg: dict, name: str, default: int | None = None) -> int:
+    """An integral protocol field: ``64`` and ``64.0`` are, ``true`` (which
+    ``int()`` reads as 1), ``32.9`` and ``Infinity`` are not."""
+    value = msg[name] if default is None else msg.get(name, default)
+    require(
+        not isinstance(value, bool)
+        and not (isinstance(value, float) and not value.is_integer()),
+        ParameterError,
+        f"trsm needs an integer {name}, got {value!r}",
+    )
+    return int(value)
 
 
 def _line(obj: dict) -> str:
@@ -188,12 +208,19 @@ class ServeDaemon:
         with it.
         """
         now = self.sim_now()
-        n = int(msg["n"])
-        k = int(msg.get("k", 1))
+        n = _whole(msg, "n")
+        k = _whole(msg, "k", 1)
         require(
             n >= 1 and k >= 1,
             ParameterError,
             f"trsm needs n >= 1 and k >= 1, got n={n}, k={k}",
+        )
+        words = n * n + n * k
+        require(
+            words <= MAX_OPERAND_WORDS,
+            ParameterError,
+            f"trsm operands of n={n}, k={k} take {words} words; this daemon "
+            f"serves at most {MAX_OPERAND_WORDS}",
         )
         seed = int(msg.get("seed", 0))
         require(seed >= 0, ParameterError, f"trsm needs seed >= 0, got {seed}")

@@ -3,8 +3,10 @@
 A request is a declarative description of one unit of work — operands,
 algorithm knobs, an optional arrival time — plus the three hooks the
 :mod:`repro.sched` scheduler prices placements with (``candidate_sizes``,
-``modeled_cost``, ``staging_cost``) and the ``execute`` hook the Cluster
-replays the chosen placement with on the real simulated machine.
+``modeled_cost``, ``staging_targets``; the full contract is
+:class:`repro.sched.scheduler.SchedulableRequest`) and the ``execute``
+hook the Cluster replays the chosen placement with on the real simulated
+machine.
 
 Operands are either global ``ndarray``\\ s (placed on the assigned subgrid
 for free, the paper's Require-clause convention) or *cluster-resident*
@@ -18,7 +20,7 @@ scheduler before the placement is committed.
 **How a request is planned.**  Algorithm, tuned parameters, working grid
 and operand layouts are fixed a priori from ``(n, k, p)`` (paper Section
 VIII), once, by the request type's ``_plan(grid, params)``.  Everything
-else reads that one plan: ``_staging_targets`` (what the scheduler
+else reads that one plan: ``staging_targets`` (what the scheduler
 prices) is its resident placements, and ``execute`` (what the machine
 runs) places its operands in order and hands them to the kernel — so a
 placement cannot be priced one way and executed another.
@@ -184,54 +186,26 @@ class Request:
     def modeled_cost(self, size: int, params: CostParams) -> Cost:
         raise NotImplementedError
 
-    def staging_cost(self, grid: ProcessorGrid, params: CostParams) -> Cost:
-        """Exact migration cost of this request's resident operands."""
-        total = Cost.zero()
-        for D, target_grid, layout in self._staging_targets(grid, params):
-            total = total + staging_plan(D, target_grid, layout).cost()
-        return total
-
-    def staging_breakdown(self, grid: ProcessorGrid, params: CostParams, plan):
-        """Cache-aware staging price: ``(charged, saved, targets)``.
-
-        ``plan`` is the scheduler's :class:`~repro.api.opcache.CachePlan`.
-        Each resident operand target prices at zero when a valid staged
-        copy is (or, within this same request, will be) resident on the
-        candidate subgrid, and at the full exact migration plan otherwise.
-        ``targets`` lists ``(cache key, target grid, cost, hit)`` per
-        resident operand so the scheduler can commit the decisions.
-        """
-        return plan.price(self._raw_targets(grid, params))
-
-    def _raw_targets(self, grid: ProcessorGrid, params: CostParams):
-        """``(cache key, target grid, migration cost)`` per resident
-        operand, in staging order — what a cache view prices."""
-        for D, target_grid, layout in self._staging_targets(grid, params):
-            yield (
-                cache_key(D, target_grid, layout),
-                target_grid,
-                staging_plan(D, target_grid, layout).cost(),
-            )
-
     def _plan(self, grid: ProcessorGrid, params: CostParams) -> _Plan:
         """The type's one placement decision for the subgrid ``grid``."""
         raise NotImplementedError
 
-    def _staging_targets(self, grid: ProcessorGrid, params: CostParams):
-        """``(resident_matrix, target_grid, target_layout)`` per resident
-        operand of the plan, in placement order."""
-        return [
-            (M, target_grid, layout)
-            for M, target_grid, layout, _, _ in self._plan(grid, params).placements
+    def staging_targets(self, grid: ProcessorGrid, params: CostParams) -> tuple:
+        """What staging this request onto ``grid`` costs: one ``(cache key,
+        target grid, exact migration cost)`` triple per resident operand
+        of the plan, in staging order (``()`` when nothing is resident)."""
+        return tuple(
+            (cache_key(M, target, layout), target, staging_plan(M, target, layout).cost())
+            for M, target, layout, _, _ in self._plan(grid, params).placements
             if isinstance(M, DistMatrix)
-        ]
+        )
 
     def pricing_key(self):
         """Hashable pricing identity, or ``None`` to opt out of sharing.
 
         **Contract**: two requests with equal, non-``None`` keys must
         price identically — same ``candidate_sizes``, same
-        ``modeled_cost`` at every size, and same ``_staging_targets`` on
+        ``modeled_cost`` at every size, and same ``staging_targets`` on
         any concrete subgrid.  The scheduler's
         :class:`~repro.sched.pricing.PricingMemo` then shares one memo
         row across them, which is what makes a serve stream of

@@ -52,28 +52,6 @@ if TYPE_CHECKING:
 _TIE = 1e-6
 
 
-def priority_of(req: object) -> int:
-    """The request's priority class (0 for requests without the field).
-
-    Foreign objects that merely satisfy the scheduler protocol (the test
-    fakes, hand-rolled requests) predate the online-serving fields, so
-    the policy layer reads them defensively.
-    """
-    return int(getattr(req, "priority", 0))
-
-
-def deadline_of(req: object) -> float:
-    """The request's SLA deadline in simulated seconds (``inf`` when none).
-
-    ``inf`` makes deadline a total order: within a priority class,
-    deadline-bearing requests sort earliest-deadline-first ahead of
-    best-effort ones, and requests without the field tie exactly as
-    before the online subsystem existed.
-    """
-    deadline = getattr(req, "deadline", None)
-    return float("inf") if deadline is None else float(deadline)
-
-
 @dataclass(frozen=True, slots=True)
 class Candidate:
     """One priced placement option: a request on a concrete subgrid, now."""
@@ -98,21 +76,25 @@ class Decision:
 
 
 class PolicyContext:
-    """One decision point of the event loop, with pricing helpers.
+    """One decision point of the event loop: what a policy decides from.
 
-    Rebuilt by the scheduler before every policy consultation, so a policy
-    always sees the post-commit pool and queue.  ``pending`` holds *all*
-    unplaced requests (the area bound charges future arrivals too);
-    :meth:`arrived` filters to those the policy may actually place now.
-    ``running`` lists committed, unfinished placements as
-    ``(finish, index, size, grid)`` in finish order.
+    Built by the scheduler before every policy consultation from its own
+    sequences (no copies), so a policy always sees the post-commit pool
+    and queue:
 
-    ``pricing`` is the pass's pricing object — a
-    :class:`~repro.sched.pricing.PricingMemo` or its un-memoized parity
-    reference :class:`~repro.sched.pricing.DirectPricing` — and every
-    pricing helper below is one delegation to it.  ``arrived`` is a
-    performance hook: a pre-filtered arrived list, so :meth:`arrived`
-    skips the queue scan.
+    * ``arrived`` — the unplaced requests a policy may place now, as
+      ``(queue index, request)`` in index order;
+    * ``future`` — the unplaced requests that have not arrived yet (any
+      order; the area bound and the window search anticipate them);
+    * ``running`` — the committed, unfinished placements as ``(finish,
+      index, size, grid)``, earliest finish first;
+    * ``allocator`` — the live pool (``clone()`` it for what-if releases:
+      a clone never fires the real pool's destroy hook, so asking "when
+      would this fit?" records no phantom cache evictions);
+    * ``pricing`` — *the* pricing object of the pass
+      (:class:`~repro.sched.pricing.PricingMemo` or its un-memoized parity
+      reference :class:`~repro.sched.pricing.DirectPricing`), which every
+      price a policy compares comes from.
     """
 
     def __init__(
@@ -120,82 +102,35 @@ class PolicyContext:
         now: float,
         allocator: SubgridAllocator,
         params: CostParams,
-        pending: Sequence[tuple[int, SchedulableRequest]],
+        arrived: Sequence[tuple[int, SchedulableRequest]],
         running: Sequence[tuple[float, int, int, ProcessorGrid]],
         pricing: PricingMemo | DirectPricing,
-        *,
-        arrived: Sequence[tuple[int, SchedulableRequest]] | None = None,
+        future: Sequence[tuple[int, SchedulableRequest]] = (),
     ) -> None:
         self.now = now
         self.allocator = allocator
         self.params = params
-        self.pending = pending
-        self.running = running
-        self._pricing = pricing
-        self._arrived = arrived
+        self.arrived = arrived
+        self.future = future
+        self.pricing = pricing
+        self._running = running  # commit order
 
     @property
-    def capacity(self) -> int:
-        return self.allocator.capacity
-
-    def arrived(self) -> list[tuple[int, SchedulableRequest]]:
-        """Unplaced requests whose arrival time has passed, queue order."""
-        if self._arrived is not None:
-            return list(self._arrived)
-        return [it for it in self.pending if it[1].arrival <= self.now]
+    def running(self) -> list[tuple[float, int, int, ProcessorGrid]]:
+        # stable: equal finishes stay in commit order, the order the event
+        # loop releases them in
+        return sorted(self._running, key=lambda r: r[0])
 
     # -- pricing ------------------------------------------------------------
 
-    def candidate_sizes(self, req: SchedulableRequest) -> list[int]:
-        """The request's candidate subgrid sizes on this pool."""
-        return self._pricing.sizes(req)
-
-    def exec_seconds(self, req: SchedulableRequest, size: int) -> float:
-        return self._pricing.exec_seconds(req, size)
-
-    def min_exec_seconds(self, req: SchedulableRequest) -> float:
-        """Best-case execution seconds over the request's candidate sizes."""
-        return self._pricing.min_exec_seconds(req)
-
-    def min_area(self, req: SchedulableRequest) -> float:
-        """Fewest rank-seconds any placement of ``req`` consumes."""
-        return self._pricing.min_area(req)
-
-    def rest_area(self, index: int) -> float:
-        """Minimum rank-seconds the rest of the queue still owes."""
-        return self._pricing.rest_area(index)
-
-    def staging_seconds(self, req: SchedulableRequest, grid: ProcessorGrid) -> float:
-        """Seconds to stage ``req``'s resident operands onto ``grid``.
-
-        The raw charged-staging time of the pass's staging price — what
-        the branch-and-bound search memoizes per (request, concrete grid)
-        without building a full :class:`Candidate`.
-        """
-        staging, _saved, _targets = self._pricing.staging(req, grid)
-        return staging.time(self.params)
-
-    def price(
-        self,
-        req: SchedulableRequest,
-        size: int,
-        pool: SubgridAllocator | None = None,
-        now: float | None = None,
-    ) -> Candidate | None:
-        """Price placing ``req`` at ``size`` on the pool's preview block.
-
-        ``None`` when no free block serves the size.  ``pool`` lets a
-        policy price against a what-if copy (:meth:`scratch_pool`) and
-        ``now`` against a hypothetical clock — both default to the live
-        decision point.
-        """
-        pool = self.allocator if pool is None else pool
-        now = self.now if now is None else now
-        grid = pool.preview(size)
+    def price(self, req: SchedulableRequest, size: int) -> Candidate | None:
+        """Price placing ``req`` at ``size`` on the pool's preview block
+        (``None`` when no free block serves the size)."""
+        grid = self.allocator.preview(size)
         if grid is None:
             return None
-        staging, saved, targets = self._pricing.staging(req, grid)
-        modeled = self._pricing.modeled_cost(req, size)
+        staging, saved, targets = self.pricing.staging(req, grid)
+        modeled = self.pricing.modeled_cost(req, size)
         duration = staging.time(self.params) + modeled.time(self.params)
         return Candidate(
             size=size,
@@ -205,7 +140,7 @@ class PolicyContext:
             targets=targets,
             modeled=modeled,
             duration=duration,
-            finish=now + duration,
+            finish=self.now + duration,
         )
 
     def best_candidate(
@@ -225,7 +160,7 @@ class PolicyContext:
         reservation).
         """
         best: tuple[float, Candidate] | None = None
-        for size in self.candidate_sizes(req):
+        for size in self.pricing.sizes(req):
             cand = self.price(req, size)
             if cand is None:
                 continue
@@ -233,7 +168,7 @@ class PolicyContext:
                 continue
             score = max(
                 cand.finish,
-                self.now + (rest_area + size * cand.duration) / self.capacity,
+                self.now + (rest_area + size * cand.duration) / self.allocator.capacity,
             )
             if (
                 best is None
@@ -243,16 +178,23 @@ class PolicyContext:
                 best = (score, cand)
         return None if best is None else best[1]
 
+    def first_fit(
+        self,
+        order: Sequence[tuple[int, SchedulableRequest]],
+        deadline: float | None = None,
+        skip: frozenset[int] = frozenset(),
+    ) -> Decision | None:
+        """The first request of ``order`` (skipping indices in ``skip``)
+        with a feasible best-scored placement finishing by ``deadline``."""
+        for index, req in order:
+            if index in skip:
+                continue
+            cand = self.best_candidate(req, self.pricing.rest_area(index), deadline)
+            if cand is not None:
+                return Decision(index, req, cand)
+        return None
+
     # -- what-if simulation -------------------------------------------------
-
-    def scratch_pool(self) -> SubgridAllocator:
-        """A detached copy of the pool for hole-preview simulation.
-
-        Releasing and re-leasing here never fires the real pool's destroy
-        hook, so a policy can ask "when would this fit?" without the
-        scheduler recording phantom cache evictions.
-        """
-        return self.allocator.clone()
 
     def earliest_fit(self, req: SchedulableRequest) -> float | None:
         """Earliest modeled time ``req`` could start with no new tenants.
@@ -263,16 +205,14 @@ class PolicyContext:
         it already fits, ``None`` when it can never fit (no candidate
         size is allocatable even in a drained pool).
         """
-        sizes = self.candidate_sizes(req)
+        sizes = self.pricing.sizes(req)
         if not sizes:
             return None
         smallest = min(sizes)
         if self.allocator.can_allocate(smallest):
             return self.now
-        pool = self.scratch_pool()
-        for finish, _index, _size, grid in sorted(
-            self.running, key=lambda r: (r[0], r[1])
-        ):
+        pool = self.allocator.clone()
+        for finish, _index, _size, grid in self.running:
             pool.release(grid)
             if pool.can_allocate(smallest):
                 return finish
@@ -286,21 +226,22 @@ class PolicyContext:
         Higher priority classes first; within a class earliest SLA
         deadline first (best-effort requests, deadline ``inf``, behind
         any deadline-bearing one); remaining ties longest best-case
-        execution first — the historical LPT rank.  The sort is stable
-        and every tier is neutral under the defaults (one class, no
-        deadlines), so offline streams order exactly as they always did:
-        this *is* the LPT order when no request carries the online
-        fields, which is what keeps the golden schedules pinned.
+        execution first — the historical LPT rank.  Reading "no
+        deadline" as ``inf`` makes the deadline a total order.  The sort
+        is stable and every tier is neutral under the defaults (one
+        class, no deadlines), so offline streams order exactly as they
+        always did: this *is* the LPT order when no request carries the
+        online fields, which is what keeps the golden schedules pinned.
         """
-        arrived = self.arrived()
-        arrived.sort(
+        inf = float("inf")
+        return sorted(
+            self.arrived,
             key=lambda it: (
-                -priority_of(it[1]),
-                deadline_of(it[1]),
-                -self.min_exec_seconds(it[1]),
-            )
+                -it[1].priority,
+                inf if it[1].deadline is None else it[1].deadline,
+                -self.pricing.min_exec_seconds(it[1]),
+            ),
         )
-        return arrived
 
 
 class PackingPolicy:
@@ -337,11 +278,7 @@ class LPTPolicy(PackingPolicy):
     name = "lpt"
 
     def choose(self, ctx: PolicyContext) -> Decision | None:
-        for index, req in ctx.class_order():
-            cand = ctx.best_candidate(req, ctx.rest_area(index))
-            if cand is not None:
-                return Decision(index, req, cand)
-        return None
+        return ctx.first_fit(ctx.class_order())
 
 
 class BackfillPolicy(PackingPolicy):
@@ -399,7 +336,7 @@ class BackfillPolicy(PackingPolicy):
             at = [i for i, it in enumerate(order) if it[0] == self._reserved]
             if not at:
                 self._reserved = None  # placed on a previous pass
-            elif priority_of(order[0][1]) > priority_of(order[at[0]][1]):
+            elif order[0][1].priority > order[at[0]][1].priority:
                 # A strictly higher priority class arrived: the *queued*
                 # reservation is preempted (running placements are never
                 # revoked) and the new head reserves in its place below.
@@ -408,7 +345,7 @@ class BackfillPolicy(PackingPolicy):
             elif at[0] != 0:
                 order.insert(0, order.pop(at[0]))
         index, req = order[0]
-        cand = ctx.best_candidate(req, ctx.rest_area(index))
+        cand = ctx.best_candidate(req, ctx.pricing.rest_area(index))
         if cand is not None:
             if index == self._reserved:
                 self._reserved = None
@@ -418,18 +355,10 @@ class BackfillPolicy(PackingPolicy):
             # The head can never fit any block of this pool: fall back to
             # plain greedy so the scheduler's guard reports it, exactly
             # as under LPT.
-            for jndex, jreq in order[1:]:
-                jcand = ctx.best_candidate(jreq, ctx.rest_area(jndex))
-                if jcand is not None:
-                    return Decision(jndex, jreq, jcand)
-            return None
+            return ctx.first_fit(order[1:])
         self._reserved = index
         self.reservations.append((ctx.now, index, reserve))
-        for jndex, jreq in order[1:]:
-            jcand = ctx.best_candidate(jreq, ctx.rest_area(jndex), deadline=reserve)
-            if jcand is not None:
-                return Decision(jndex, jreq, jcand)
-        return None
+        return ctx.first_fit(order[1:], deadline=reserve)
 
 
 #: one planned placement: (queue index, request, size, start, grid)
@@ -465,12 +394,13 @@ def _search_window(
     time of the planned window plus the seeded running work (the event
     timeline scale the plan-following tolerance derives from).
     """
-    params, capacity = ctx.params, ctx.capacity
+    params, capacity = ctx.params, ctx.allocator.capacity
     items = list(items)
     req_by = dict(items)
     arrival = {i: req.arrival for i, req in items}
-    sizes = {i: ctx.candidate_sizes(req) for i, req in items}
-    pool = ctx.scratch_pool()
+    pricing = ctx.pricing
+    sizes = {i: pricing.sizes(req) for i, req in items}
+    pool = ctx.allocator.clone()
     bounds_pool = ctx.allocator.drained_clone()
     best: dict = {"makespan": float("inf"), "plan": None}
     seen: dict = {}
@@ -479,7 +409,7 @@ def _search_window(
     # Durations are pure in (request, concrete grid): memoize across
     # the whole search (staging plans are the expensive part).
     exec_memo: dict[tuple[int, int], float] = {
-        (i, s): ctx.exec_seconds(req, s) for i, req in items for s in sizes[i]
+        (i, s): pricing.exec_seconds(req, s) for i, req in items for s in sizes[i]
     }
     stage_memo: dict[tuple[int, ProcessorGrid], float] = {}
 
@@ -487,8 +417,7 @@ def _search_window(
         key = (i, grid)
         staged = stage_memo.get(key)
         if staged is None:
-            staged = ctx.staging_seconds(req_by[i], grid)
-            stage_memo[key] = staged
+            staged = stage_memo[key] = pricing.staging(req_by[i], grid)[0].time(params)
         return staged + exec_memo[(i, size)]
 
     # Staging-inclusive lower bounds, priced on a drained pool's
@@ -751,26 +680,20 @@ class HorizonPolicy(PackingPolicy):
         """
         head = ctx.class_order()
         if len(head) < self.window:
-            chosen = {i for i, _ in head}
-            future = sorted(
-                (it for it in ctx.pending if it[0] not in chosen),
-                key=lambda it: (it[1].arrival, it[0]),
-            )
-            head = head + future
+            head += sorted(ctx.future, key=lambda it: (it[1].arrival, it[0]))
         return head[: self.window]
 
     def choose(self, ctx: PolicyContext) -> Decision | None:
-        pending = list(ctx.pending)
-        if not pending:
-            return None
         window = self._window_of(ctx)
+        if not window:
+            return None  # nothing left to place
         members = frozenset(i for i, _ in window)
         remaining = frozenset(e[0] for e in self._plan[self._cursor :])
         if not self._planned or not members <= remaining:
             # membership changed (or first decision point): re-plan the
             # window from the live allocator state
             self._plan, self._plan_span, nodes = _search_window(
-                ctx, window, list(ctx.running), node_budget=self.node_budget
+                ctx, window, ctx.running, node_budget=self.node_budget
             )
             self._cursor = 0
             self._planned = True
@@ -779,11 +702,15 @@ class HorizonPolicy(PackingPolicy):
         index, req, size, start, grid = self._plan[self._cursor]
         tol = _plan_tolerance(start, self._plan_span)
         if ctx.now < start - tol or ctx.now < req.arrival:
-            # the plan idles until its next start (the arrival check keeps
+            # The plan idles until its next start (the arrival check keeps
             # the tolerance floor from committing before the head's own
-            # arrival): let arrived requests beyond the window backfill
-            # against that reservation
-            return self._backfill_beyond(ctx, members, start)
+            # arrival): arrived requests beyond the window may backfill,
+            # under BackfillPolicy's guarded scoring with that start as
+            # the reservation — admitted only if every way of running one
+            # finishes by it, so its block coalesces back before the plan
+            # touches the pool again and the planned grids still preview
+            # exactly as modeled.
+            return ctx.first_fit(ctx.class_order(), deadline=start, skip=members)
         require(
             ctx.now <= start + tol,
             ParameterError,
@@ -796,25 +723,6 @@ class HorizonPolicy(PackingPolicy):
             return None
         self._cursor += 1
         return Decision(index, req, cand)
-
-    def _backfill_beyond(
-        self, ctx: PolicyContext, members: frozenset[int], reserve: float
-    ) -> Decision | None:
-        """Conservative backfill of non-window arrivals before ``reserve``.
-
-        Identical to :class:`BackfillPolicy`'s guarded scoring with the
-        plan's next start as the reservation: a placement is admitted
-        only if every way of running it finishes by ``reserve``, so its
-        block coalesces back before the plan touches the pool again and
-        the planned grids still preview exactly as modeled.
-        """
-        for jndex, jreq in ctx.class_order():
-            if jndex in members:
-                continue
-            cand = ctx.best_candidate(jreq, ctx.rest_area(jndex), deadline=reserve)
-            if cand is not None:
-                return Decision(jndex, jreq, cand)
-        return None
 
 
 class OptimalPolicy(HorizonPolicy):

@@ -4,20 +4,20 @@ Pricing a single placement is cheap, but the event loop prices every
 arrived request at every candidate size at every decision point, and the
 area bound re-prices the *whole* remaining queue each time — an
 O(queue²·sizes) pattern that dominates serve-scale replays.  Almost all
-of those prices are recomputations: ``candidate_sizes``, ``modeled_cost``
-and the raw staging targets are pure in the request's *pricing identity*
-(its shapes, algorithm knobs and operand handles), not in the object.
+of those prices are recomputations: the three pricing hooks of the
+:class:`~repro.sched.scheduler.SchedulableRequest` protocol
+(``candidate_sizes``, ``modeled_cost``, ``staging_targets``) are pure in
+the request's *pricing identity* (its shapes, algorithm knobs and operand
+handles), not in the object.
 
-:class:`PricingMemo` exploits that purity.  Requests expose a
+:class:`PricingMemo` exploits that purity.  A request may expose a
 ``pricing_key()`` (see :meth:`repro.api.requests.Request.pricing_key`);
 two requests with equal keys are priced identically and share one memo
 row, so a stream of a thousand same-shape solves prices like one.
-Requests without a key (or foreign objects that merely satisfy the
-scheduler protocol) fall back to per-object memoization, and staging is
-memoized only for requests whose staging hooks are the stock
-:class:`~repro.api.requests.Request` implementations — an overridden
-hook is treated as opaque and called through every time, so subclassing
-can never observe stale prices.
+Requests without a key (or whose key is ``None``) get per-object rows.
+Staging has one hook, so there is nothing to override inconsistently:
+the memo's whole contract is ``pricing_key``'s — equal keys, equal
+prices.
 
 What is and is not cached:
 
@@ -28,13 +28,12 @@ What is and is not cached:
   themselves shared via :func:`repro.dist.routing.routing_plan`);
 * **replayed fresh on every call**: the cache hit/miss decisions.  The
   scheduler's :class:`~repro.api.opcache.CachePlan` view mutates as
-  placements commit and blocks coalesce, so
-  :meth:`PricingMemo.staging` re-runs the hit logic
-  ``Request.staging_breakdown`` runs (:meth:`CachePlan.price
-  <repro.api.opcache.CachePlan.price>`, the one copy of it) against the
-  *current* view over the memoized raw targets — bit-identical to the
-  uncached path by construction (the parity suite in
-  ``tests/test_throughput.py`` pins this);
+  placements commit and blocks coalesce, so :meth:`PricingMemo.staging`
+  prices the memoized targets against the *current* view
+  (:meth:`CachePlan.price <repro.api.opcache.CachePlan.price>`, the one
+  copy of the hit logic) — the same call :class:`DirectPricing` makes on
+  freshly derived targets, so the two agree by construction (the parity
+  suite in ``tests/test_throughput.py`` pins this);
 * **invalidated implicitly**: a memo lives for one ``schedule()`` pass.
   Operand generations (part of every cache key) only change when
   execution mutates a matrix, which never happens while a pass is
@@ -56,13 +55,28 @@ requires the two to produce flatten-identical schedules.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.machine.cost import Cost, CostParams
 
 if TYPE_CHECKING:
     from repro.api.opcache import CachePlan
     from repro.machine.topology import ProcessorGrid
+    from repro.sched.scheduler import SchedulableRequest, StagingTarget
+
+
+def _staging_price(
+    view: "CachePlan | None", targets: "Sequence[StagingTarget]"
+) -> tuple[Cost, Cost, tuple]:
+    """``(charged, saved, per-target decisions)`` of one placement's
+    staging targets: priced by the cache view as it stands now, or — no
+    cache — every migration charged in full, summed in staging order."""
+    if view is not None:
+        return view.price(targets)
+    total = Cost.zero()
+    for _key, _grid, cost in targets:
+        total = total + cost
+    return total, Cost.zero(), ()
 
 
 class DirectPricing:
@@ -85,24 +99,24 @@ class DirectPricing:
         self.params = params
         self.capacity = int(capacity)
         self.view = view
-        self._pending: dict[int, Any] = {}
+        self._pending: dict[int, SchedulableRequest] = {}
 
-    def sizes(self, req: Any) -> list[int]:
+    def sizes(self, req: "SchedulableRequest") -> list[int]:
         return req.candidate_sizes(self.capacity)
 
-    def modeled_cost(self, req: Any, size: int) -> Cost:
+    def modeled_cost(self, req: "SchedulableRequest", size: int) -> Cost:
         return req.modeled_cost(size, self.params)
 
-    def exec_seconds(self, req: Any, size: int) -> float:
+    def exec_seconds(self, req: "SchedulableRequest", size: int) -> float:
         return self.modeled_cost(req, size).time(self.params)
 
-    def min_exec_seconds(self, req: Any) -> float:
+    def min_exec_seconds(self, req: "SchedulableRequest") -> float:
         return min((self.exec_seconds(req, s) for s in self.sizes(req)), default=0.0)
 
-    def min_area(self, req: Any) -> float:
+    def min_area(self, req: "SchedulableRequest") -> float:
         return min((s * self.exec_seconds(req, s) for s in self.sizes(req)), default=0.0)
 
-    def seed(self, items: Iterable[tuple[int, Any]]) -> None:
+    def seed(self, items: "Iterable[tuple[int, SchedulableRequest]]") -> None:
         """Register the enumerated queue (index order) as pending."""
         self._pending = dict(items)
 
@@ -114,14 +128,11 @@ class DirectPricing:
         """Minimum rank-seconds the queue minus ``index`` still owes."""
         return sum(self.min_area(r) for j, r in self._pending.items() if j != index)
 
-    def staging(self, req: Any, grid: "ProcessorGrid") -> tuple[Cost, Cost, tuple]:
-        """``(charged, saved, per-target decisions)`` for one placement:
-        the request's own cache-aware breakdown when there is a cache view
-        (and the request has one), its full migration cost otherwise."""
-        breakdown = getattr(req, "staging_breakdown", None)
-        if self.view is None or breakdown is None:
-            return req.staging_cost(grid, self.params), Cost.zero(), ()
-        return breakdown(grid, self.params, self.view)
+    def staging(
+        self, req: "SchedulableRequest", grid: "ProcessorGrid"
+    ) -> tuple[Cost, Cost, tuple]:
+        """``(charged, saved, per-target decisions)`` for one placement."""
+        return _staging_price(self.view, req.staging_targets(grid, self.params))
 
 
 class PricingMemo:
@@ -149,7 +160,6 @@ class PricingMemo:
         "_targets",
         "_area_by_index",
         "_area_total",
-        "_request_base",
     )
 
     def __init__(
@@ -172,11 +182,10 @@ class PricingMemo:
         self._targets: dict[tuple, tuple] = {}
         self._area_by_index: dict[int, float] = {}
         self._area_total = 0.0
-        self._request_base: type | None = None
 
     # -- identity -----------------------------------------------------------
 
-    def _key_of(self, req: Any) -> tuple:
+    def _key_of(self, req: "SchedulableRequest") -> tuple:
         """The request's share key: equal keys share every memo row."""
         got = self._keys.get(id(req))
         if got is not None:
@@ -187,44 +196,23 @@ class PricingMemo:
         self._keys[id(req)] = (share, req)
         return share
 
-    def _base(self) -> type:
-        if self._request_base is None:
-            # deferred: repro.api imports the scheduler package at load
-            # time, so a module-level import here would be circular
-            from repro.api.requests import Request
-
-            self._request_base = Request
-        return self._request_base
-
-    def _stock_staging(self, req: Any) -> bool:
-        """True iff both staging hooks are the stock Request implementations
-        (the contract the raw-target memo and hit replay are valid under)."""
-        Request = self._base()
-        if not isinstance(req, Request):
-            return False
-        cls = type(req)
-        return (
-            cls.staging_cost is Request.staging_cost
-            and cls.staging_breakdown is Request.staging_breakdown
-        )
-
     # -- modeled execution ---------------------------------------------------
 
-    def sizes(self, req: Any) -> list[int]:
+    def sizes(self, req: "SchedulableRequest") -> list[int]:
         key = self._key_of(req)
         got = self._sizes.get(key)
         if got is None:
             got = self._sizes[key] = req.candidate_sizes(self.capacity)
         return got
 
-    def modeled_cost(self, req: Any, size: int) -> Cost:
+    def modeled_cost(self, req: "SchedulableRequest", size: int) -> Cost:
         key = (self._key_of(req), size)
         got = self._modeled.get(key)
         if got is None:
             got = self._modeled[key] = req.modeled_cost(size, self.params)
         return got
 
-    def exec_seconds(self, req: Any, size: int) -> float:
+    def exec_seconds(self, req: "SchedulableRequest", size: int) -> float:
         key = (self._key_of(req), size)
         got = self._seconds.get(key)
         if got is None:
@@ -233,7 +221,7 @@ class PricingMemo:
             )
         return got
 
-    def min_exec_seconds(self, req: Any) -> float:
+    def min_exec_seconds(self, req: "SchedulableRequest") -> float:
         key = self._key_of(req)
         got = self._min_seconds.get(key)
         if got is None:
@@ -243,7 +231,7 @@ class PricingMemo:
             )
         return got
 
-    def min_area(self, req: Any) -> float:
+    def min_area(self, req: "SchedulableRequest") -> float:
         key = self._key_of(req)
         got = self._min_area.get(key)
         if got is None:
@@ -255,7 +243,7 @@ class PricingMemo:
 
     # -- the queue-area aggregate -------------------------------------------
 
-    def seed(self, items: Iterable[tuple[int, Any]]) -> None:
+    def seed(self, items: "Iterable[tuple[int, SchedulableRequest]]") -> None:
         """Register the enumerated queue for incremental area accounting."""
         self._area_by_index = {i: self.min_area(req) for i, req in items}
         self._area_total = sum(self._area_by_index.values())
@@ -270,40 +258,22 @@ class PricingMemo:
 
     # -- staging -------------------------------------------------------------
 
-    def _raw_targets(self, req: Any, grid: "ProcessorGrid") -> tuple:
-        """``(cache key, target grid, migration cost)`` per resident operand
-        of ``req`` on the concrete subgrid ``grid`` (memoized — the routing
-        plans behind the costs are the expensive part)."""
-        key = (self._key_of(req), grid)
-        got = self._targets.get(key)
-        if got is not None:
-            self.hits += 1
-            return got
-        self.misses += 1
-        got = self._targets[key] = tuple(req._raw_targets(grid, self.params))
-        return got
+    def staging(
+        self, req: "SchedulableRequest", grid: "ProcessorGrid"
+    ) -> tuple[Cost, Cost, tuple]:
+        """``(charged, saved, per-target decisions)`` for one placement.
 
-    def staging(self, req: Any, grid: "ProcessorGrid") -> tuple[Cost, Cost, tuple]:
-        """The pass's staging price: ``(charged, saved, targets)``.
-
-        Mirrors :meth:`DirectPricing.staging` exactly: without a cache
-        view (or a ``staging_breakdown``) the full migration cost is
-        charged; with one, the view prices the memoized raw targets as it
-        stands *now*.  Requests with overridden staging hooks bypass the
-        memo entirely.
+        The targets on the concrete subgrid ``grid`` are memoized (the
+        routing plans behind their costs are the expensive part); the
+        cache view prices them as it stands *now*.
         """
-        breakdown = getattr(req, "staging_breakdown", None)
-        if self.view is None or breakdown is None:
-            return self.staging_cost(req, grid), Cost.zero(), ()
-        if not self._stock_staging(req):
-            return breakdown(grid, self.params, self.view)
-        return self.view.price(self._raw_targets(req, grid))
-
-    def staging_cost(self, req: Any, grid: "ProcessorGrid") -> Cost:
-        """Plain (cache-blind) staging price, memoized when stock."""
-        if not self._stock_staging(req):
-            return req.staging_cost(grid, self.params)
-        total = Cost.zero()
-        for _key, _grid, cost in self._raw_targets(req, grid):
-            total = total + cost
-        return total
+        key = (self._key_of(req), grid)
+        targets = self._targets.get(key)
+        if targets is None:
+            self.misses += 1
+            targets = self._targets[key] = tuple(
+                req.staging_targets(grid, self.params)
+            )
+        else:
+            self.hits += 1
+        return _staging_price(self.view, targets)

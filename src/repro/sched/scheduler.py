@@ -8,10 +8,10 @@ conservative backfilling and an exhaustive small-queue optimum as
 alternatives; see :mod:`repro.sched.policies`).  The loop:
 
 * at every decision point the policy is consulted with a
-  :class:`~repro.sched.policies.PolicyContext` — the arrived, still
-  unplaced requests, the running placements, and pricing helpers.  Every
-  candidate subgrid size is priced as ``finish = now + staging +
-  execution``, where *staging* is the exact :mod:`repro.dist.routing`
+  :class:`~repro.sched.policies.PolicyContext` — the loop's own arrived,
+  future and running sequences, the allocator and the pass's one pricing
+  object, handed over as they are.  Every candidate subgrid size is
+  priced as ``finish = now + staging + execution``, where *staging* is the exact :mod:`repro.dist.routing`
   migration cost of the request's resident operands onto the concrete
   candidate subgrid (:meth:`SubgridAllocator.preview` exposes it before
   committing) and *execution* is the request's closed-form model on that
@@ -45,10 +45,10 @@ they touch.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Protocol, Sequence, TypeVar, overload
+from operator import itemgetter
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from repro.machine.cost import Cost, CostParams
 from repro.machine.topology import ProcessorGrid
@@ -60,58 +60,42 @@ from repro.sched.pricing import DirectPricing, PricingMemo
 if TYPE_CHECKING:
     from repro.api.opcache import CachePlan, OperandCache
 
+#: one resident operand of one placement: ``(operand-cache key, target
+#: grid, exact migration cost)``
+StagingTarget = tuple[tuple, ProcessorGrid, Cost]
+
 
 class SchedulableRequest(Protocol):
-    """What the scheduler needs from a request (see ``repro.api.requests``)."""
+    """Everything the event loop, the policies and the pricing objects
+    read from a request (:class:`repro.api.requests.Request` is the stock
+    implementation; the test fakes define exactly these members).
+
+    ``arrival`` is the earliest simulated time the request may start;
+    ``priority`` (higher classes first) and ``deadline`` (an SLA target in
+    simulated seconds, ``None`` for best effort) order the arrived queue
+    and never affect a price.  The three methods are the pricing hooks,
+    each pure in the request's pricing identity: the subgrid sizes it can
+    run on, its closed-form execution cost on one size, and its
+    :data:`StagingTarget` triples on one concrete subgrid, in staging
+    order (``()`` when no operand is cluster-resident).
+
+    A request *may* also define ``pricing_key()`` returning a hashable
+    (or ``None``): requests with equal keys must answer all three hooks
+    identically, and :class:`~repro.sched.pricing.PricingMemo` then
+    prices them once.
+    """
 
     arrival: float
+    priority: int
+    deadline: float | None
 
     def candidate_sizes(self, capacity: int) -> list[int]: ...
 
     def modeled_cost(self, size: int, params: CostParams) -> Cost: ...
 
-    def staging_cost(self, grid: ProcessorGrid, params: CostParams) -> Cost: ...
-
-
-_T = TypeVar("_T")
-
-
-class _LazyList(Sequence[_T]):
-    """A sequence materialized on first access.
-
-    The event loop builds a :class:`~repro.sched.policies.PolicyContext`
-    for every policy consultation, but most consultations never touch
-    ``pending`` or ``running`` (the pricing helpers route through the
-    memo and the pre-filtered arrived list).  Deferring the sort/copy
-    behind this wrapper makes context construction O(1) while keeping the
-    attributes plain sequences for any policy that does iterate them.
-    """
-
-    __slots__ = ("_build", "_items")
-
-    def __init__(self, build: Callable[[], list[_T]]) -> None:
-        self._build = build
-        self._items: list[_T] | None = None
-
-    def _materialize(self) -> list[_T]:
-        if self._items is None:
-            self._items = self._build()
-        return self._items
-
-    def __iter__(self) -> Iterator[_T]:
-        return iter(self._materialize())
-
-    def __len__(self) -> int:
-        return len(self._materialize())
-
-    @overload
-    def __getitem__(self, i: int) -> _T: ...
-
-    @overload
-    def __getitem__(self, i: slice) -> Sequence[_T]: ...
-
-    def __getitem__(self, i: int | slice) -> "_T | Sequence[_T]":
-        return self._materialize()[i]
+    def staging_targets(
+        self, grid: ProcessorGrid, params: CostParams
+    ) -> Sequence[StagingTarget]: ...
 
 
 @dataclass(slots=True)
@@ -233,47 +217,24 @@ class Scheduler:
         else:
             pricing = DirectPricing(params, alloc.capacity, view)
         pricing.seed(items)
-        # The event queue: requests not yet arrived, in (arrival, index)
-        # order behind ``ptr``; arrived-but-unplaced requests live in
-        # ``arrived``, kept index-sorted (the queue order policies see).
-        # Advancing an arrival is a pointer bump, committing a placement a
-        # bisect — no O(queue) scan per event.
-        future = sorted(items, key=lambda it: (it[1].arrival, it[0]))
-        ptr = 0
+        # The event queue: ``future`` holds the requests not yet arrived,
+        # latest first, so the next arrival is its tail; arrived-but-
+        # unplaced requests live in ``arrived``, kept index-sorted (the
+        # queue order policies see).  Advancing an arrival is a pop,
+        # committing a placement a bisect — no O(queue) scan per event.
+        future = sorted(items, key=lambda it: (it[1].arrival, it[0]), reverse=True)
         arrived: list[tuple[int, SchedulableRequest]] = []
-        running: list[tuple[float, int, Assignment]] = []  # (finish, seq, a)
+        # committed, unfinished placements ``(finish, index, size, grid)``
+        # in commit order — at most one per rank, so finding the earliest
+        # finish is a bounded scan
+        running: list[tuple[float, int, int, ProcessorGrid]] = []
         out: list[Assignment] = []
-        now, seq = 0.0, 0
+        now = 0.0
         evictions: list[tuple[float, ProcessorGrid]] = []
 
         def drain_arrivals() -> None:
-            nonlocal ptr
-            while ptr < len(future) and future[ptr][1].arrival <= now:
-                insort(arrived, future[ptr], key=lambda it: it[0])
-                ptr += 1
-
-        def pending_view() -> list[tuple[int, SchedulableRequest]]:
-            # all unplaced requests in index order (what ``pending`` was)
-            return sorted(arrived + future[ptr:], key=lambda it: it[0])
-
-        def running_view() -> list[tuple[float, int, int, ProcessorGrid]]:
-            return [
-                (a.finish, a.index, a.size, a.grid)
-                for _, _, a in sorted(running, key=lambda r: r[:2])
-            ]
-
-        def remove_pending(index: int) -> None:
-            pos = bisect_left(arrived, index, key=lambda it: it[0])
-            if pos < len(arrived) and arrived[pos][0] == index:
-                del arrived[pos]
-                return
-            # a policy placed a request before its arrival drained; keep
-            # the future queue consistent (never happens for the built-ins)
-            for j in range(ptr, len(future)):
-                if future[j][0] == index:
-                    del future[j]
-                    return
-            raise AssertionError(f"placed request {index} is not pending")
+            while future and future[-1][1].arrival <= now:
+                insort(arrived, future.pop(), key=itemgetter(0))
 
         def on_destroy(grid: ProcessorGrid) -> None:
             # A block stopped existing: its staged copies die with it, in
@@ -289,12 +250,12 @@ class Scheduler:
         try:
             prev_state: tuple[float, int, int] | None = None
             drain_arrivals()
-            while arrived or ptr < len(future) or running:
-                # A legal iteration places (seq grows), pops a finish
+            while arrived or future or running:
+                # A legal iteration places (out grows), pops a finish
                 # (running shrinks), or advances the clock; anything else
                 # means the policy declined forever — fail loudly instead
                 # of spinning.
-                state = (now, seq, len(running))
+                state = (now, len(out), len(running))
                 require(
                     state != prev_state,
                     ParameterError,
@@ -306,16 +267,9 @@ class Scheduler:
                 placed = True
                 while placed:
                     placed = False
-                    ctx = PolicyContext(
-                        now=now,
-                        allocator=alloc,
-                        params=params,
-                        pending=_LazyList(pending_view),
-                        running=_LazyList(running_view),
-                        pricing=pricing,
-                        arrived=arrived,
+                    decision = self.policy.choose(
+                        PolicyContext(now, alloc, params, arrived, running, pricing, future)
                     )
-                    decision = self.policy.choose(ctx)
                     if decision is None:
                         continue
                     index, req, cand = (
@@ -323,6 +277,14 @@ class Scheduler:
                         decision.request,
                         decision.candidate,
                     )
+                    pos = bisect_left(arrived, index, key=itemgetter(0))
+                    require(
+                        pos < len(arrived) and arrived[pos][0] == index,
+                        ParameterError,
+                        f"policy {self.policy.name!r} placed request {index}, "
+                        "which is not an arrived, unplaced request",
+                    )
+                    del arrived[pos]
                     grid = alloc.allocate(cand.size)
                     assert grid is not None  # the candidate came from preview
                     if view is not None:
@@ -345,36 +307,34 @@ class Scheduler:
                         cache_hits=sum(1 for t in cand.targets if t[3]),
                         cache_misses=sum(1 for t in cand.targets if not t[3]),
                     )
-                    heapq.heappush(running, (cand.finish, seq, a))
-                    seq += 1
+                    running.append((cand.finish, index, cand.size, grid))
                     out.append(a)
-                    remove_pending(index)
                     pricing.remove(index)
                     placed = True  # re-consult against the shrunken pool
                 # Advance to the next event: the earliest running finish OR the
                 # next arrival, whichever comes first — a request arriving while
                 # others run must be considered as soon as it arrives, not when
                 # the next tenant happens to finish (free capacity may be idle).
-                # Everything behind ``ptr`` has arrived (drained below), so the
-                # next arrival is the head of the future queue.
-                next_arrival = future[ptr][1].arrival if ptr < len(future) else None
+                next_arrival = future[-1][1].arrival if future else None
                 if running:
-                    next_finish = running[0][0]
-                    if next_arrival is not None and next_arrival < next_finish:
+                    # earliest finish; the first committed among equals
+                    done = min(running, key=itemgetter(0))
+                    if next_arrival is not None and next_arrival < done[0]:
                         now = next_arrival
                     else:
-                        finish, _, done = heapq.heappop(running)
+                        running.remove(done)
+                        finish, _index, _size, freed = done
                         # Advance the clock before releasing: a coalesce
                         # eviction triggered by this release must be stamped
                         # with the time the tenancy actually ended.
                         now = max(now, finish)
-                        alloc.release(done.grid)
+                        alloc.release(freed)
                 elif next_arrival is not None:
                     # Nothing running and nothing placeable has arrived yet.
                     now = next_arrival
                 drain_arrivals()
                 require(
-                    not (not running and arrived and ptr >= len(future)
+                    not (not running and arrived and not future
                          and not any(
                              alloc.can_allocate(s)
                              for it in arrived

@@ -11,10 +11,13 @@ from repro.api import (
     PreparedSolveRequest,
     TrsmRequest,
 )
+from repro.api.opcache import cache_key
 from repro.api.serve import poisson_stream, replay
+from repro.dist.distmatrix import DistMatrix
 from repro.machine.cost import CostParams
 from repro.machine.machine import Machine
 from repro.machine.validate import ParameterError
+from repro.sched.pricing import DirectPricing
 from repro.trsm.cost_model import iterative_cost
 from repro.trsm.iterative import it_inv_trsm_global
 from repro.trsm.prepared import PreparedTrsm
@@ -22,6 +25,17 @@ from repro.tuning.parameters import tuned_parameters
 from repro.util.randmat import random_dense, random_lower_triangular
 
 UNIT = CostParams(alpha=1.0, beta=1.0, gamma=1.0, name="unit")
+
+
+def resident_placements(req, grid, params):
+    """``(operand, target grid, layout)`` per cluster-resident operand of
+    the request's plan on ``grid``, in placement order — what ``execute``
+    stages."""
+    return [
+        (M, target, layout)
+        for M, target, layout, _, _ in req._plan(grid, params).placements
+        if isinstance(M, DistMatrix)
+    ]
 
 
 class TestWrapperParity:
@@ -116,12 +130,15 @@ class TestSchedulingDemo:
         B = cluster.host(random_dense(n, k, seed=1))
         req = TrsmRequest(L=L, B=B)
         grid = cluster.pool.preview(4)
-        staged = req.staging_cost(grid, cluster.params)
-        targets = list(req._staging_targets(grid, cluster.params))
+        staged, _saved, _ = DirectPricing(cluster.params, cluster.p).staging(req, grid)
+        targets = resident_placements(req, grid, cluster.params)
         assert targets, "resident operands must produce staging targets"
+        priced = req.staging_targets(grid, cluster.params)
+        assert len(priced) == len(targets)
         exact_S = exact_W = bound_W = 0.0
-        for D, tgrid, layout in targets:
+        for (D, tgrid, layout), (key, pgrid, cost) in zip(targets, priced):
             plan = staging_plan(D, tgrid, layout)
+            assert (key, pgrid, cost) == (cache_key(D, tgrid, layout), tgrid, plan.cost())
             exact_S += plan.cost().S
             exact_W += plan.cost().W
             bound_W += plan.alltoall_bound().W
@@ -286,14 +303,12 @@ HOSTED_SHAPES = {
 
 
 class TestPriceWhatYouExecute:
-    """What the scheduler prices (``_staging_targets``) and what ``execute``
+    """What the scheduler prices (``staging_targets``) and what ``execute``
     stages are read off one plan: same operands, same target ranks, same
     layouts, same order — on every candidate subgrid of every request type."""
 
     @pytest.mark.parametrize("shape", sorted(HOSTED_SHAPES))
     def test_executed_stagings_equal_priced_targets(self, shape, monkeypatch):
-        from repro.api.opcache import cache_key
-
         cluster = Cluster(16, cache=False)
         Lh = cluster.host(random_lower_triangular(64, seed=0))
         Bh = cluster.host(random_dense(64, 8, seed=1))
@@ -310,11 +325,12 @@ class TestPriceWhatYouExecute:
         assert sizes
         for size in sizes:
             grid = cluster.pool.preview(size)
-            priced = [
-                cache_key(D, g, layout)
-                for D, g, layout in req._staging_targets(grid, cluster.params)
-            ]
+            priced = [key for key, _g, _cost in req.staging_targets(grid, cluster.params)]
             assert priced, "every operand is resident"
+            assert priced == [
+                cache_key(D, g, layout)
+                for D, g, layout in resident_placements(req, grid, cluster.params)
+            ]
             del staged[:]
             req.execute(cluster, grid)
             assert staged == priced, f"{shape} on {size} ranks"

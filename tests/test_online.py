@@ -319,8 +319,8 @@ class FakeReq:
     def modeled_cost(self, size, params):
         return Cost(0.0, 0.0, self.seconds[size])
 
-    def staging_cost(self, grid, params):
-        return Cost.zero()
+    def staging_targets(self, grid, params):
+        return ()
 
 
 def start_order(schedule):
@@ -538,11 +538,19 @@ class TestDaemon:
             '{"op": "trsm", "n": 64, "k": 8, "sla": NaN}',
             '{"op": "trsm", "n": 64, "k": 8, "sla": Infinity}',
             '{"op": "trsm", "n": 64, "k": 8, "deadline": -Infinity}',
+            # PR 15: admitted, these died in the flush (MemoryError is not
+            # a typed refusal) or ran as a different solve than asked for
+            '{"op": "trsm", "n": 10000000, "k": 8}',
+            '{"op": "trsm", "n": 4096, "k": 1}',
+            '{"op": "trsm", "n": true, "k": 8}',
+            '{"op": "trsm", "n": 32.9, "k": 8}',
+            '{"op": "trsm", "n": 64, "k": 8.5}',
+            '{"op": "trsm", "n": Infinity, "k": 8}',
         ):
             out = d.handle(bad)
             assert out["ok"] is False and out["op"] == "trsm"
             assert "ParameterError" in out["error"]
-        assert d.handle('{"op": "trsm", "n": 32, "k": 4}')["decision"] == "admitted"
+        assert d.handle('{"op": "trsm", "n": 32.0, "k": 4}')["decision"] == "admitted"
         assert d.admission.stats()["admitted"] == 2
         assert d.admission.pending() == 2
         flushed = d.handle('{"op": "flush"}')

@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Cluster, TrsmRequest
+from repro.api.opcache import cache_key
 from repro.api.serve import replay_prepared
+from repro.dist.distmatrix import DistMatrix
 from repro.dist.layout import CyclicLayout
 from repro.machine.cost import CostParams
 from repro.machine.topology import ProcessorGrid
@@ -300,8 +302,12 @@ class TestServeStreamAcceptance:
         B = random_dense(64, 8, seed=14)
         req = TrsmRequest(L=L, B=B, sizes=(4,))
         grid = cluster.pool.preview(4)
-        for D, tg, lay in req._staging_targets(grid, cluster.params):
-            cluster.stage_resident(D, tg, lay)  # warm exactly the targets
+        warmed = []
+        for D, tg, lay, _, _ in req._plan(grid, cluster.params).placements:
+            if isinstance(D, DistMatrix):
+                cluster.stage_resident(D, tg, lay)  # warm exactly the targets
+                warmed.append(cache_key(D, tg, lay))
+        assert warmed == [key for key, _g, _c in req.staging_targets(grid, cluster.params)]
         assert len(cluster.opcache) > 0
         rid = cluster.submit(req)
         outcome = cluster.run()  # must not raise

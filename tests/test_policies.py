@@ -63,6 +63,9 @@ def make_pool(p: int) -> SubgridAllocator:
 class FakeRequest:
     """Minimal SchedulableRequest: fixed per-size seconds, no staging."""
 
+    priority = 0
+    deadline = None
+
     def __init__(self, seconds_by_size: dict[int, float], arrival: float = 0.0):
         self.seconds = seconds_by_size
         self.arrival = arrival
@@ -73,8 +76,8 @@ class FakeRequest:
     def modeled_cost(self, size, params):
         return Cost(0.0, 0.0, self.seconds[size])
 
-    def staging_cost(self, grid, params):
-        return Cost.zero()
+    def staging_targets(self, grid, params):
+        return ()
 
 
 def golden_stream(seed: int, count: int, max_arrival: float) -> list[FakeRequest]:

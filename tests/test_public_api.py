@@ -13,6 +13,15 @@ class TestExports:
         for name in repro.__all__:
             assert hasattr(repro, name), f"__all__ lists missing name {name}"
 
+    def test_every_registered_policy_is_exported(self):
+        """``--policy``/``Cluster(policy=...)`` accept these by name, so the
+        classes are public too (``HorizonPolicy`` used to be missing)."""
+        from repro.sched import POLICIES
+
+        for cls in POLICIES.values():
+            assert cls.__name__ in repro.__all__
+            assert getattr(repro, cls.__name__) is cls
+
     def test_version_string(self):
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2

@@ -137,6 +137,9 @@ class TestAllocatorInvariants:
 class _FakeRequest:
     """Minimal SchedulableRequest: fixed per-size seconds, no staging."""
 
+    priority = 0
+    deadline = None
+
     def __init__(self, seconds_by_size: dict[int, float], arrival: float = 0.0):
         self.seconds = seconds_by_size
         self.arrival = arrival
@@ -148,8 +151,8 @@ class _FakeRequest:
         # unit params: encode seconds in F with gamma = 1
         return Cost(0.0, 0.0, self.seconds[size])
 
-    def staging_cost(self, grid, params):
-        return Cost.zero()
+    def staging_targets(self, grid, params):
+        return ()
 
 
 class TestScheduler:

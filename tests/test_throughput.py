@@ -16,9 +16,10 @@ changed.  This suite pins that:
 * **overflow guard** — a plan whose per-pair word count cannot be held in
   an int32 is rejected at construction instead of silently wrapping;
 * **pricing memo parity** — scheduling with the memo on and off yields
-  flatten-identical schedules on the pinned golden streams (FakeRequest:
-  the non-memoizable fallback path) and on real TRSM streams (the shared
-  ``pricing_key`` path), and equal keys share memo rows.
+  flatten-identical schedules under lpt, backfill and the horizon search
+  on the pinned golden streams (FakeRequest: per-object memo rows), on
+  real TRSM streams (the shared ``pricing_key`` path) and on a request
+  class with exactly the protocol's members, and equal keys share rows.
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.cluster import Cluster
+from repro.api.opcache import OperandCache
 from repro.api.requests import TrsmRequest
 from repro.api.serve import poisson_stream, schedule_stream
 from repro.dist import (
@@ -39,9 +41,9 @@ from repro.dist import (
 )
 from repro.dist import routing
 from repro.dist.layout import Layout
-from repro.machine import CostParams, Machine
+from repro.machine import Cost, CostParams, Machine
 from repro.machine.validate import ShapeError
-from repro.sched import Scheduler
+from repro.sched import HorizonPolicy, Scheduler
 from repro.sched.pricing import PricingMemo
 from repro.util.randmat import random_dense, random_lower_triangular
 from routing_reference import (
@@ -251,33 +253,97 @@ class TestOverflowGuard:
         assert plan.cost().W == float(m) * m
 
 
+class ProtocolOnlyRequest:
+    """Exactly the ``SchedulableRequest`` members and nothing else (no
+    ``pricing_key``, no base class): one resident operand whose migration
+    gets cheaper per rank on bigger subgrids."""
+
+    priority = 0
+    deadline = None
+
+    def __init__(self, operand: str, seconds_by_size: dict, arrival: float):
+        self.operand = operand
+        self.seconds = seconds_by_size
+        self.arrival = arrival
+
+    def candidate_sizes(self, capacity):
+        return [s for s in self.seconds if s <= capacity]
+
+    def modeled_cost(self, size, params):
+        return Cost(0.0, 0.0, self.seconds[size])
+
+    def staging_targets(self, grid, params):
+        return (((self.operand, grid), grid, Cost(1.0, 8.0 / grid.size, 0.0)),)
+
+
+def policy_named(name: str):
+    """A fresh policy per pass (policies carry state); the search policy
+    gets a small window and budget so the parity cases stay quick."""
+    return HorizonPolicy(window=4, node_budget=2_000) if name == "horizon" else name
+
+
 class TestPricingMemoParity:
-    @pytest.mark.parametrize("policy", ["lpt", "backfill"])
+    @pytest.mark.parametrize("policy", ["lpt", "backfill", "horizon"])
     @pytest.mark.parametrize(
         "key", [(0, 7, 0.0), (1, 9, 3.0), (2, 12, 8.0)]
     )
     def test_fake_streams_memo_on_off_identical(self, policy, key):
-        """FakeRequest has no pricing_key and non-stock staging hooks: the
-        memo's fallback paths must still reproduce the uncached schedule."""
+        """FakeRequest has no pricing_key, so every memo row is per-object:
+        the memo must still reproduce the un-memoized schedule."""
         seed, count, max_arrival = key
         on = Scheduler(
-            make_pool(16), UNIT, policy=policy, pricing_cache=True
+            make_pool(16), UNIT, policy=policy_named(policy), pricing_cache=True
         ).schedule(golden_stream(seed, count, max_arrival))
         off = Scheduler(
-            make_pool(16), UNIT, policy=policy, pricing_cache=False
+            make_pool(16), UNIT, policy=policy_named(policy), pricing_cache=False
         ).schedule(golden_stream(seed, count, max_arrival))
         assert flatten(on) == flatten(off)
 
-    @pytest.mark.parametrize("policy", ["lpt", "backfill"])
+    @pytest.mark.parametrize("policy", ["lpt", "backfill", "horizon"])
     def test_trsm_stream_memo_on_off_identical(self, policy):
-        """Real TRSM streams (shared pricing keys, stock staging hooks):
-        memoized staging replay must match the live breakdown exactly."""
+        """Real TRSM streams (shared pricing keys, resident operands): the
+        memoized staging targets must price exactly like fresh ones."""
         stream = poisson_stream(
             count=25, rate=2e5, n_range=(32, 64), k_range=(4, 8), seed=5
         )
-        on = schedule_stream(stream, p=16, policy=policy, pricing_cache=True)
-        off = schedule_stream(stream, p=16, policy=policy, pricing_cache=False)
+        on = schedule_stream(stream, p=16, policy=policy_named(policy), pricing_cache=True)
+        off = schedule_stream(stream, p=16, policy=policy_named(policy), pricing_cache=False)
         assert flatten(on) == flatten(off)
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-view", "cache-view"])
+    @pytest.mark.parametrize("policy", ["lpt", "backfill"])
+    def test_protocol_only_requests_price_identically(self, policy, cached):
+        """Conformance: the protocol is all a request needs.  A class with
+        exactly its members schedules — and stages, hit for hit — the same
+        under the memo and under DirectPricing, with and without an
+        operand-cache view."""
+
+        def stream():
+            return [
+                ProtocolOnlyRequest("LMN"[i % 3], {4: 2.0 + i % 2, 16: 1.0}, 0.25 * i)
+                for i in range(12)
+            ]
+
+        assert not hasattr(stream()[0], "pricing_key")
+
+        def staged(pricing_cache):
+            schedule = Scheduler(
+                make_pool(16),
+                UNIT,
+                cache=OperandCache() if cached else None,
+                policy=policy,
+                pricing_cache=pricing_cache,
+            ).schedule(stream())
+            return schedule, [
+                (a.staging, a.staging_saved, a.cache_hits, a.cache_misses)
+                for a in schedule.assignments
+            ]
+
+        (on, on_staging), (off, off_staging) = staged(True), staged(False)
+        assert flatten(on) == flatten(off)
+        assert on_staging == off_staging
+        assert all(a.staging.S + a.staging_saved.S == 1.0 for a in on.assignments)
+        assert (sum(a.cache_hits for a in on.assignments) > 0) == cached
 
     def test_equal_pricing_keys_share_memo_rows(self):
         cluster = Cluster(16)
