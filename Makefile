@@ -45,7 +45,9 @@ bench-paper:
 ## the mixed-stream strict win), horizon <= min(lpt, backfill) on every
 ## recorded stream (counterexample included), horizon <= 1.1x the
 ## exhaustive optimum on small queues, and the opcache reuse floor;
-## writes benchmarks/results/BENCH_serve.json (the CI bench job uploads it).
+## records (ungated) the cache-on window-search table; rewrites the tracked
+## benchmarks/results/BENCH_serve.json (simulated numbers only — the CI
+## bench job fails if the committed file differs).
 bench-policies:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_serve.py
 

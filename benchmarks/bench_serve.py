@@ -26,9 +26,16 @@ acceptance artifact:
   loses to LPT — and ``horizon <= 1.1 x optimal`` on every small queue
   the exhaustive :class:`~repro.sched.OptimalPolicy` ground truth can
   price (including the tiny-burst stream where LPT sits ~67 % above the
-  optimum).  The whole sweep — plus the opcache reuse gate — is emitted
-  as machine-readable ``benchmarks/results/BENCH_serve.json`` so the CI
-  bench job can upload it and track the trajectory across commits.
+  optimum).  The same three policies then run **with the operand cache
+  on** over shared-operand streams, beside an uncached horizon run:
+  modeled and measured makespan, hits/misses and ``replans`` are
+  recorded, and only what a plan-as-guide supports is gated (the runs
+  complete, horizon actually hits the cache) — the orderings are data.
+  The whole sweep — plus the opcache reuse gate — is emitted as
+  machine-readable ``benchmarks/results/BENCH_serve.json``: simulated
+  numbers only, so the full-fat file is tracked and the CI bench job
+  fails when a commit changes it without committing the change (the
+  smoke sweep writes ``BENCH_serve_smoke.json``, untracked).
 
 Run via ``make bench-smoke`` (tiny sweep, CI-gated) or directly with
 pytest for the full table.
@@ -37,6 +44,7 @@ pytest for the full table.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 
@@ -44,6 +52,7 @@ from repro.analysis import format_table
 from repro.analysis.serve import policy_gap_data, serve_report
 from repro.api.serve import poisson_stream, replay, replay_mixed, replay_prepared
 from repro.machine.cost import HARDWARE_PRESETS
+from repro.sched import HorizonPolicy
 from repro.trsm.prepared import PreparedTrsm
 from repro.util.randmat import random_lower_triangular
 
@@ -53,6 +62,11 @@ P = 16 if SMOKE else 64
 COUNT = 6 if SMOKE else 12
 N_RANGE = (32, 64) if SMOKE else (64, 256)
 K_RANGE = (8, 16) if SMOKE else (8, 64)
+#: few distinct shapes and a queue longer than the horizon window, so a
+#: shared-operand stream re-places its operands on subgrids that held them
+SHARED_COUNT = 12
+SHARED_N_RANGE = (32, 64) if SMOKE else (64, 128)
+SHARED_K_RANGE = (8, 16)
 
 
 def test_burst_beats_serial_full_grid(emit, benchmark):
@@ -252,6 +266,78 @@ def test_policy_sweep_emits_bench_json(emit, results_dir, benchmark):
             "horizon_makespan_seconds": c_hor.modeled_makespan,
         }
 
+    # -- the window search with the operand cache on ----------------------
+    # Shared-operand streams, every policy cached, horizon also uncached.
+    # A plan is a guide under a moving cache view (HorizonPolicy re-plans
+    # when a commit's live price drifts from the planned one), so which
+    # run wins is recorded, not gated.  The budget is the tier-1 suites'
+    # 2 000 nodes: the table is about the cache, not the search depth.
+    budget = 2_000
+    cached_json = []
+    for seed in seeds:
+        for rate in rates:
+            stream = poisson_stream(
+                count=SHARED_COUNT,
+                rate=rate,
+                n_range=SHARED_N_RANGE,
+                k_range=SHARED_K_RANGE,
+                seed=seed,
+            )
+            runs = {}
+            for label, policy, cache in (
+                ("lpt", "lpt", True),
+                ("backfill", "backfill", True),
+                ("horizon", HorizonPolicy(node_budget=budget), True),
+                ("horizon_uncached", HorizonPolicy(node_budget=budget), False),
+            ):
+                out = replay(
+                    stream,
+                    p=P,
+                    policy=policy,
+                    cache=cache,
+                    shared_operands=True,
+                    verify=False,
+                )
+                assert len(out.records) == SHARED_COUNT
+                runs[label] = {
+                    "modeled_makespan_seconds": out.modeled_makespan,
+                    "measured_makespan_seconds": out.measured_makespan,
+                    "hits": out.staging_hits,
+                    "misses": out.staging_misses,
+                    "replans": getattr(policy, "replans", None),
+                }
+            cached_json.append(
+                {"seed": seed, "rate": rate, "requests": SHARED_COUNT, "runs": runs}
+            )
+    assert sum(s["runs"]["horizon"]["hits"] for s in cached_json) > 0, (
+        "horizon never hit the operand cache on the shared-operand streams"
+    )
+
+    def _geomean_ratio(key: str, num: str, den: str) -> float:
+        # rounded: libm's log/exp may differ in the last ulp across hosts,
+        # and the file is diffed byte for byte
+        logs = [
+            math.log(s["runs"][num][key] / s["runs"][den][key]) for s in cached_json
+        ]
+        return round(math.exp(sum(logs) / len(logs)), 6)
+
+    report["cached_window_search"] = {
+        "node_budget": budget,
+        "n_range": SHARED_N_RANGE,
+        "k_range": SHARED_K_RANGE,
+        "streams": cached_json,
+        # recorded orderings (geomean makespan ratios; < 1 favours the first)
+        "horizon_cached_vs_uncached_modeled": _geomean_ratio(
+            "modeled_makespan_seconds", "horizon", "horizon_uncached"
+        ),
+        "horizon_cached_vs_uncached_measured": _geomean_ratio(
+            "measured_makespan_seconds", "horizon", "horizon_uncached"
+        ),
+        "horizon_cached_vs_lpt_cached_modeled": _geomean_ratio(
+            "modeled_makespan_seconds", "horizon", "lpt"
+        ),
+    }
+
     # -- the mixed small/large pinned stream: the strict backfill win ----
     smalls = 8 if SMOKE else 10
     mixed_lpt = benchmark(
@@ -330,7 +416,9 @@ def test_policy_sweep_emits_bench_json(emit, results_dir, benchmark):
         "misses": cached.staging_misses,
     }
 
-    path = pathlib.Path(results_dir) / "BENCH_serve.json"
+    # the tracked artifact is the full-fat sweep; smoke numbers stay local
+    name = "BENCH_serve_smoke.json" if SMOKE else "BENCH_serve.json"
+    path = pathlib.Path(results_dir) / name
     path.write_text(json.dumps(report, indent=2) + "\n")
     table = format_table(
         ["seed", "rate 1/s", "lpt us", "backfill us", "horizon us", "best/horizon"],
@@ -342,11 +430,35 @@ def test_policy_sweep_emits_bench_json(emit, results_dir, benchmark):
         gap_rows,
         title="Small-queue gap vs exhaustive optimum (6 requests, cache off)",
     )
+    cached_table = format_table(
+        ["seed", "rate 1/s", "run", "modeled us", "measured us", "hits", "misses",
+         "replans"],
+        [
+            [
+                s["seed"],
+                f"{s['rate']:.0f}" if s["rate"] else "burst",
+                label,
+                run["modeled_makespan_seconds"] * 1e6,
+                run["measured_makespan_seconds"] * 1e6,
+                run["hits"],
+                run["misses"],
+                run["replans"] or "-",
+            ]
+            for s in cached_json
+            for label, run in s["runs"].items()
+        ],
+        title=(
+            f"Cache on, shared operands (p={P}, n in {SHARED_N_RANGE}, "
+            f"k in {SHARED_K_RANGE}, horizon budget {budget} nodes)"
+        ),
+    )
     emit(
         "serve_policies",
         table
         + "\n\n"
         + gap_table
+        + "\n\n"
+        + cached_table
         + f"\n\nmixed pinned stream: backfill wins {win * 100.0:.1f}%"
         + f"\nwrote {path}",
     )

@@ -9,8 +9,8 @@ packing a request queue onto the subgrid pool — as plain-text artifacts:
   makespan, the serial full-grid baseline the scheduler is judged
   against, pool occupancy and request throughput;
 * :func:`policy_gap_report` — the packing-policy comparison: one stream
-  replayed under every policy (cache off, so the heuristics are
-  apples-to-apples with the cache-incompatible exhaustive optimum), with
+  replayed under every policy (cache off: only uncached is the
+  exhaustive optimum exact, so only there is it a ground truth), with
   per-policy makespan/occupancy/throughput and the %-above-optimal gap
   on queues small enough for :class:`~repro.sched.OptimalPolicy`;
 * :func:`latency_report` — the p50/p95/p99 request-latency line, the
@@ -166,8 +166,8 @@ def policy_gap_data(
 ) -> dict:
     """Replay ``stream`` under every policy; return the comparison as data.
 
-    Every replay is uncached (``cache=False``) so the heuristics pay the
-    same staging prices the pre-planning policies do.  ``"optimal"`` is
+    Every replay is uncached (``cache=False``): the optimum is exact only
+    when no price moves between planning and commit.  ``"optimal"`` is
     skipped (entry ``None``) on queues longer than ``optimal_max`` — the
     exhaustive search is exponential in the queue length; ``"horizon"``
     runs the same search windowed, so it serves at any length.  The

@@ -272,15 +272,9 @@ class Cluster:
         #: the data plane: hosted operands live here in a cyclic layout
         self.plane = self.pool.root_grid
         self.plane_layout = CyclicLayout(*self.plane.shape)
-        #: staged-copy reuse across requests (None = uncached PR-3
-        #: behavior).  A pre-planning policy (OptimalPolicy) must see at
-        #: commit time the exact prices it planned with, so it forces the
-        #: cache off.
-        self.opcache: OperandCache | None = (
-            OperandCache()
-            if cache and not self.policy.requires_uncached
-            else None
-        )
+        #: staged-copy reuse across requests, under every packing policy
+        #: (None = ``cache=False``, every staging charged in full)
+        self.opcache: OperandCache | None = OperandCache() if cache else None
         self._queue: list[Request] = []
         self._next_rid = 0
         self._exec_hits = 0

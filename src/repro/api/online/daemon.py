@@ -222,9 +222,9 @@ class ServeDaemon:
             f"trsm operands of n={n}, k={k} take {words} words; this daemon "
             f"serves at most {MAX_OPERAND_WORDS}",
         )
-        seed = int(msg.get("seed", 0))
+        seed = _whole(msg, "seed", 0)
         require(seed >= 0, ParameterError, f"trsm needs seed >= 0, got {seed}")
-        priority = int(msg.get("priority", 0))
+        priority = _whole(msg, "priority", 0)
         tenant = str(msg.get("tenant", "default"))
         if msg.get("deadline") is not None:
             deadline = float(msg["deadline"])

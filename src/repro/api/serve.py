@@ -122,8 +122,7 @@ def replay(
     packing rule (``"lpt"``/``"backfill"``/``"optimal"``/``"horizon"``;
     see :mod:`repro.sched.policies`) and ``cache=False`` disables the
     staged-copy operand cache — the gap report runs every policy uncached
-    so the comparison is apples-to-apples with the (cache-incompatible)
-    pre-planning policies.
+    because the exhaustive optimum is exact only there.
 
     ``shared_operands=True`` hosts **one** ``(L, B)`` pair per distinct
     ``(n, k)`` shape (seeded by the shape's first stream entry) and lets

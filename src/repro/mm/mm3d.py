@@ -39,11 +39,7 @@ import numpy as np
 
 from repro.dist.distmatrix import DistMatrix
 from repro.dist.routing import End, gather_frame, scatter_frame
-from repro.machine.collectives import (
-    _log2_ceil,
-    allgather_blocks,
-    reduce_scatter,
-)
+from repro.machine.collectives import allgather_blocks, reduce_scatter
 from repro.machine.cost import Cost
 from repro.machine.validate import GridError, ParameterError, ShapeError, require
 from repro.util.mathutil import split_indices

@@ -17,21 +17,24 @@ implementations the gap report in :mod:`repro.analysis.serve` compares:
   no-delay invariant, property-tested against the reservation log);
 * :class:`OptimalPolicy` — branch-and-bound exhaustive search over all
   event-aligned schedules of a small queue (≤ 8 requests by default),
-  pruned by the area bound; the ground-truth baseline the gap report
-  measures the heuristics against;
+  pruned by the area bound; uncached, the ground-truth baseline the gap
+  report measures the heuristics against;
 * :class:`HorizonPolicy` — the rolling-horizon composition of the two:
   the same branch-and-bound run over a sliding window of queued
   requests, seeded from the *live* allocator state (running placements
   and all), committing only the head of each plan and re-planning when
-  the window's membership changes, with conservative backfill scoring
-  for arrived requests beyond the window.  Serves queues of any length
-  at bounded per-decision cost.
+  the window's membership changes or a commit's price drifts from the
+  plan, with conservative backfill scoring for arrived requests beyond
+  the window.  Serves queues of any length at bounded per-decision cost.
 
 Every placement option a policy considers is priced by the scheduling
 pass's one pricing object (closed-form execution cost plus the exact
 :mod:`repro.dist.routing` staging cost of the request's resident operands
-on the *concrete* candidate subgrid), so the prices a policy compares are
-exactly the prices the commit pays.
+on the *concrete* candidate subgrid, cache-aware when the pass has an
+operand cache) at the decision point it commits at, so the price a
+placement is booked at is the price execution pays.  A window-search plan
+is thus a guide, not a contract: :meth:`HorizonPolicy.choose` drops the
+rest of a plan whose head commits at a finish other than the planned one.
 """
 
 from __future__ import annotations
@@ -250,13 +253,12 @@ class PackingPolicy:
     The scheduler calls :meth:`choose` repeatedly at each decision point
     (rebuilding the context after every commit) until it returns ``None``,
     then advances time to the next event.  :meth:`reset` runs once per
-    ``schedule()`` pass before the event loop starts.
+    ``schedule()`` pass before the event loop starts.  A policy may carry
+    a plan across calls, but the candidate it returns must be priced
+    through ``ctx`` at that call: commits book the live price.
     """
 
     name = "policy"
-    #: True for policies that pre-plan a timeline and therefore cannot
-    #: follow cache-aware repricing (the scheduler refuses the combination)
-    requires_uncached = False
 
     def reset(self, requests: Sequence[object]) -> None:
         """Hook called once per scheduling pass with the full queue."""
@@ -361,8 +363,8 @@ class BackfillPolicy(PackingPolicy):
         return ctx.first_fit(order[1:], deadline=reserve)
 
 
-#: one planned placement: (queue index, request, size, start, grid)
-PlanEntry = tuple[int, "SchedulableRequest", int, float, ProcessorGrid]
+#: one planned placement: (queue index, request, size, start, grid, finish)
+PlanEntry = tuple[int, "SchedulableRequest", int, float, ProcessorGrid, float]
 
 
 def _search_window(
@@ -529,7 +531,7 @@ def _search_window(
         for _score, i, size, finish in options:
             grid = pool.allocate(size)
             assert grid is not None
-            entry = (i, req_by[i], size, now, grid)
+            entry = (i, req_by[i], size, now, grid, finish)
             dfs(
                 pending - {i},
                 running + [(finish, i, size, grid)],
@@ -633,16 +635,16 @@ class HorizonPolicy(PackingPolicy):
     incumbent immediately and further nodes only improve it — so on
     adversarial windows the policy degrades toward greedy quality instead
     of stalling the stream.  Per-decision cost is thereby bounded by
-    O(budget) regardless of queue length.  The policy pre-plans
-    placements, so it must see the same prices at commit time: combining
-    it with an operand cache is refused (``requires_uncached``;
-    :class:`~repro.api.cluster.Cluster` drops its cache automatically).
-    ``replans`` and ``nodes_explored`` expose the planning effort for
-    reports.
+    O(budget) regardless of queue length.  The plan is a guide: its head
+    commits at the *live* price, which under an operand cache can differ
+    from the planned one (the search prices against the cache view as it
+    stood when it planned).  Later starts were aligned to the planned
+    finish, so on drift the rest of the plan is dropped and re-planned
+    from the live pool; without a cache nothing drifts.  ``replans`` and
+    ``nodes_explored`` expose the planning effort for reports.
     """
 
     name = "horizon"
-    requires_uncached = True
 
     def __init__(self, window: int = 8, node_budget: int | None = 50_000) -> None:
         require(
@@ -657,8 +659,6 @@ class HorizonPolicy(PackingPolicy):
         self.node_budget = None if node_budget is None else int(node_budget)
         self._plan: list[PlanEntry] = []
         self._plan_span = 0.0
-        self._cursor = 0
-        self._planned = False
         #: planning-effort statistics of the last scheduling pass
         self.nodes_explored = 0
         self.replans = 0
@@ -666,8 +666,6 @@ class HorizonPolicy(PackingPolicy):
     def reset(self, requests: Sequence[object]) -> None:
         self._plan = []
         self._plan_span = 0.0
-        self._cursor = 0
-        self._planned = False
         self.nodes_explored = 0
         self.replans = 0
 
@@ -688,18 +686,15 @@ class HorizonPolicy(PackingPolicy):
         if not window:
             return None  # nothing left to place
         members = frozenset(i for i, _ in window)
-        remaining = frozenset(e[0] for e in self._plan[self._cursor :])
-        if not self._planned or not members <= remaining:
-            # membership changed (or first decision point): re-plan the
-            # window from the live allocator state
+        if not members <= {e[0] for e in self._plan}:
+            # membership changed, or no plan stands (first decision point or
+            # price drift): re-plan the window from the live allocator state
             self._plan, self._plan_span, nodes = _search_window(
                 ctx, window, ctx.running, node_budget=self.node_budget
             )
-            self._cursor = 0
-            self._planned = True
             self.replans += 1
             self.nodes_explored += nodes
-        index, req, size, start, grid = self._plan[self._cursor]
+        index, req, size, start, grid, finish = self._plan[0]
         tol = _plan_tolerance(start, self._plan_span)
         if ctx.now < start - tol or ctx.now < req.arrival:
             # The plan idles until its next start (the arrival check keeps
@@ -721,7 +716,10 @@ class HorizonPolicy(PackingPolicy):
         if cand is None or cand.grid != grid:
             # more releases land at this same timestamp; wait for them
             return None
-        self._cursor += 1
+        # Later planned starts were aligned to this planned finish: if the
+        # live price moved it (the cache view changed since planning), the
+        # rest of the plan is void and the next consultation re-plans.
+        self._plan = self._plan[1:] if abs(cand.finish - finish) <= tol else []
         return Decision(index, req, cand)
 
 
@@ -742,7 +740,10 @@ class OptimalPolicy(HorizonPolicy):
     dominance; the first descent follows the greedy scoring so the
     incumbent starts at (roughly) the LPT makespan and the search space
     only shrinks it.  The LPT schedule itself is in the search space, so
-    the result is never worse than LPT.
+    the result is never worse than LPT.  Exact only *uncached* (why the
+    gap report keeps ``cache=False``): under an operand cache it plans
+    against the view as it stands and re-plans on drift — a budget-free
+    horizon, not a proven optimum.
 
     Exhaustive search is exponential: queues above ``max_requests``
     (default 8, the tractability bound the gap report advertises) are

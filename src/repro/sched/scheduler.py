@@ -151,11 +151,6 @@ class Schedule:
         busy = sum(a.size * (a.finish - a.start) for a in self.assignments)
         return busy / (self.capacity * span)
 
-    def throughput(self) -> float:
-        """Completed requests per modeled second."""
-        span = self.makespan
-        return len(self.assignments) / span if span > 0.0 else 0.0
-
 
 class Scheduler:
     """Event-driven packing of requests onto a :class:`SubgridAllocator`.
@@ -166,9 +161,9 @@ class Scheduler:
     for the default greedy LPT.  ``cache`` (an
     :class:`~repro.api.opcache.OperandCache`, optional) makes staging
     prices cache-aware; without one the scheduler prices every placement
-    at the full migration cost.  Policies that pre-plan their timeline
-    (``requires_uncached``) cannot be combined with a cache — the prices
-    they planned with must be the prices the commit pays.
+    at the full migration cost.  Every policy commits at the live
+    (cache-aware) price; the window-search policies plan against the view
+    as it stands and re-plan when a commit's price has drifted from it.
     """
 
     def __init__(
@@ -182,13 +177,6 @@ class Scheduler:
         self.allocator = allocator
         self.params = params or CostParams()
         self.policy = make_policy(policy)
-        require(
-            not (self.policy.requires_uncached and cache is not None),
-            ParameterError,
-            f"policy {self.policy.name!r} pre-plans its timeline and cannot "
-            "be combined with an operand cache (pass cache=None, or "
-            "Cluster(cache=False))",
-        )
         self.cache = cache
         #: memoize pricing across decision points (PricingMemo); False
         #: re-derives every price (DirectPricing, the parity reference —

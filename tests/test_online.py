@@ -455,6 +455,26 @@ def daemon(batch=8, admission=None, **kw):
     return ServeDaemon(config, clock=FakeClock())
 
 
+#: one spelling of every JSON value class a client can put in a field
+#: (``1e999`` parses to ``inf``; 2**70 overflows no Python int but any
+#: fixed-width one)
+FIELD_VALUES = (
+    "true", "null", "-3", "2.7", "1e999", "NaN", str(2**70), '"x"', "[]", "{}"
+)
+
+
+@st.composite
+def trsm_lines(draw):
+    """A ``trsm`` line: valid small shape, then any subset of the fields
+    overwritten by a drawn :data:`FIELD_VALUES` spelling (none = valid)."""
+    fields = {"n": "32", "k": "4", "seed": "0", "priority": "0", "sla": "1e9"}
+    names = ["n", "k", "seed", "priority", "sla", "deadline", "tenant"]
+    for name in draw(st.lists(st.sampled_from(names), unique=True, max_size=3)):
+        fields[name] = draw(st.sampled_from(FIELD_VALUES))
+    body = ", ".join(f'"{name}": {value}' for name, value in fields.items())
+    return '{"op": "trsm", ' + body + "}"
+
+
 class TestDaemon:
     def test_trsm_round_trip_and_auto_flush(self):
         d = daemon(batch=2)
@@ -546,6 +566,12 @@ class TestDaemon:
             '{"op": "trsm", "n": 32.9, "k": 8}',
             '{"op": "trsm", "n": 64, "k": 8.5}',
             '{"op": "trsm", "n": Infinity, "k": 8}',
+            # PR 16: OverflowError out of int(inf) killed the line loop;
+            # 2.7 ran as seed 2 and true was admitted as priority class 1
+            '{"op": "trsm", "n": 64, "k": 8, "priority": 1e999}',
+            '{"op": "trsm", "n": 64, "k": 8, "seed": 1e999}',
+            '{"op": "trsm", "n": 64, "k": 8, "seed": 2.7}',
+            '{"op": "trsm", "n": 64, "k": 8, "priority": true}',
         ):
             out = d.handle(bad)
             assert out["ok"] is False and out["op"] == "trsm"
@@ -558,6 +584,18 @@ class TestDaemon:
         assert {r["rid"] for r in flushed["results"]} == {0, 1}
         assert all(r["residual"] < 1e-10 for r in flushed["results"])
         assert d.handle('{"op": "stats"}')["completed"] == 2
+
+    @given(st.lists(trsm_lines(), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_any_field_value_gets_a_typed_response(self, lines):
+        """Generated, not hand-found: whatever JSON value lands in a
+        ``trsm`` field, the line is answered (never a traceback), and
+        exactly the admitted lines are served."""
+        d = daemon(batch=4)
+        outs = [d.handle(line) for line in lines + ['{"op": "shutdown"}']]
+        assert all(isinstance(o, dict) and "ok" in o for o in outs)
+        admitted = sum(o.get("decision") == "admitted" for o in outs)
+        assert outs[-1]["ok"] and outs[-1]["completed"] == admitted
 
     def test_shutdown_flushes_and_stops(self):
         d = daemon(batch=8)

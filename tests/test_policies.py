@@ -14,6 +14,11 @@
 * **Optimal ground truth** — the branch-and-bound search never loses to
   either heuristic, matches hand-checkable optima, and refuses queues it
   cannot search exhaustively.
+* **Plans are guides** — the window-search policies run with the operand
+  cache on: they plan against the cache view as it stands, commit at the
+  live price, and re-plan when the two drift (property-tested through
+  ``Cluster.run``'s planned == measured hit/miss check, one hand-built
+  drift case, one pinned cached schedule).
 * **Rolling horizon** — ``HorizonPolicy`` is bit-identical to
   ``OptimalPolicy`` whenever the whole queue fits its window
   (property-tested), serves queues the optimum refuses, never loses to
@@ -31,8 +36,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.cluster import Cluster
+from repro.api.opcache import OperandCache
 from repro.api.requests import TrsmRequest
-from repro.api.serve import poisson_stream, replay, replay_mixed, replay_prepared
+from repro.api.serve import (
+    poisson_stream,
+    replay,
+    replay_mixed,
+    replay_prepared,
+    schedule_stream,
+)
 from repro.machine.cost import Cost, CostParams
 from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ParameterError
@@ -48,7 +60,7 @@ from repro.sched import (
 from repro.sched.policies import PolicyContext, _plan_tolerance
 from repro.sched.pricing import DirectPricing
 from repro.trsm.prepared import PreparedTrsm
-from repro.util.randmat import random_lower_triangular
+from repro.util.randmat import random_dense, random_lower_triangular
 
 UNIT = CostParams(alpha=1.0, beta=1.0, gamma=1.0, name="unit")
 
@@ -245,6 +257,41 @@ def assert_valid_schedule(schedule, reqs, pool):
     assert pool.drained()
 
 
+def assert_cluster_caches(policy):
+    """A window-search policy keeps the Cluster's operand cache and a
+    shared-operand stream actually hits it."""
+    assert Cluster(16, policy=policy).opcache is not None
+    stream = poisson_stream(
+        count=7, rate=1e5, n_range=(32, 64), k_range=(8, 8), seed=2
+    )
+    out = replay(stream, p=16, policy=policy, shared_operands=True, verify=False)
+    assert out.policy == policy
+    assert out.staging_hits > 0
+
+
+@st.composite
+def cached_window_cases(draw):
+    """(p, window-search policy, shared-operand stream): the exhaustive
+    optimum on queues it can search quickly, the budgeted horizon beyond."""
+    p = draw(st.sampled_from([16, 64]))
+    if draw(st.booleans()):
+        policy, max_count = OptimalPolicy(), 6
+    else:
+        policy = HorizonPolicy(
+            window=draw(st.sampled_from([3, 8])),
+            node_budget=draw(st.sampled_from([200, 2_000])),
+        )
+        max_count = 10
+    stream = poisson_stream(
+        count=draw(st.integers(min_value=2, max_value=max_count)),
+        rate=draw(st.sampled_from([0.0, 3e4, 1e5, 1e6])),
+        n_range=(32, 64),
+        k_range=(8, 16),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+    return p, policy, stream
+
+
 class TestEveryPolicyEmitsValidSchedules:
     @given(fake_streams())
     @settings(max_examples=60, deadline=None)
@@ -348,16 +395,15 @@ class TestOptimalGroundTruth:
         )
         assert len(relaxed.schedule(reqs).assignments) == 9
 
-    def test_refuses_operand_cache(self):
-        from repro.api.opcache import OperandCache
+    def test_accepts_operand_cache(self):
+        reqs = [FakeRequest({16: 1.0, 8: 1.4}), FakeRequest({16: 1.0, 8: 1.4})]
+        opt = Scheduler(
+            make_pool(16), UNIT, cache=OperandCache(), policy="optimal"
+        ).schedule(reqs)
+        assert opt.makespan == pytest.approx(1.4)
 
-        with pytest.raises(ParameterError):
-            Scheduler(make_pool(16), UNIT, cache=OperandCache(), policy="optimal")
-
-    def test_cluster_drops_cache_for_optimal(self):
-        cluster = Cluster(16, policy="optimal")
-        assert cluster.opcache is None
-        assert make_policy("optimal").requires_uncached
+    def test_cluster_keeps_cache_for_optimal(self):
+        assert_cluster_caches("optimal")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ParameterError):
@@ -474,10 +520,85 @@ class TestHorizonPolicy:
             HorizonPolicy(node_budget=0)
         assert HorizonPolicy(node_budget=None).node_budget is None
 
-    def test_cluster_drops_cache_for_horizon(self):
-        cluster = Cluster(16, policy="horizon")
-        assert cluster.opcache is None
-        assert make_policy("horizon").requires_uncached
+    def test_cluster_keeps_cache_for_horizon(self):
+        assert_cluster_caches("horizon")
+
+    @given(cached_window_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_cached_window_search_replays_as_scheduled(self, case):
+        """Cache on, shared operands: ``Cluster.run`` returning means the
+        planned == measured hit/miss ``require`` held for every request —
+        however often the live prices drifted from the plan."""
+        p, policy, stream = case
+        out = replay(stream, p=p, policy=policy, shared_operands=True)
+        assert sorted(r.rid for r in out.records) == list(range(len(stream)))
+        for r in out.records:
+            assert r.modeled_start >= stream[r.rid].arrival - 1e-12
+            assert r.residual is not None and r.residual < 1e-10
+        again = schedule_stream(stream, p=p, policy=policy)
+        assert flatten(again) == [
+            [r.rid, r.size, float(r.modeled_start), float(r.modeled_finish),
+             r.grid.ranks()]
+            for r in out.records
+        ]
+
+    def test_price_drift_replans(self):
+        """Three solves of one hosted pair queue for the one full-grid
+        block: the plan prices the second as a miss (nothing is staged
+        yet), its commit finds the first one's copies — a hit, an earlier
+        finish than planned — so the rest of the plan is dropped and
+        re-planned instead of tripping the divergence guard."""
+
+        def run(cache):
+            policy = HorizonPolicy()
+            cluster = Cluster(16, policy=policy, cache=cache)
+            L = cluster.host(random_lower_triangular(64, seed=1))
+            B = cluster.host(random_dense(64, 8, seed=2))
+            for _ in range(3):
+                cluster.submit(TrsmRequest(L=L, B=B, sizes=(16,), verify=False))
+            out = cluster.run()
+            for r in out.records:
+                assert r.modeled_finish == r.modeled_start + (
+                    r.staging_seconds + r.modeled_seconds
+                )
+            return policy.replans, out
+
+        replans, cached = run(cache=True)
+        assert replans == 2 > run(cache=False)[0]
+        assert [r.staging_hit for r in cached.records] == [False, True, True]
+
+    def test_golden_cached_shared_stream(self):
+        """Pinned: horizon with the cache on over a shared-operand stream
+        (one drift re-plan beyond the seven the window rolls uncached)."""
+        stream = poisson_stream(
+            count=10, rate=3e5, n_range=(32, 64), k_range=(8, 8), seed=3
+        )
+        policy = HorizonPolicy(window=4, node_budget=2_000)
+        out = replay(
+            stream, p=16, policy=policy, shared_operands=True, verify=False
+        )
+        assert policy.replans == 8
+        assert (out.staging_hits, out.staging_misses) == (10, 10)
+        assert out.modeled_makespan == 6.958039257095537e-05
+        got = [
+            [r.rid, r.size, float(r.modeled_start), float(r.modeled_finish),
+             sorted(r.grid.ranks())]
+            for r in out.records
+        ]
+        assert got == [
+            [0, 4, 3.667160422601328e-07, 2.5904462130376004e-05, [0, 1, 4, 5]],
+            [1, 4, 1.6655722875058122e-06, 2.7203318375621684e-05, [2, 3, 6, 7]],
+            [2, 4, 6.33070881456994e-06, 3.477289316703343e-05, [8, 9, 12, 13]],
+            [3, 4, 1.3664535800507876e-05, 4.210672015297137e-05,
+             [10, 11, 14, 15]],
+            [4, 4, 2.5904462130376004e-05, 4.113820821849188e-05, [0, 1, 4, 5]],
+            [5, 4, 2.7203318375621684e-05, 4.243706446373756e-05, [2, 3, 6, 7]],
+            [6, 4, 3.477289316703343e-05, 5.2223077519496916e-05, [8, 9, 12, 13]],
+            [7, 4, 4.113820821849188e-05, 6.958039257095537e-05, [0, 1, 4, 5]],
+            [9, 4, 4.210672015297137e-05, 5.955690450543486e-05,
+             [10, 11, 14, 15]],
+            [8, 4, 4.243706446373756e-05, 5.767081055185343e-05, [2, 3, 6, 7]],
+        ]
 
 
 class TestGapReportRendering:
