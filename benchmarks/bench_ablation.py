@@ -1,4 +1,5 @@
-"""E10 — ablations on the design choices DESIGN.md calls out.
+"""E10 — ablations on the design choices PAPER.md calls out ("The
+algorithms" and "Deviations from the printed paper").
 
 Three knobs, each isolated on the simulator:
 

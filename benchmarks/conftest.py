@@ -1,7 +1,8 @@
 """Shared infrastructure for the paper-reproduction benches.
 
-Every bench regenerates one paper artifact (table or figure; see DESIGN.md
-section 4 for the experiment index) and
+Every bench regenerates one paper artifact (a table or figure of the
+sections PAPER.md summarizes; where this reproduction departs from the
+printed text is listed there under "Deviations from the printed paper") and
 
 * writes the regenerated artifact to ``benchmarks/results/<name>.txt``,
 * asserts the *shape* of the paper's claim (who wins, growth exponents,

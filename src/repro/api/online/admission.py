@@ -20,7 +20,7 @@ Fairness is per tenant: each tenant owns a token bucket
 optional queue-depth cap, so one tenant's flood cannot starve the others
 of queue space.  All time is the caller's clock — simulated seconds in
 tests and load tests, scaled wall-clock in the daemon — the controller
-itself never reads a clock (``wallclock-discipline`` holds everywhere
+itself never reads a clock (``backend-discipline`` holds everywhere
 except the daemon loop).
 """
 

@@ -9,7 +9,7 @@ arrive in *wall-clock* time, maps wall gaps onto simulated arrival times
 the :class:`~repro.api.online.admission.AdmissionController`, and
 executes admitted batches on fresh :class:`~repro.api.cluster.Cluster`
 runs — emitting occupancy/latency/hit-rate telemetry as it goes.  It is
-the only module allowlisted by the ``wallclock-discipline`` lint rule;
+the one serving-layer module allowlisted by the ``backend-discipline`` lint rule;
 the clock is injectable precisely so every test drives the daemon in
 virtual time too.
 

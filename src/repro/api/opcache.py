@@ -9,7 +9,7 @@ and are handed back for free while they remain valid.
 
 A cache entry is a :class:`~repro.dist.distmatrix.StagedCopy` keyed by
 
-    ``(source uid, source generation, target grid, layout fingerprint)``
+    ``(source uid, source generation, target grid, layout)``
 
 so the three staleness axes are structural:
 
@@ -45,18 +45,13 @@ from repro.dist.distmatrix import DistMatrix, StagedCopy
 from repro.dist.layout import Layout
 from repro.machine.cost import Cost
 
-#: (source uid, source generation, target grid, layout fingerprint)
+#: (source uid, source generation, target grid, layout)
 CacheKey = tuple
 
 
 def cache_key(source: DistMatrix, grid, layout: Layout) -> CacheKey:
-    """The identity a staged copy is filed under.
-
-    The layout is keyed by its full attribute fingerprint rather than its
-    ``__eq__`` key — exact where a layout subclass under-reports its
-    parameters in ``_key()``.
-    """
-    return (source.uid, source.generation, grid, layout._fingerprint())
+    """The identity a staged copy is filed under."""
+    return (source.uid, source.generation, grid, layout)
 
 
 class OperandCache:

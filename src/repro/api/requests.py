@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.api.opcache import cache_key
 from repro.dist.distmatrix import DistMatrix
-from repro.dist.layout import CyclicLayout, Layout
+from repro.dist.layout import CyclicLayout, Layout, RowCyclicColBlockedLayout
 from repro.dist.redistribute import staging_plan
 from repro.machine.cost import Cost, CostParams
 from repro.machine.topology import ProcessorGrid
@@ -127,13 +127,11 @@ def _plan_3d(
     """The It-Inv-TRSM placement on ``p1 x p1 x p2``: the ``n x n``
     ``(name, operand)`` factors cyclic on the ``z = 0`` plane, then the
     right-hand side (if any) row-cyclic / column-blocked on ``y = 0``."""
-    from repro.trsm.iterative import _RowCyclicColBlocked
-
     work = grid.reshape((c.p1, c.p1, c.p2))
     front = work.plane(2, 0)
     placements = [_on(name, M, front, (n, n)) for name, M in factors]
     if B is not None:
-        layout = _RowCyclicColBlocked(c.p1, c.p2)
+        layout = RowCyclicColBlockedLayout(c.p1, c.p2)
         placements.append(_on("B", B, work.plane(1, 0), (n, k), layout))
     return _Plan(algorithm, c, work, tuple(placements))
 

@@ -2,9 +2,11 @@
 
 The data-distribution substrate every algorithm layer builds on:
 
-* :mod:`repro.dist.layout` — index maps (:class:`CyclicLayout`,
-  :class:`BlockedLayout`, :class:`BlockCyclicLayout`) describing which
-  global rows/columns each grid coordinate owns;
+* :mod:`repro.dist.layout` — the one home of index arithmetic: a
+  :class:`Layout` is a pair of per-axis :class:`AxisMap` rules describing
+  which global rows/columns each grid coordinate owns, built by the
+  constructors :func:`CyclicLayout`, :func:`BlockedLayout`,
+  :func:`BlockCyclicLayout` and :func:`RowCyclicColBlockedLayout`;
 * :mod:`repro.dist.distmatrix` — :class:`DistMatrix`, the container
   coupling a machine, a 2D grid, a layout and per-rank blocks, with a
   stable ``(uid, generation)`` identity; :class:`StagedCopy`, the
@@ -24,10 +26,12 @@ The data-distribution substrate every algorithm layer builds on:
 
 from repro.dist.distmatrix import DistMatrix, StagedCopy
 from repro.dist.layout import (
+    AxisMap,
     BlockCyclicLayout,
     BlockedLayout,
     CyclicLayout,
     Layout,
+    RowCyclicColBlockedLayout,
     expected_local_words,
 )
 from repro.dist.redistribute import (
@@ -58,10 +62,12 @@ from repro.dist.triangular import (
 )
 
 __all__ = [
+    "AxisMap",
     "Layout",
     "CyclicLayout",
     "BlockedLayout",
     "BlockCyclicLayout",
+    "RowCyclicColBlockedLayout",
     "expected_local_words",
     "DistMatrix",
     "StagedCopy",

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.dist.layout import Layout, expected_local_words
+from repro.dist.layout import Layout
 from repro.machine.validate import GridError, ShapeError, require
 
 if TYPE_CHECKING:
@@ -199,10 +199,6 @@ class DistMatrix:
             self.shape,
             {r: b.copy() for r, b in self.blocks.items()},
         )
-
-    def words_per_rank(self) -> int:
-        """Largest per-rank block size — the redistribution ``n_per_rank``."""
-        return expected_local_words(self.layout, self.shape)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,31 +1,39 @@
 """Data layouts: how a global matrix maps onto a 2D processor grid.
 
-A :class:`Layout` is a pure index map — it owns no data and no ranks.  For a
-``pr x pc`` grid it answers "which global rows/columns does grid coordinate
-``(x, y)`` hold?".  The paper's Section II-B layouts are all here:
+This module is the one place that knows which index lives on which grid
+coordinate.  The paper states every distribution *per axis* (Section II-B),
+and so does the code:
 
-* :class:`CyclicLayout` — the paper's default.  Processor ``(x, y)`` owns
-  ``L[x, y](i, j) = L(i*pr + x, j*pc + y)``: rows congruent to ``x`` mod
-  ``pr`` and columns congruent to ``y`` mod ``pc``;
-* :class:`BlockedLayout` — ``pr x pc`` contiguous tiles, raggedness
-  front-loaded (the first ``m mod pr`` row tiles get one extra row);
-* :class:`BlockCyclicLayout` — cyclic over *physical blocks* of ``br x bc``
-  elements; ``br = bc = 1`` degenerates to the cyclic layout, and
-  ``br = ceil(m/pr)`` makes each processor's rows one contiguous run.
+* an :class:`AxisMap` is a 1-D rule dealing the indices of one matrix axis
+  to the ``p`` coordinates of one grid axis — cyclic over physical blocks
+  of ``block`` indices (``block = 1`` is the paper's element-cyclic
+  ``L[x, y](i, j) = L(i*pr + x, j*pc + y)``), or ``blocked`` (``p``
+  balanced contiguous runs, raggedness front-loaded);
+* a :class:`Layout` is a pair of axis maps, ``(rows, cols)``.  It owns no
+  data and no ranks; for a ``pr x pc`` grid it answers "which global
+  rows/columns does grid coordinate ``(x, y)`` hold?".
 
-Layouts are cheap immutable value objects (equality by parameters), shared
-freely between :class:`~repro.dist.distmatrix.DistMatrix` instances.  Index
-arrays are always ascending, and the per-coordinate index sets partition the
-global index space exactly — the property test in ``tests/test_layout.py``
-enforces this for every layout class.
+Both are immutable named tuples: equality and hash *are* the fields (and
+run at C speed — the layout sits under the routing-plan LRU key, looked
+up ~10^5 times per packing pass), so two spellings of one distribution
+are one layout (``BlockCyclicLayout(pr, pc, 1, 1) == CyclicLayout(pr,
+pc)``) and every cache in the tree (the index maps here, the routing-plan
+LRU, the operand cache) keys on the layout itself.  The named layouts are
+constructors: :func:`CyclicLayout`, :func:`BlockedLayout`,
+:func:`BlockCyclicLayout` and :func:`RowCyclicColBlockedLayout` (Section
+VI-B's layout for ``B``).
+The set of distributions is closed: a new one is a new axis-map kind
+here, not a subclass elsewhere (a subclass would compare and hash equal
+to its base and so share its cache entries).
 
-Index maps are **memoized** per ``(layout, axis, size)`` in a module-level
-cache (layouts hash by their parameters, so equal spellings share entries).
-Each cache entry holds three read-only arrays per axis:
+Index maps are **memoized** per ``(axis map, size)`` in a module-level
+cache, so the two axes of a layout and different layouts sharing an axis
+rule share entries.  Each entry holds three read-only arrays:
 
-* the per-coordinate ascending index arrays (what :meth:`Layout.row_indices`
-  returns),
-* the *owner* vector ``owners[g] = coordinate that owns global index g``, and
+* the per-coordinate ascending index arrays (what
+  :meth:`Layout.row_indices` returns) — together they partition the
+  global index space exactly, which the builder checks;
+* the *owner* vector ``owners[g] = coordinate that owns global index g``;
 * the *position* vector ``pos[g] = offset of g within its owner's list``.
 
 The owner/position maps are what :mod:`repro.dist.routing` intersects to
@@ -33,23 +41,24 @@ derive exact per-(sender, receiver) message plans, and the cache is why the
 recursion hot loops (which re-derive the same maps at every level) stop
 rebuilding O(p*m) index arrays per call once the maps are warm —
 ``tests/test_routing.py`` guards that repeats add no cache entries.
-Cache keys fingerprint the layout's full attribute dict (not just
-``_key()``), so a subclass that adds parameters without overriding
-``_key()`` can never be served another instance's maps.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.machine.validate import ShapeError, require
 from repro.util.mathutil import split_indices
 
-#: (layout fingerprint, axis, size) -> (per-coord index arrays, owners, positions).
-_AXIS_CACHE: dict[tuple, tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]] = {}
+_AxisMaps = tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]
 
-#: (layout fingerprint, shape) -> largest per-rank block size in words.
-_WORDS_CACHE: dict[tuple, int] = {}
+#: (axis map, size) -> (per-coord index arrays, owners, positions).
+_AXIS_CACHE: dict[tuple["AxisMap", int], _AxisMaps] = {}
+
+#: (layout, m, n) -> largest per-rank block size in words.
+_WORDS_CACHE: dict[tuple["Layout", int, int], int] = {}
 
 #: Entry bound per cache: long sweeps over many distinct (layout, size)
 #: pairs evict oldest-first instead of growing without limit.  Far above
@@ -65,7 +74,7 @@ def _cache_put(cache: dict, key: tuple, value: object) -> None:
 
 
 def axis_cache_size() -> int:
-    """Number of memoized (layout, axis, size) index maps.
+    """Number of memoized (axis map, size) index maps.
 
     Exposed so tests can assert that repeated transitions over the same
     layouts reuse the cached maps instead of growing the cache.
@@ -80,69 +89,42 @@ def clear_layout_caches() -> None:
     _WORDS_CACHE.clear()
 
 
-class Layout:
-    """Base class: a 2D index map over a ``pr x pc`` grid.
+class AxisMap(NamedTuple("AxisMap", [("p", int), ("block", int), ("blocked", bool)])):
+    """One axis of a layout: ``p`` grid coordinates sharing an index range.
 
-    Subclasses implement ``_rows(x, m)`` and ``_cols(y, n)`` returning the
-    ascending global indices owned by grid row ``x`` / grid column ``y``.
-    Everything else (extraction, placement, window queries, local shapes)
-    derives from those two maps, so a new layout is ~10 lines of code.
+    Cyclic over physical blocks by default — index ``i`` belongs to
+    coordinate ``(i // block) mod p`` — or, with ``blocked``, ``p``
+    contiguous runs whose lengths differ by at most one (the first
+    ``size mod p`` runs get the extra index).
     """
 
-    def __init__(self, pr: int, pc: int) -> None:
+    __slots__ = ()
+
+    def __new__(cls, p: int, block: int = 1, blocked: bool = False) -> "AxisMap":
         require(
-            int(pr) >= 1 and int(pc) >= 1,
+            p >= 1 and block >= 1 and not (blocked and block != 1),
             ShapeError,
-            f"layout grid factors must be >= 1, got ({pr}, {pc})",
+            f"an axis map needs p >= 1 coordinates and a physical block >= 1 "
+            f"(1 when blocked), got p={p}, block={block}",
         )
-        self.pr = int(pr)
-        self.pc = int(pc)
+        return super().__new__(cls, int(p), int(block), bool(blocked))
 
-    # -- the two subclass hooks ---------------------------------------------
+    def _owned(self, c: int, size: int) -> np.ndarray:
+        """Ascending indices of ``range(size)`` dealt to coordinate ``c``."""
+        if self.blocked:
+            return np.arange(*split_indices(size, self.p)[c])
+        i = np.arange(size)
+        return i[(i // self.block) % self.p == c]
 
-    def _rows(self, x: int, m: int) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _cols(self, y: int, n: int) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    # -- cached index maps --------------------------------------------------
-
-    def _fingerprint(self) -> tuple:
-        """Cache identity: the concrete type plus *every* attribute.
-
-        Deliberately stronger than ``_key()``: a subclass that adds
-        parameters but forgets to override ``_key()`` only mis-answers
-        equality, it must never be served another instance's cached maps.
-        Covers ``__slots__``-declared attributes as well as ``__dict__``.
-        Memoized per instance (layouts are immutable) — the serve hot
-        path fingerprints the same layout objects thousands of times.
-        """
-        memo = self.__dict__.get("_fingerprint_memo")
-        if memo is not None:
-            return memo
-        state = dict(self.__dict__)
-        state.pop("_fingerprint_memo", None)
-        for klass in type(self).__mro__:
-            for name in getattr(klass, "__slots__", ()):
-                if hasattr(self, name):
-                    state[name] = getattr(self, name)
-        memo = (type(self).__qualname__, tuple(sorted(state.items())))
-        self.__dict__["_fingerprint_memo"] = memo
-        return memo
-
-    def _axis_maps(
-        self, axis: int, size: int
-    ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-        """Memoized ``(index arrays, owners, positions)`` for one axis."""
-        key = (self._fingerprint(), axis, int(size))
+    def maps(self, size: int) -> _AxisMaps:
+        """Memoized ``(index arrays, owners, positions)`` over ``size`` indices."""
+        key = (self, int(size))
         hit = _AXIS_CACHE.get(key)
         if hit is not None:
             return hit
         size = int(size)
-        build, count = (self._rows, self.pr) if axis == 0 else (self._cols, self.pc)
         index = tuple(
-            np.ascontiguousarray(build(c, size), dtype=np.int64) for c in range(count)
+            np.ascontiguousarray(self._owned(c, size), dtype=np.int64) for c in range(self.p)
         )
         owners = np.full(size, -1, dtype=np.int64)
         pos = np.zeros(size, dtype=np.int64)
@@ -150,10 +132,9 @@ class Layout:
             owners[idx] = c
             pos[idx] = np.arange(len(idx), dtype=np.int64)
         require(
-            sum(len(a) for a in index) == size
-            and (size == 0 or int(owners.min()) >= 0),
+            sum(len(a) for a in index) == size and (size == 0 or int(owners.min()) >= 0),
             ShapeError,
-            f"{self!r} does not partition axis {axis} of size {size}",
+            f"{self!r} does not partition an axis of size {size}",
         )
         for arr in (*index, owners, pos):
             arr.setflags(write=False)
@@ -161,31 +142,56 @@ class Layout:
         _cache_put(_AXIS_CACHE, key, hit)
         return hit
 
-    # -- public index maps --------------------------------------------------
+    def indices(self, c: int, size: int) -> np.ndarray:
+        """Ascending global indices owned by coordinate ``c`` (of ``size``).
+
+        The returned array is cached and read-only; copy before mutating.
+        """
+        require(
+            0 <= int(c) < self.p,
+            ShapeError,
+            f"grid coordinate {c} out of range for an axis of {self.p}",
+        )
+        return self.maps(size)[0][int(c)]
+
+
+class Layout(NamedTuple):
+    """A 2D index map over a ``pr x pc`` grid: one :class:`AxisMap` per axis.
+
+    Everything (extraction, placement, window queries, local shapes)
+    derives from the two axis maps.  Layouts are cheap immutable values,
+    shared freely between :class:`~repro.dist.distmatrix.DistMatrix`
+    instances and used directly as cache keys.
+    """
+
+    rows: AxisMap
+    cols: AxisMap
+
+    @property
+    def pr(self) -> int:
+        """Grid rows this layout deals matrix rows to."""
+        return self.rows.p
+
+    @property
+    def pc(self) -> int:
+        """Grid columns this layout deals matrix columns to."""
+        return self.cols.p
+
+    # -- index maps ---------------------------------------------------------
 
     def row_indices(self, x: int, m: int) -> np.ndarray:
         """Ascending global row indices owned by grid row ``x`` (of ``m``).
 
         The returned array is cached and read-only; copy before mutating.
         """
-        require(
-            0 <= int(x) < self.pr,
-            ShapeError,
-            f"grid row {x} out of range for pr={self.pr}",
-        )
-        return self._axis_maps(0, m)[0][int(x)]
+        return self.rows.indices(x, m)
 
     def col_indices(self, y: int, n: int) -> np.ndarray:
         """Ascending global column indices owned by grid column ``y``.
 
         The returned array is cached and read-only; copy before mutating.
         """
-        require(
-            0 <= int(y) < self.pc,
-            ShapeError,
-            f"grid column {y} out of range for pc={self.pc}",
-        )
-        return self._axis_maps(1, n)[0][int(y)]
+        return self.cols.indices(y, n)
 
     def row_owner_map(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """``(owners, positions)`` over all ``m`` global rows (cached).
@@ -194,24 +200,22 @@ class Layout:
         ``positions[g]`` its offset inside that coordinate's local block —
         the two vectors exact routing intersects.
         """
-        _, owners, pos = self._axis_maps(0, m)
-        return owners, pos
+        return self.rows.maps(m)[1:]
 
     def col_owner_map(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Column counterpart of :meth:`row_owner_map` (cached)."""
-        _, owners, pos = self._axis_maps(1, n)
-        return owners, pos
+        return self.cols.maps(n)[1:]
 
-    def local_rows_in(self, x: int, m: int, lo: int, hi: int) -> np.ndarray:
-        """Positions *within the local row list* whose global row is in
-        the half-open window ``[lo, hi)`` — the block-row selector every
-        iteration of It-Inv-TRSM needs.
+    def local_rows_in(self, x: int, m: int, lo: int, hi: int) -> slice:
+        """The interval of grid row ``x``'s *local* rows whose global row
+        is in the half-open window ``[lo, hi)`` — the block-row selector
+        It-Inv-TRSM reads its owned blocks with.
 
-        The cached index arrays are ascending, so the window is an
-        *interval view*: two binary searches bound it, no O(m) scan."""
-        rows = self.row_indices(x, m)
-        i0, i1 = np.searchsorted(rows, (lo, hi))
-        return np.arange(i0, i1)
+        The cached index arrays ascend, so the window is a slice (indexing
+        a block with it is a view): two binary searches bound it, no O(m)
+        scan."""
+        i0, i1 = np.searchsorted(self.row_indices(x, m), (lo, hi))
+        return slice(int(i0), int(i1))
 
     # -- data movement helpers ----------------------------------------------
 
@@ -242,95 +246,44 @@ class Layout:
         out[np.ix_(rows, cols)] = block
 
     def transposed(self) -> "Layout":
-        """The layout of the transposed matrix on the transposed grid."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not define a transposed layout"
-        )
-
-    # -- value semantics ----------------------------------------------------
-
-    def _key(self) -> tuple:
-        return (type(self).__name__, self.pr, self.pc)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Layout) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(pr={self.pr}, pc={self.pc})"
+        """The layout of the transposed matrix on the transposed grid: the
+        axis swap, so its owner maps pair with this one's by construction."""
+        return Layout(self.cols, self.rows)
 
 
-class CyclicLayout(Layout):
-    """Element-cyclic: ``(x, y)`` owns ``L(i*pr + x, j*pc + y)``."""
-
-    def _rows(self, x: int, m: int) -> np.ndarray:
-        return np.arange(x, m, self.pr)
-
-    def _cols(self, y: int, n: int) -> np.ndarray:
-        return np.arange(y, n, self.pc)
-
-    def transposed(self) -> "CyclicLayout":
-        return CyclicLayout(self.pc, self.pr)
+def CyclicLayout(pr: int, pc: int) -> Layout:
+    """Element-cyclic, the paper's default: ``(x, y)`` owns
+    ``L(i*pr + x, j*pc + y)`` — rows congruent to ``x`` mod ``pr``,
+    columns congruent to ``y`` mod ``pc``."""
+    return Layout(AxisMap(pr), AxisMap(pc))
 
 
-class BlockedLayout(Layout):
-    """Contiguous tiles, raggedness front-loaded (first tiles one larger)."""
-
-    def _rows(self, x: int, m: int) -> np.ndarray:
-        lo, hi = split_indices(m, self.pr)[x]
-        return np.arange(lo, hi)
-
-    def _cols(self, y: int, n: int) -> np.ndarray:
-        lo, hi = split_indices(n, self.pc)[y]
-        return np.arange(lo, hi)
-
-    def transposed(self) -> "BlockedLayout":
-        return BlockedLayout(self.pc, self.pr)
+def BlockedLayout(pr: int, pc: int) -> Layout:
+    """``pr x pc`` contiguous tiles, raggedness front-loaded (the first
+    ``m mod pr`` row tiles get one extra row)."""
+    return Layout(AxisMap(pr, blocked=True), AxisMap(pc, blocked=True))
 
 
-class BlockCyclicLayout(Layout):
+def BlockCyclicLayout(pr: int, pc: int, br: int = 1, bc: int = 1) -> Layout:
     """Cyclic over physical ``br x bc`` blocks: ``(x, y)`` owns row ``i``
     iff ``(i // br) mod pr == x`` (columns analogously with ``bc``/``pc``).
 
-    ``br = bc = 1`` is exactly :class:`CyclicLayout`; ``br >= ceil(m/pr)``
-    gives each grid row one contiguous run of rows (ceil-chunked blocked).
+    ``br = bc = 1`` *is* :func:`CyclicLayout` (equal by value);
+    ``br >= ceil(m/pr)`` gives each grid row one contiguous run of rows
+    (ceil-chunked blocked).
     """
+    return Layout(AxisMap(pr, br), AxisMap(pc, bc))
 
-    def __init__(self, pr: int, pc: int, br: int = 1, bc: int = 1) -> None:
-        super().__init__(pr, pc)
-        require(
-            int(br) >= 1 and int(bc) >= 1,
-            ShapeError,
-            f"physical block sizes must be >= 1, got ({br}, {bc})",
-        )
-        self.br = int(br)
-        self.bc = int(bc)
 
-    def _rows(self, x: int, m: int) -> np.ndarray:
-        if self.br == 1:
-            return np.arange(x, m, self.pr)
-        i = np.arange(m)
-        return i[(i // self.br) % self.pr == x]
+def RowCyclicColBlockedLayout(pr: int, pc: int, b: int = 1) -> Layout:
+    """Rows block-cyclic over ``pr`` with physical block size ``b``,
+    columns in ``pc`` contiguous slabs.
 
-    def _cols(self, y: int, n: int) -> np.ndarray:
-        if self.bc == 1:
-            return np.arange(y, n, self.pc)
-        j = np.arange(n)
-        return j[(j // self.bc) % self.pc == y]
-
-    def transposed(self) -> "BlockCyclicLayout":
-        return BlockCyclicLayout(self.pc, self.pr, br=self.bc, bc=self.br)
-
-    def _key(self) -> tuple:
-        return (type(self).__name__, self.pr, self.pc, self.br, self.bc)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BlockCyclicLayout(pr={self.pr}, pc={self.pc}, "
-            f"br={self.br}, bc={self.bc})"
-        )
+    The paper's layout for ``B`` on the ``(x, z)`` plane — Section VI-B's
+    Require clause, "a blocked layout with a physical block size of
+    ``b x k/p2``".  ``b = 1`` (the default everywhere) is element-cyclic.
+    """
+    return Layout(AxisMap(pr, b), AxisMap(pc, blocked=True))
 
 
 def expected_local_words(layout: Layout, shape: tuple[int, int]) -> int:
@@ -341,7 +294,7 @@ def expected_local_words(layout: Layout, shape: tuple[int, int]) -> int:
     storage a :class:`DistMatrix` registers.  Memoized per (layout, shape).
     """
     m, n = int(shape[0]), int(shape[1])
-    key = (layout._fingerprint(), m, n)
+    key = (layout, m, n)
     words = _WORDS_CACHE.get(key)
     if words is None:
         row_owners, _ = layout.row_owner_map(m)

@@ -11,9 +11,9 @@ directly between ranks instead of being assembled through a
 
 * :func:`redistribute` — move a matrix to another grid and/or layout;
 * :func:`change_layout` — same-grid layout change (a redistribution);
-* :func:`transpose_matrix` — distributed transpose.  On a square grid with
-  pairable block shapes this is the paper's pairwise block exchange
-  (``S = 1``); otherwise it falls back to the exact general route;
+* :func:`transpose_matrix` — distributed transpose.  On a square grid
+  this is the paper's pairwise block exchange (``S = 1``); a rectangular
+  grid takes the exact general route;
 * :func:`extract_submatrix` / :func:`embed_submatrix` — the recursion
   primitives.  Aligned windows are free (every word stays on its rank);
   misaligned windows charge exactly the words that cross ranks;
@@ -77,17 +77,11 @@ def redistribute(
     The charge comes from the per-pair plan: ``S`` is the largest number of
     point-to-point partners any rank has, ``W`` the largest per-rank word
     count sent or received.  A transition between identical index maps
-    (including degenerate spellings of the same distribution) moves nothing,
-    charges nothing, and returns ``D`` itself.
+    moves nothing, charges nothing, and returns ``D`` itself.
     """
     plan = routing_plan(End.of(D), End(grid, layout, D.shape), D.shape)
-    if plan.is_free() and grid == D.grid and layout == D.layout:
-        # No word crossed a rank boundary and both sides are spelled the
-        # same: nothing to rebuild.  A free plan under a *different*
-        # spelling of the same distribution (e.g. unit-block block-cyclic
-        # -> cyclic) still charges nothing but falls through, so the
-        # result carries the layout the caller asked for.
-        return D
+    if grid == D.grid and layout == D.layout:
+        return D  # same ranks, same index maps: nothing to rebuild
     blocks = _route(D.machine, plan, D.blocks, label)
     return DistMatrix(D.machine, grid, layout, D.shape, blocks)
 
@@ -95,21 +89,6 @@ def redistribute(
 def change_layout(D: DistMatrix, layout: Layout, label: str = "change_layout") -> DistMatrix:
     """Re-lay ``D`` on its own grid (e.g. cyclic -> blocked)."""
     return redistribute(D, D.grid, layout, label=label)
-
-
-def _pairable(D: DistMatrix, layout: Layout) -> bool:
-    """True iff the square-grid pairwise exchange realizes the transpose.
-
-    The exchange sets the block at ``(x, y)`` to the transpose of the
-    source block at ``(y, x)``, which is the true transposed matrix iff
-    the transposed layout's row map over ``n`` *is* the source's column
-    map (and vice versa) — compared on the cached owner maps, which is
-    exact where a shape comparison would be strictly weaker (a layout
-    with equal-sized but shifted index sets must fall back)."""
-    m, n = D.shape
-    return np.array_equal(
-        layout.row_owner_map(n)[0], D.layout.col_owner_map(n)[0]
-    ) and np.array_equal(layout.col_owner_map(m)[0], D.layout.row_owner_map(m)[0])
 
 
 def transpose_matrix(D: DistMatrix, label: str = "transpose") -> DistMatrix:
@@ -120,24 +99,17 @@ def transpose_matrix(D: DistMatrix, label: str = "transpose") -> DistMatrix:
     critical path — the paper's square-grid transpose in MM line 4);
     diagonal blocks transpose in place for free.  The pair's payloads can
     differ for a rectangular matrix (``m != n`` makes the two blocks
-    different shapes), so each exchange is charged at the larger direction,
-    and block shapes are validated up front: layouts whose transposed
-    blocks don't pair — and rectangular grids, which have no pairing at
-    all — take the exact general route instead.
+    different shapes), so each exchange is charged at the larger direction.
+    The transposed layout is the axis swap, so the blocks pair by
+    construction; a rectangular grid has no pairing at all and takes the
+    exact general route instead.
     """
     machine = D.machine
     grid = D.grid
     pr, pc = grid.shape
     m, n = D.shape
 
-    try:
-        layout = D.layout.transposed()
-    except NotImplementedError:
-        layout = None
-    if layout is not None and (layout.pr, layout.pc) != grid.shape:
-        layout = None
-
-    if pr == pc and layout is not None and _pairable(D, layout):
+    if pr == pc:
         # Pairwise exchange: rank (x, y)'s new block is the transpose of the
         # source block at (y, x); sendrecv charges the larger payload of
         # each off-diagonal pair, diagonal blocks transpose locally (free).
@@ -155,18 +127,17 @@ def transpose_matrix(D: DistMatrix, label: str = "transpose") -> DistMatrix:
                 )
                 blocks[grid.rank((x, y))] = D.local((y, x)).T.copy()
                 blocks[grid.rank((y, x))] = D.local((x, y)).T.copy()
-        return DistMatrix(machine, grid, layout, (n, m), blocks)
+        return DistMatrix(machine, grid, D.layout.transposed(), (n, m), blocks)
 
-    # No pairing: route the transposed view exactly (the result keeps the
-    # source layout, as the rectangular-grid fallback always did).
-    result_layout = layout if layout is not None else D.layout
+    # No pairing: route the transposed view exactly (the transposed layout
+    # is for a pc x pr grid, so the result keeps the source layout).
     plan = routing_plan(
         End(grid, D.layout, (m, n), transpose=True),
-        End(grid, result_layout, (n, m)),
+        End(grid, D.layout, (n, m)),
         (n, m),
     )
     blocks = _route(machine, plan, D.blocks, label)
-    return DistMatrix(machine, grid, result_layout, (n, m), blocks)
+    return DistMatrix(machine, grid, D.layout, (n, m), blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -246,14 +246,12 @@ class End:
 
         Two ends with equal fingerprints produce identical owner maps,
         rank matrices and therefore identical plans — the contract the
-        :func:`routing_plan` LRU cache is keyed on.  The layout part is
-        the full attribute fingerprint (see :meth:`Layout._fingerprint`),
-        so a layout subclass can never alias another's plans.
+        :func:`routing_plan` LRU cache is keyed on.
         """
         return (
             self.grid.shape,
             self.grid.rank_array.tobytes(),
-            self.layout._fingerprint(),
+            self.layout,
             self.full_shape,
             self.offset,
             self.transpose,

@@ -9,12 +9,19 @@ counts the cost models charge for triangular and block-diagonal operands
 2-tuple ``.shape`` — a numpy array or a
 :class:`~repro.dist.distmatrix.DistMatrix` — so algorithm entry points
 validate distributed and global operands with the same call.
+``require_lower_triangular`` and ``require_nonsingular_triangular`` take
+either too: on a ``DistMatrix`` every rank checks the entries of its own
+block against their global indices, so the precondition costs no
+``to_global()`` assembly.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
+from repro.dist.distmatrix import DistMatrix
 from repro.machine.validate import ShapeError, require
 
 
@@ -43,28 +50,59 @@ def is_lower_triangular(A: np.ndarray, tol: float = 0.0) -> bool:
     return bool(upper.size == 0 or np.max(np.abs(upper)) <= tol)
 
 
-def require_lower_triangular(A: np.ndarray, name: str = "matrix", tol: float = 0.0) -> None:
-    """Raise :class:`ShapeError` unless ``A`` is lower triangular."""
+def _owned_blocks(A: DistMatrix) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(block, global rows, global columns)`` for each rank of ``A``."""
+    m, n = A.shape
+    ranks = A.grid.rank_array
+    for x, y in A.grid.coords():
+        block = A.blocks[int(ranks[x, y])]
+        yield block, A.layout.row_indices(x, m), A.layout.col_indices(y, n)
+
+
+def require_lower_triangular(
+    A: np.ndarray | DistMatrix, name: str = "matrix", tol: float = 0.0
+) -> None:
+    """Raise :class:`ShapeError` unless ``A`` is lower triangular.
+
+    On a ``DistMatrix`` each owned block is checked in place: its entries
+    whose global row is above their global column must be ``<= tol``.
+    """
+    if isinstance(A, DistMatrix):
+        ok = all(
+            float(np.abs(block[rows[:, None] < cols]).max(initial=0.0)) <= tol
+            for block, rows, cols in _owned_blocks(A)
+        )
+    else:
+        ok = is_lower_triangular(A, tol=tol)
     require(
-        is_lower_triangular(A, tol=tol),
+        ok,
         ShapeError,
         f"{name} must be lower triangular (strict upper part exceeds tol={tol})",
     )
 
 
-def require_nonsingular_triangular(A: np.ndarray, name: str = "matrix") -> None:
+def require_nonsingular_triangular(A: np.ndarray | DistMatrix, name: str = "matrix") -> None:
     """Raise :class:`ShapeError` if any diagonal entry of ``A`` is zero.
 
     A triangular matrix is singular exactly when its diagonal has a zero;
     this is the cheap a-priori check every solve performs before starting
-    to move data.
+    to move data.  On a ``DistMatrix`` each rank inspects the global
+    diagonal entries its own block holds; the error names the first
+    (global) singular index either way.
     """
-    d = np.abs(np.diag(np.asarray(A)))
+    if isinstance(A, DistMatrix):
+        singular: list[int] = []
+        for block, rows, cols in _owned_blocks(A):
+            diag, ri, ci = np.intersect1d(rows, cols, assume_unique=True, return_indices=True)
+            singular.extend(diag[~(np.abs(block[ri, ci]) > 0.0)].tolist())
+        first = min(singular, default=None)
+    else:
+        d = np.abs(np.diag(np.asarray(A)))
+        first = None if bool(np.all(d > 0.0)) else int(np.argmin(d))
     require(
-        bool(np.all(d > 0.0)),
+        first is None,
         ShapeError,
-        f"{name} is singular: zero on the diagonal at index "
-        f"{int(np.argmin(d))}",
+        f"{name} is singular: zero on the diagonal at index {first}",
     )
 
 

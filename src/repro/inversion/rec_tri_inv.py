@@ -81,9 +81,8 @@ def rec_tri_inv(
     machine = L.machine
     n = require_square(L, "L")
     if _depth == 0:
-        G = L.to_global()
-        require_lower_triangular(G, "L")
-        require_nonsingular_triangular(G, "L")
+        require_lower_triangular(L, "L")
+        require_nonsingular_triangular(L, "L")
 
     grid = L.grid
     require(

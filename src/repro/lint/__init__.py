@@ -11,7 +11,7 @@ at lint time:
   required), ``[tool.replint]`` configuration and rule dispatch;
 * :mod:`repro.lint.rules` — the rule catalogue (no-global-gather,
   charge-soundness, slots-required, rng-discipline, int32-accumulation,
-  wallclock-discipline, backend-discipline).
+  backend-discipline).
 """
 
 from repro.lint.engine import (

@@ -113,12 +113,9 @@ class LintConfig:
     int32_modules: tuple[str, ...] = ("repro.dist", "repro.machine")
     #: modules whose dataclasses must declare slots=True
     slots_modules: tuple[str, ...] = ("repro.sched", "repro.api", "repro.dist")
-    #: virtual-time-only modules: wall-clock reads are banned
-    #: (wallclock-discipline; the online daemon is allowlisted)
-    wallclock_modules: tuple[str, ...] = ("repro.sched", "repro.dist", "repro.api")
     #: modules that must read wall time through repro.backend: time.*
     #: reads are banned there (backend-discipline; repro.backend and
-    #: repro.machine are exempt)
+    #: repro.machine are exempt, the online daemon is allowlisted)
     backend_modules: tuple[str, ...] = ("repro",)
     #: path substrings skipped during collection (fixtures are linted by
     #: their golden tests, not by the repo-wide run)
@@ -307,7 +304,6 @@ def load_config(pyproject: Path | None) -> LintConfig:
         ("charge-modules", "charge_modules"),
         ("int32-modules", "int32_modules"),
         ("slots-modules", "slots_modules"),
-        ("wallclock-modules", "wallclock_modules"),
         ("backend-modules", "backend_modules"),
         ("exclude", "exclude"),
     ):

@@ -1,4 +1,4 @@
-"""The replint rule catalogue: seven invariants of the cost model, as AST checks.
+"""The replint rule catalogue: six invariants of the cost model, as AST checks.
 
 Every rule proves (a conservative approximation of) a property the
 reproduction's exactness depends on:
@@ -22,15 +22,14 @@ reproduction's exactness depends on:
   need an explicit ``dtype``; the int32 word-count overflow class is
   guarded dynamically at plan construction, and this keeps new reduction
   sites from reintroducing it.
-* ``wallclock-discipline`` — the scheduler/dist layers run in *virtual*
-  time (the alpha-beta-gamma clock the paper's model defines); a
-  ``time.time()``/``time.monotonic()`` read there couples schedules to
-  the host and breaks replay determinism.  Only the online daemon — the
-  bridge from live arrivals to the simulated machine — is allowlisted.
 * ``backend-discipline`` — wall time is the backend's capability
   (``Backend.timer``): outside ``repro.backend``/``repro.machine`` no
-  library code, in any layer, reads the host clock.  The daemon bridge
-  and the selfcheck stopwatch are allowlisted in pyproject.
+  library code, in any layer, reads the host clock.  The scheduler, dist
+  and api layers run in *virtual* time (the alpha-beta-gamma clock the
+  paper's model defines), where a ``time.time()``/``time.monotonic()``
+  read couples schedules to the host and breaks replay determinism.  The
+  online daemon — the bridge from live arrivals to the simulated machine
+  — and the selfcheck stopwatch are allowlisted in pyproject.
 
 Rules are project-level: each receives the full :class:`~repro.lint.engine.Project`
 so cross-file checks (the charge-soundness call-graph walk) and per-file
@@ -374,11 +373,12 @@ def check_int32_accumulation(project: Project, config: LintConfig) -> list[Findi
 
 
 # ---------------------------------------------------------------------------
-# wallclock-discipline / backend-discipline
+# backend-discipline
 
 
 def _clock_reads(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
-    """Every host-clock read in ``tree`` as ``(node, description)``.
+    """Every host-clock read in ``tree`` as ``(node, description)`` — what
+    ``backend-discipline`` flags.
 
     ``time.<fn>`` attribute access (calls *and* bare references —
     ``clock=time.monotonic`` smuggles the wall clock just as well) and
@@ -399,26 +399,6 @@ def _clock_reads(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
             yield node, f"wall-clock read `time.{node.attr}`"
 
 
-def check_wallclock_discipline(project: Project, config: LintConfig) -> list[Finding]:
-    """Virtual-time layers must never read the host clock."""
-    out: list[Finding] = []
-    for src in project.in_modules(config.wallclock_modules):
-        quals = _qualnames(src.tree)
-        for node, what in _clock_reads(src.tree):
-            out.append(
-                _finding(
-                    "wallclock-discipline",
-                    src,
-                    node,
-                    f"{what}: virtual-time layers schedule on the modeled "
-                    "alpha-beta-gamma clock only (inject a clock if one is "
-                    "genuinely needed)",
-                    quals[node],
-                )
-            )
-    return out
-
-
 #: modules backend-discipline never patrols: the backend package (it owns
 #: the real clock) and the machine layer (the simulated clock it reads)
 BACKEND_EXEMPT = ("repro.backend", "repro.machine")
@@ -427,15 +407,14 @@ BACKEND_EXEMPT = ("repro.backend", "repro.machine")
 def check_backend_discipline(project: Project, config: LintConfig) -> list[Finding]:
     """Wall time is read through :mod:`repro.backend`, nowhere else.
 
-    The same reads wallclock-discipline flags, but over the *whole*
-    ``repro`` tree: wall time is the backend's capability
-    (``Backend.timer``), not ambient authority.
+    Every :func:`_clock_reads` hit over the *whole* ``repro`` tree: wall
+    time is the backend's capability (``Backend.timer``), not ambient
+    authority, and the virtual-time layers schedule on the modeled clock
+    only (inject a clock if one is genuinely needed).
     """
     out: list[Finding] = []
     for src in project.in_modules(config.backend_modules):
-        # wallclock-discipline already owns clock reads in its modules;
-        # re-flagging them here would double-report every finding.
-        if module_matches(src.module, BACKEND_EXEMPT + config.wallclock_modules):
+        if module_matches(src.module, BACKEND_EXEMPT):
             continue
         quals = _qualnames(src.tree)
         for node, what in _clock_reads(src.tree):
@@ -482,11 +461,6 @@ RULES: dict[str, Rule] = {
             "int32-accumulation",
             "integer reductions in routing-adjacent code need an explicit dtype",
             check_int32_accumulation,
-        ),
-        Rule(
-            "wallclock-discipline",
-            "virtual-time layers (sched/dist/api) must not read the wall clock",
-            check_wallclock_discipline,
         ),
         Rule(
             "backend-discipline",

@@ -166,12 +166,6 @@ class Machine:
         if rank_costs:
             self._record(label, len(rank_costs), worst)
 
-    def charge_uniform_flops(
-        self, group: Sequence[int], flops: float, label: str = ""
-    ) -> None:
-        """Charge the same flop count to every rank in ``group`` (no sync)."""
-        self.charge(group, Cost(0.0, 0.0, flops), label=label, sync=False)
-
     def barrier(self, group: Sequence[int] | None = None) -> None:
         """Synchronize a group (default: all ranks) without charging."""
         if group is None:

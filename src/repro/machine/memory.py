@@ -10,10 +10,11 @@ the per-rank footprint.  This tracker quantifies it.
 Two accounting styles are supported:
 
 * ``alloc``/``free`` — explicit lifetime tracking for long-lived buffers
-  (distributed-matrix blocks register themselves on construction);
-* ``observe`` — declaring an instantaneous working set (algorithms call it
-  at their peak-usage points, e.g. right after assembling replicated
-  operands).
+  (no caller in ``src/`` today);
+* ``observe`` — declaring an instantaneous working set: distributed-matrix
+  blocks observe their words on construction, and algorithms call it at
+  their peak-usage points, e.g. right after assembling replicated
+  operands.
 
 ``peak_words()`` reports the largest per-rank high water across both.
 """

@@ -84,12 +84,6 @@ class ProcessorGrid:
         """Iterate over all coordinates in C order."""
         return iter(np.ndindex(*self.shape))
 
-    def coord_of(self, rank: int) -> tuple[int, ...]:
-        """Inverse of :meth:`rank` (linear scan; for tests and debugging)."""
-        hits = np.argwhere(self._ranks == rank)
-        require(len(hits) == 1, GridError, f"rank {rank} not in grid")
-        return tuple(int(c) for c in hits[0])
-
     def __contains__(self, rank: int) -> bool:
         return bool(np.any(self._ranks == rank))
 
@@ -125,10 +119,6 @@ class ProcessorGrid:
         )
         return ProcessorGrid(self._ranks.reshape(shape))
 
-    def transpose(self, axes: Sequence[int]) -> "ProcessorGrid":
-        """Permute grid axes (no data movement; a relabelling of coordinates)."""
-        return ProcessorGrid(np.transpose(self._ranks, tuple(axes)))
-
     def split_axis(self, axis: int, inner: int) -> "ProcessorGrid":
         """Re-embed ``axis`` (size ``inner * outer``) as two axes.
 
@@ -149,19 +139,6 @@ class ProcessorGrid:
         # C-order reshape above yields (outer, inner); swap to (inner, outer).
         arr = np.swapaxes(arr, axis, axis + 1)
         return ProcessorGrid(arr)
-
-    def merge_axes(self, axis: int) -> "ProcessorGrid":
-        """Inverse of :meth:`split_axis`: fold axes ``(axis, axis+1)`` back.
-
-        Combined index is ``idx = inner_idx + inner * outer_idx`` where
-        ``axis`` is the inner axis.
-        """
-        require(axis + 1 < self.ndim, GridError, "merge_axes needs two axes")
-        arr = np.swapaxes(self._ranks, axis, axis + 1)
-        inner = self.shape[axis]
-        outer = self.shape[axis + 1]
-        new_shape = self.shape[:axis] + (inner * outer,) + self.shape[axis + 2 :]
-        return ProcessorGrid(arr.reshape(new_shape))
 
     def subgrid(self, *index: slice | int) -> "ProcessorGrid":
         """Slice the grid; integer indices drop axes like numpy indexing."""
@@ -204,19 +181,3 @@ class ProcessorGrid:
             ProcessorGrid(self._ranks[tuple(idx_lo)]),
             ProcessorGrid(self._ranks[tuple(idx_hi)]),
         )
-
-    def tiles(self, axis: int, parts: int) -> list["ProcessorGrid"]:
-        """Split the grid into ``parts`` equal tiles along ``axis``."""
-        size = self.shape[axis]
-        require(
-            parts >= 1 and size % parts == 0,
-            GridError,
-            f"axis of size {size} cannot tile into {parts} parts",
-        )
-        step = size // parts
-        out = []
-        for t in range(parts):
-            idx: list[object] = [slice(None)] * self.ndim
-            idx[axis] = slice(t * step, (t + 1) * step)
-            out.append(ProcessorGrid(self._ranks[tuple(idx)]))
-        return out

@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dist.distmatrix import DistMatrix
+from repro.dist.layout import CyclicLayout
 from repro.dist.routing import End, gather_frame, scatter_frame
 from repro.machine.collectives import allgather_blocks, reduce_scatter
 from repro.machine.cost import Cost
@@ -65,11 +66,9 @@ def _validate(A: DistMatrix, X: DistMatrix, p1: int) -> tuple[int, int, int]:
         ShapeError,
         f"inner dimensions disagree: A is {A.shape}, X is {X.shape}",
     )
-    from repro.dist.layout import CyclicLayout
-
     for M, name in ((A, "A"), (X, "X")):
         require(
-            isinstance(M.layout, CyclicLayout),
+            M.layout == CyclicLayout(sp, sp),
             ShapeError,
             f"mm3d requires {name} in a cyclic layout, got {M.layout!r}",
         )
@@ -90,8 +89,11 @@ def mm3d(A: DistMatrix, X: DistMatrix, p1: int, scale: float = 1.0) -> DistMatri
     m, n = A.shape
     _, k = X.shape
 
+    # Section III line 1: Pi4D(x1, x2, y1, y2) = Pi2D(x1 + p1*x2, y1 + p1*y2)
+    ranks4d = grid.split_axis(0, p1).split_axis(2, p1).rank_array
+
     def r4(x1: int, x2: int, y1: int, y2: int) -> int:
-        return grid.rank((x1 + p1 * x2, y1 + p1 * y2))
+        return int(ranks4d[x1, x2, y1, y2])
 
     # ---- line 2: allgather A'[x1,y1] over the (x2,y2) fibers ----------------
     A_rows = [np.arange(x1, m, p1) for x1 in range(p1)]

@@ -11,7 +11,8 @@ Two families:
 ``latency_improvement`` evaluates the headline ``Theta((n/k)^{1/6} p^{2/3})``
 ratio.
 
-Deviations from the printed text (both documented in DESIGN.md):
+Deviations from the printed text (both listed in PAPER.md, "Deviations
+from the printed paper"):
 
 * the paper's printed ``W_Upd`` bcast term ``4(n n0 - n)/p1^2`` is a typo
   for the summed panel broadcasts ``sum_i 4 (n - i n0) n0 / p1^2 ~=

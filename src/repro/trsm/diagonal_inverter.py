@@ -6,7 +6,7 @@ parallel.  The subgrids partition the whole machine: with ``p`` processors
 and ``n/n0`` blocks each subgrid has ``q = p*n0/n`` processors (the paper's
 ``r1 x r1 x r2`` with ``r1^2 r2 = q``; we use the largest square
 ``s_b x s_b <= q`` that :func:`repro.inversion.rec_tri_inv` accepts, see
-DESIGN.md §2 on grid substitutions).
+PAPER.md, "Deviations from the printed paper").
 
 Data movement matches the paper's lines 6/9/16/17: the block pieces move
 from the owning 2D plane to the inversion subgrid and back.  Each direction
@@ -75,9 +75,10 @@ def diagonal_inverter(
     result = DistMatrix.zeros(machine, L.grid, L.layout, (n, n))
     for b in range(nb):
         lo, hi = b * n0, (b + 1) * n0
+        # Never short of side^2 ranks: with nb <= p the last block starts at
+        # (nb-1)*chunk and side^2 <= chunk, so it ends by nb*chunk <= p; with
+        # nb > p, chunk = side = 1 and the start wraps one rank at a time.
         ranks = pool[(b * chunk) % p_pool :][: side * side]
-        if len(ranks) < side * side:  # wrap-around tail: reuse leading ranks
-            ranks = (pool * 2)[(b * chunk) % p_pool :][: side * side]
         subgrid = ProcessorGrid(
             np.asarray(ranks, dtype=np.int64).reshape(side, side)
         )

@@ -13,14 +13,18 @@ replaced by **matrix multiplications with the pre-inverted blocks**:
   and reduce **only the next block row** ``S_{i+1}`` over the ``y`` fibers
   (deferring the rest is what keeps every word reduced exactly once).
 
-Distribution conventions (all index arithmetic is cyclic over ``p1`` rows):
+Distribution conventions (the Require clause :func:`it_inv_trsm` checks;
+which index belongs to which class is :mod:`repro.dist.layout`'s business
+— the kernel only slices blocks a rank owns):
 
 * ``L`` lives on the ``z = 0`` plane, ``L`` pieces at ``(x, y, 0)`` hold
-  rows ``= x (mod p1)``, columns ``= y (mod p1)``;
-* ``B`` enters on the ``y = 0`` plane at ``(x, 0, z)`` holding rows
-  ``= x (mod p1)`` and the ``z``-th contiguous column slab (``k/p2``
+  the rows of class ``x`` and the columns of class ``y`` (``= x``,
+  ``= y (mod p1)`` in the paper's element-cyclic case);
+* ``B`` enters on the ``y = 0`` plane at ``(x, 0, z)`` holding the rows of
+  class ``x`` and the ``z``-th contiguous column slab (``k/p2``
   columns), and is replicated across ``y`` in a setup broadcast (the
-  paper's line-2 broadcast, extended to all of ``B``; see DESIGN.md);
+  paper's line-2 broadcast, extended to all of ``B``; see PAPER.md,
+  "Deviations from the printed paper");
 * the inverted diagonal pieces are replicated along ``z`` and transposed
   across ``(x, y)`` once in setup, which carries the ``n0^2/p1^2 * 1_{p2}``
   per-iteration term of the paper's ``W_Solve`` as a one-off charge of the
@@ -36,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dist.distmatrix import DistMatrix
-from repro.dist.layout import BlockCyclicLayout, BlockedLayout, CyclicLayout, Layout
+from repro.dist.layout import BlockCyclicLayout, RowCyclicColBlockedLayout
 from repro.dist.triangular import (
     require_lower_triangular,
     require_nonsingular_triangular,
@@ -48,40 +52,6 @@ from repro.machine.machine import Machine
 from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import GridError, ParameterError, ShapeError, require
 from repro.trsm.diagonal_inverter import diagonal_inverter
-from repro.util.mathutil import split_indices
-
-
-class _RowCyclicColBlocked(Layout):
-    """Rows block-cyclic over ``pr`` with physical block size ``b``,
-    columns in ``pc`` contiguous slabs.
-
-    This is the paper's layout for ``B`` on the ``(x, z)`` plane — the
-    Require clause's "blocked layout with a physical block size of
-    ``b x k/p2``".  ``b = 1`` (the default everywhere) is element-cyclic.
-    The index maps are the shared ``dist.layout`` machinery: rows from a
-    one-axis :class:`BlockCyclicLayout`, columns from a one-axis
-    :class:`BlockedLayout`.
-    """
-
-    def __init__(self, pr: int, pc: int, b: int = 1):
-        if b < 1:
-            raise ValueError(f"row block size must be >= 1, got {b}")
-        super().__init__(pr, pc)
-        self.b = int(b)
-        self._row_map = BlockCyclicLayout(pr, 1, br=self.b)
-        self._col_map = BlockedLayout(1, pc)
-
-    def _rows(self, x: int, m: int) -> np.ndarray:
-        return self._row_map.row_indices(x, m)
-
-    def _cols(self, y: int, n: int) -> np.ndarray:
-        return self._col_map.col_indices(y, n)
-
-    def _key(self) -> tuple:
-        return ("_RowCyclicColBlocked", self.pr, self.pc, self.b)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"_RowCyclicColBlocked(pr={self.pr}, pc={self.pc}, b={self.b})"
 
 
 def it_inv_trsm(
@@ -95,81 +65,89 @@ def it_inv_trsm(
 ) -> DistMatrix:
     """Solve ``L X = B`` with selective diagonal-block inversion.
 
-    ``grid3d`` must be ``p1 x p1 x p2``; ``L`` cyclic on its ``z = 0``
-    plane; ``B`` on its ``y = 0`` plane in the row-cyclic/column-blocked
-    layout.  ``n0`` must divide ``n``.  Returns ``X`` distributed like
-    ``B``.
+    The Require clause (Section VI-B) is checked, not assumed: ``grid3d``
+    is ``p1 x p1 x p2``; ``L`` lives on its ``z = 0`` plane and ``B`` on
+    its ``y = 0`` plane; ``L``'s row map, ``L``'s column map and ``B``'s
+    row map are one and the same :class:`~repro.dist.layout.AxisMap` (the
+    paper's case is ``b``-block-cyclic over ``p1``, but any partition of
+    the rows into ``p1`` classes is valid as long as the three coincide).
+    ``n0`` must divide ``n``.  Returns ``X`` distributed like ``B``.
 
     ``Ltilde`` may supply pre-inverted diagonal blocks from a previous
     solve against the same ``L`` (see :class:`~repro.trsm.prepared.
     PreparedTrsm`), skipping the inversion phase entirely — the paper's
-    Section II-C3 amortization across repeated solves.
+    Section II-C3 amortization across repeated solves.  It must be
+    distributed like ``L``.
     """
     require(grid3d.ndim == 3, GridError, f"need a 3D grid, got {grid3d.shape}")
-    p1a, p1b, p2 = grid3d.shape
+    p1, p1b, p2 = grid3d.shape
     require(
-        p1a == p1b,
+        p1 == p1b,
         GridError,
         f"grid must be p1 x p1 x p2, got {grid3d.shape}",
     )
-    p1 = p1a
     n = require_square(L, "L")
     require(B.shape[0] == n, ShapeError, "B row count must match L")
     require(n % n0 == 0 and n0 >= 1, ParameterError, f"n0={n0} must divide n={n}")
-    k = B.shape[1]
     nb = n // n0
-    col_slabs = split_indices(k, p2)
-
-    # replint: disable=no-global-gather -- triangularity precondition check, not a data path; never charged by design
-    Lg_check = L.to_global()
-    require_lower_triangular(Lg_check, "L")
-    require_nonsingular_triangular(Lg_check, "L")
+    require(L.grid == grid3d.plane(2, 0), GridError, "L must live on the z = 0 plane of the grid")
+    require(B.grid == grid3d.plane(1, 0), GridError, "B must live on the y = 0 plane of the grid")
+    require(
+        L.layout.rows == L.layout.cols == B.layout.rows,
+        ShapeError,
+        f"L's row and column classes must both be B's row classes, "
+        f"got L in {L.layout!r} and B in {B.layout!r}",
+    )
+    require(
+        Ltilde is None or (Ltilde.grid, Ltilde.layout, Ltilde.shape) == (L.grid, L.layout, L.shape),
+        ShapeError,
+        "Ltilde must be distributed like L",
+    )
+    require_lower_triangular(L, "L")
+    require_nonsingular_triangular(L, "L")
 
     # ---------------- phase: inversion (Diagonal-Inverter) -------------------
     if Ltilde is None:
         with machine.phase("inversion"):
             Ltilde = diagonal_inverter(L, n0, pool=grid3d.ranks(), base_n=base_n)
 
-    # Local views of the global operands (assembled from owned blocks only).
-    Lg = L.to_global()  # replint: disable=no-global-gather -- simulator-local scratch view; each rank only reads the slices it owns
-    Dg = Ltilde.to_global()  # replint: disable=no-global-gather -- same scratch view for the inverted diagonal blocks
+    rank = grid3d.rank_array.tolist()  # rank[x][y][z], plain ints
 
-    # Row-ownership classes.  The algorithm is valid for any partition of
-    # the rows into p1 classes as long as L's column classes and B's row
-    # classes coincide, so the partition comes straight from B's layout
-    # (the paper's Require clause is the b-block-cyclic special case).
-    rows_of = [B.layout.row_indices(c, n) for c in range(p1)]
+    # Every operand read below is a slice of a block the reading rank
+    # holds: blk[c][i] is the interval of class c's local rows (equally,
+    # local columns of L) inside block row S_i, tail[c][i] the local rows
+    # of T_{i+1}, i.e. everything below S_i.
+    blk = [
+        [B.layout.local_rows_in(c, n, i * n0, (i + 1) * n0) for i in range(nb)]
+        for c in range(p1)
+    ]
+    tail = [[slice(s.stop, None) for s in blk[c]] for c in range(p1)]
 
     # ---------------- phase: setup (replications) ----------------------------
-    # B: broadcast each (x, z) block along its y fiber; afterwards every
-    # (x, y, z) holds a private running copy of B(rows = x, slab z).
-    Brep: dict[tuple[int, int, int], np.ndarray] = {}
+    # B: broadcast each (x, z) block along its y fiber.  The running panel
+    # B(rows = x, slab z) is identical along that fiber from here on (every
+    # update subtracts one allreduced array from it), so it is held once
+    # per (x, z) — the convention bcast/allreduce themselves follow.
+    Bpanel: dict[tuple[int, int], np.ndarray] = {}
     with machine.phase("setup"):
         for x in range(p1):
             for z in range(p2):
                 fiber = grid3d.fiber(1, (x, 0, z))
-                root = grid3d.rank((x, 0, z))
-                block = B.blocks[root]
-                got = bcast(machine, fiber, root, block, label="itinv.setup_bcastB")
-                for y in range(p1):
-                    Brep[(x, y, z)] = got[grid3d.rank((x, y, z))].copy()
+                root = rank[x][0][z]
+                got = bcast(machine, fiber, root, B.blocks[root], label="itinv.setup_bcastB")
+                Bpanel[(x, z)] = got[root].copy()
 
     # Diagonal-inverse pieces: replicate along z, then transpose (x, y).
-    # After this, (x, y, z) holds piece_T[b] = Dinv_b[rows = y, cols = x].
-    # The paper charges this replication inside the per-iteration solve MMs
-    # (the n0^2/p1^2 * 1_{p2} term of W_Solve); we realize the same total
-    # volume once up front, attributed to the "solve" phase accordingly.
+    # After this, (x, y, z) holds piece_T[b] = Dinv_b[rows = y, cols = x],
+    # the piece rank (y, x, 0) owns.  The paper charges this replication
+    # inside the per-iteration solve MMs (the n0^2/p1^2 * 1_{p2} term of
+    # W_Solve); we realize the same total volume once up front, attributed
+    # to the "solve" phase accordingly.
     piecesT: dict[tuple[int, int], list[np.ndarray]] = {}
     for x in range(p1):
         for y in range(p1):
-            piece = [
-                Dg[np.ix_(
-                    rows_of[y][(rows_of[y] >= b * n0) & (rows_of[y] < (b + 1) * n0)],
-                    rows_of[x][(rows_of[x] >= b * n0) & (rows_of[x] < (b + 1) * n0)],
-                )]
-                for b in range(nb)
-            ]
-            piecesT[(x, y)] = piece
+            owned = Ltilde.blocks[rank[y][x][0]]
+            piecesT[(x, y)] = [owned[blk[y][b], blk[x][b]] for b in range(nb)]
     with machine.phase("solve"):
         for x in range(p1):
             for y in range(p1):
@@ -183,8 +161,8 @@ def it_inv_trsm(
                     )
                 if x != y:
                     for z in range(p2):
-                        a = grid3d.rank((x, y, z))
-                        bb = grid3d.rank((y, x, z))
+                        a = rank[x][y][z]
+                        bb = rank[y][x][z]
                         if a < bb:
                             w = float(sum(pc.size for pc in piecesT[(x, y)]))
                             machine.charge(
@@ -194,72 +172,53 @@ def it_inv_trsm(
                             )
 
     # Working set per rank: the replicated B copy, the update accumulator,
-    # the X pieces and the transposed diagonal-inverse pieces.
+    # the X pieces and the transposed diagonal-inverse pieces.  Acc holds
+    # the per-rank accumulators for the deferred updates (the paper's B_y).
+    Acc: dict[int, np.ndarray] = {}
     for x in range(p1):
         for y in range(p1):
             piece_words = float(sum(pc.size for pc in piecesT[(x, y)]))
             for z in range(p2):
-                machine.memory.observe(
-                    grid3d.rank((x, y, z)),
-                    3.0 * Brep[(x, y, z)].size + piece_words,
-                )
-
-    # Per-rank accumulators for the deferred updates (the paper's B_y).
-    Acc: dict[tuple[int, int, int], np.ndarray] = {
-        (x, y, z): np.zeros_like(Brep[(x, y, z)])
-        for x in range(p1)
-        for y in range(p1)
-        for z in range(p2)
-    }
-    # X output pieces: (x, y, z) accumulates X(rows = y, slab z).
-    Xrep: dict[tuple[int, int, int], np.ndarray] = {
-        (x, y, z): np.zeros((len(rows_of[y]), col_slabs[z][1] - col_slabs[z][0]))
-        for x in range(p1)
-        for y in range(p1)
-        for z in range(p2)
-    }
+                r = rank[x][y][z]
+                machine.memory.observe(r, 3.0 * Bpanel[(x, z)].size + piece_words)
+                Acc[r] = np.zeros_like(Bpanel[(x, z)])
+    # X output panels: the y fiber's allreduce leaves X(rows = y, slab z)
+    # on every (x, y, z), so it is held once per (y, z).
+    Xpanel = {yz: np.zeros_like(panel) for yz, panel in Bpanel.items()}
 
     for i in range(nb):
-        lo, hi = i * n0, (i + 1) * n0
-
         # ---------------- phase: solve (lines 4-5) ---------------------------
         with machine.phase("solve"):
-            partials: dict[tuple[int, int, int], np.ndarray] = {}
+            partials: dict[int, np.ndarray] = {}
             flops: dict[int, Cost] = {}
             for x in range(p1):
                 for y in range(p1):
+                    piece = piecesT[(x, y)][i]  # Dinv_i[rows=y, cols=x]
                     for z in range(p2):
-                        sel_x = (rows_of[x] >= lo) & (rows_of[x] < hi)
-                        piece = piecesT[(x, y)][i]  # Dinv_i[rows=y, cols=x]
-                        bpart = Brep[(x, y, z)][sel_x, :]
-                        partials[(x, y, z)] = piece @ bpart
-                        flops[grid3d.rank((x, y, z))] = Cost(
+                        r = rank[x][y][z]
+                        bpart = Bpanel[(x, z)][blk[x][i]]
+                        partials[r] = piece @ bpart
+                        flops[r] = Cost(
                             0.0, 0.0, float(piece.shape[0]) * piece.shape[1] * bpart.shape[1]
                         )
             machine.charge_local(flops, label="itinv.solve_local")
             for y in range(p1):
                 for z in range(p2):
                     fiber = grid3d.fiber(0, (0, y, z))
-                    contribs = {
-                        grid3d.rank((x, y, z)): partials[(x, y, z)] for x in range(p1)
-                    }
+                    contribs = {r: partials[r] for r in fiber}
                     summed = allreduce(machine, fiber, contribs, label="itinv.solve_allreduce")
-                    sel_y = (rows_of[y] >= lo) & (rows_of[y] < hi)
-                    for x in range(p1):
-                        Xrep[(x, y, z)][sel_y, :] = summed[grid3d.rank((x, y, z))]
+                    Xpanel[(y, z)][blk[y][i]] = summed[fiber[0]]
 
         if i + 1 >= nb:
             break
 
         # ---------------- phase: update (lines 6-9) ---------------------------
         with machine.phase("update"):
-            nlo, nhi = (i + 1) * n0, (i + 2) * n0
             upd_flops: dict[int, Cost] = {}
             for x in range(p1):
                 for y in range(p1):
-                    sel_rx = rows_of[x] >= hi  # T_{i+1} rows owned by x
-                    sel_cy = (rows_of[y] >= lo) & (rows_of[y] < hi)
-                    panel = Lg[np.ix_(rows_of[x][sel_rx], rows_of[y][sel_cy])]
+                    # L(T_{i+1} rows of x, S_i columns of y), read in place
+                    panel = L.blocks[rank[x][y][0]][tail[x][i], blk[y][i]]
                     if p2 > 1:
                         fiber = grid3d.fiber(2, (x, y, 0))
                         machine.charge(
@@ -268,10 +227,10 @@ def it_inv_trsm(
                             label="itinv.update_bcast_panel",
                         )
                     for z in range(p2):
-                        xs = Xrep[(x, y, z)][(rows_of[y] >= lo) & (rows_of[y] < hi), :]
-                        contrib = panel @ xs
-                        Acc[(x, y, z)][sel_rx, :] += contrib
-                        upd_flops[grid3d.rank((x, y, z))] = Cost(
+                        r = rank[x][y][z]
+                        xs = Xpanel[(y, z)][blk[y][i]]
+                        Acc[r][tail[x][i]] += panel @ xs
+                        upd_flops[r] = Cost(
                             0.0,
                             0.0,
                             float(panel.shape[0]) * panel.shape[1] * xs.shape[1],
@@ -280,43 +239,32 @@ def it_inv_trsm(
             for x in range(p1):
                 for z in range(p2):
                     fiber = grid3d.fiber(1, (x, 0, z))
-                    sel_next = (rows_of[x] >= nlo) & (rows_of[x] < nhi)
-                    contribs = {
-                        grid3d.rank((x, y, z)): Acc[(x, y, z)][sel_next, :]
-                        for y in range(p1)
-                    }
+                    contribs = {r: Acc[r][blk[x][i + 1]] for r in fiber}
                     summed = allreduce(machine, fiber, contribs, label="itinv.update_allreduce")
-                    for y in range(p1):
-                        Brep[(x, y, z)][sel_next, :] -= summed[grid3d.rank((x, y, z))]
+                    Bpanel[(x, z)][blk[x][i + 1]] -= summed[fiber[0]]
 
     # ---------------- final transpose back to the B layout --------------------
     with machine.phase("setup"):
         for z in range(p2):
             for x in range(p1):
                 for y in range(x, p1):
-                    a = grid3d.rank((x, y, z))
-                    bb = grid3d.rank((y, x, z))
+                    a = rank[x][y][z]
+                    bb = rank[y][x][z]
                     if a != bb:
                         sendrecv(
                             machine,
                             a,
                             bb,
-                            Xrep[(x, y, z)],
-                            Xrep[(y, x, z)],
+                            Xpanel[(y, z)],
+                            Xpanel[(x, z)],
                             label="itinv.final_transpose",
                         )
 
-    # After the exchange, rank (x, 0, z) holds the array produced at
-    # (0, x, z), i.e. X(row class x, column slab z) — exactly B's layout,
-    # whatever row partition it prescribed (rows_of came from it).
-    out_grid = grid3d.plane(1, 0)  # the (x, z) plane, shape p1 x p2
-    layout = B.layout
-    blocks = {
-        out_grid.rank((x, z)): Xrep[(0, x, z)]
-        for x in range(p1)
-        for z in range(p2)
-    }
-    return DistMatrix(machine, out_grid, layout, (n, k), blocks)
+    # After the exchange, rank (x, 0, z) holds the panel produced at
+    # (0, x, z), i.e. X(row class x, column slab z) — exactly B's layout
+    # on B's grid, whatever row partition it prescribed.
+    blocks = {B.grid.rank(xz): panel for xz, panel in Xpanel.items()}
+    return DistMatrix(machine, B.grid, B.layout, B.shape, blocks)
 
 
 def it_inv_trsm_global(
@@ -347,17 +295,13 @@ def it_inv_trsm_global(
         GridError,
         f"grid3d has shape {grid3d.shape}, parameters say ({p1}, {p1}, {p2})",
     )
-    plane_L = grid3d.plane(2, 0)
-    plane_B = grid3d.plane(1, 0)
-    L_layout = (
-        CyclicLayout(p1, p1)
-        if row_block == 1
-        else BlockCyclicLayout(p1, p1, br=row_block, bc=row_block)
-    )
     L = DistMatrix.from_global(
-        machine, plane_L, L_layout, np.asarray(L_global, dtype=np.float64)
+        machine,
+        grid3d.plane(2, 0),
+        BlockCyclicLayout(p1, p1, br=row_block, bc=row_block),
+        np.asarray(L_global, dtype=np.float64),
     )
     B = DistMatrix.from_global(
-        machine, plane_B, _RowCyclicColBlocked(p1, p2, b=row_block), B2
+        machine, grid3d.plane(1, 0), RowCyclicColBlockedLayout(p1, p2, b=row_block), B2
     )
     return it_inv_trsm(machine, grid3d, L, B, n0=n0, base_n=base_n)

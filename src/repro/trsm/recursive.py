@@ -81,9 +81,8 @@ def rec_trsm(
     )
     require(L.grid == B.grid, GridError, "L and B must share a grid")
     if _depth == 0:
-        G = L.to_global()
-        require_lower_triangular(G, "L")
-        require_nonsingular_triangular(G, "L")
+        require_lower_triangular(L, "L")
+        require_nonsingular_triangular(L, "L")
 
     pr, pc = L.grid.shape
     k = B.shape[1]

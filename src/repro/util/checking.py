@@ -1,6 +1,6 @@
 """Error metrics and flop-count conventions.
 
-Flop convention (documented in DESIGN.md §5): following the paper, one
+Flop convention (PAPER.md, "Deviations from the printed paper"): following the paper, one
 "flop" is one fused multiply-add, so a dense ``(n x n) @ (n x k)`` product
 costs ``n^2 k`` flops (the paper's ``F_MM``), a triangular-times-dense product
 costs half that, and triangular inversion of an ``n x n`` block costs

@@ -61,10 +61,6 @@ class TestAccess:
         C.blocks[0][:] = -1
         assert np.array_equal(D.to_global(), A)
 
-    def test_words_per_rank(self):
-        _, _, _, _, D = setup(pr=2, pc=2, m=5, n=5)
-        assert D.words_per_rank() == 9
-
 
 class TestValidation:
     def test_requires_2d_grid(self):

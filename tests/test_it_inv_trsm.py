@@ -6,11 +6,12 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import CostParams, Machine
-from repro.machine.validate import ParameterError, ShapeError
-from repro.trsm import it_inv_trsm_global
+from repro.machine import Cost, CostParams, Machine
+from repro.machine.validate import GridError, ParameterError, ShapeError
+from repro.trsm import it_inv_trsm, it_inv_trsm_global
 from repro.trsm.diagonal_inverter import diagonal_inverter, inversion_subgrid_side
-from repro.dist import CyclicLayout, DistMatrix
+from repro.dist import BlockedLayout, CyclicLayout, DistMatrix
+from repro.dist.layout import RowCyclicColBlockedLayout
 from repro.util.checking import relative_residual
 from repro.util.randmat import random_dense, random_lower_triangular
 
@@ -167,6 +168,48 @@ class TestIterativeSolver:
         n = nb * n0
         machine, L, B, X = solve(p1, p2, n, k, n0, seed=n * 10 + k)
         assert relative_residual(L, X.to_global(), B) < 1e-11
+
+
+class TestRequireClause:
+    """Section VI-B's Require clause is checked, not assumed: a misplaced
+    operand used to be read through a global scratch view and come back as
+    a correct solve with a *plausible* wrong critical path."""
+
+    def operands(self, L_plane=0, L_layout=None):
+        machine = Machine(8, params=UNIT)
+        grid3d = machine.grid(2, 2, 2)
+        Lg = random_lower_triangular(32, seed=0)
+        Bg = random_dense(32, 8, seed=1)
+        L = DistMatrix.from_global(
+            machine, grid3d.plane(2, L_plane), L_layout or CyclicLayout(2, 2), Lg
+        )
+        B = DistMatrix.from_global(
+            machine, grid3d.plane(1, 0), RowCyclicColBlockedLayout(2, 2), Bg
+        )
+        return machine, grid3d, L, B
+
+    def test_correct_placement_cost_is_pinned(self):
+        machine, grid3d, L, B = self.operands()
+        X = it_inv_trsm(machine, grid3d, L, B, n0=8, base_n=4)
+        assert relative_residual(L.to_global(), X.to_global(), B.to_global()) < 1e-12
+        assert machine.critical_path() == Cost(S=52.0, W=1312.0, F=1093.3333333333333)
+
+    def test_L_off_the_front_plane_is_refused(self):
+        machine, grid3d, L, B = self.operands(L_plane=1)
+        with pytest.raises(GridError):
+            it_inv_trsm(machine, grid3d, L, B, n0=8, base_n=4)
+        assert machine.time() == 0.0  # refused before anything was charged
+
+    def test_blocked_L_under_row_cyclic_B_is_refused(self):
+        machine, grid3d, L, B = self.operands(L_layout=BlockedLayout(2, 2))
+        with pytest.raises(ShapeError):
+            it_inv_trsm(machine, grid3d, L, B, n0=8, base_n=4)
+
+    def test_Ltilde_laid_out_unlike_L_is_refused(self):
+        machine, grid3d, L, B = self.operands()
+        Ltilde = DistMatrix.zeros(machine, L.grid, BlockedLayout(2, 2), L.shape)
+        with pytest.raises(ShapeError):
+            it_inv_trsm(machine, grid3d, L, B, n0=8, base_n=4, Ltilde=Ltilde)
 
 
 class TestLatencyBehaviour:

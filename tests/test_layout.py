@@ -97,6 +97,48 @@ class TestExtractPlace:
         assert expected_local_words(lay, (5, 5)) == 9  # ceil(5/2)^2
 
 
+@st.composite
+def layout_specs(draw):
+    """``(pr, pc, br, bc, blocked?)`` from a space small enough that two
+    draws often coincide, in value or only in effect."""
+    return (
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 3)),
+        draw(st.booleans()),
+    )
+
+
+def _layout_of(spec):
+    pr, pc, br, bc, blocked = spec
+    return BlockedLayout(pr, pc) if blocked else BlockCyclicLayout(pr, pc, br, bc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sa=layout_specs(), sb=layout_specs(), m=st.integers(0, 14), n=st.integers(0, 14))
+def test_layout_identity_is_its_axis_maps(sa, sb, m, n):
+    """One identity: ``==``, ``hash`` and the memoized index maps all follow
+    the two axis maps, so a cache keyed on a layout can neither alias two
+    distributions nor split one (``p = 1`` spellings may *deal* alike
+    while differing by value — the safe direction).  ``transposed()`` is
+    the axis swap, hence an involution that pairs rows with columns."""
+    a, b = _layout_of(sa), _layout_of(sb)
+    same_value = (a.rows, a.cols) == (b.rows, b.cols)
+    assert (a == b) == same_value == (hash(a) == hash(b))
+    same_maps = np.array_equal(
+        a.row_owner_map(m)[0], b.row_owner_map(m)[0]
+    ) and np.array_equal(a.col_owner_map(n)[0], b.col_owner_map(n)[0])
+    if a == b:
+        assert same_maps
+        assert all(a.row_indices(x, m) is b.row_indices(x, m) for x in range(a.pr))
+    if not same_maps:
+        assert a != b
+    t = a.transposed()
+    assert t.transposed() == a and (t.pr, t.pc) == (a.pc, a.pr)
+    assert all(t.row_indices(y, n) is a.col_indices(y, n) for y in range(a.pc))
+
+
 LAYOUTS = st.sampled_from(["cyclic", "blocked", "blockcyclic"])
 
 

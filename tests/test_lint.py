@@ -118,9 +118,9 @@ class TestWallclockDiscipline:
 
     def test_bad(self):
         assert lint_fixture("wallclock_bad.py") == [
-            ("wallclock-discipline", 5),
-            ("wallclock-discipline", 9),
-            ("wallclock-discipline", 13),
+            ("backend-discipline", 5),
+            ("backend-discipline", 9),
+            ("backend-discipline", 13),
         ]
 
     def test_daemon_is_allowlisted_not_exempt(self):
@@ -129,7 +129,7 @@ class TestWallclockDiscipline:
         config = load_config(ROOT / "pyproject.toml")
         daemon = ROOT / "src" / "repro" / "api" / "online" / "daemon.py"
         raw = lint_paths([str(daemon)], config=LintConfig(exclude=()))
-        assert any(f.rule == "wallclock-discipline" for f in raw)
+        assert any(f.rule == "backend-discipline" for f in raw)
         allowed = lint_paths([str(daemon)], config=config)
         assert [f.rule for f in allowed] == []
 
@@ -254,7 +254,6 @@ class TestEngine:
             "slots-required",
             "rng-discipline",
             "int32-accumulation",
-            "wallclock-discipline",
             "backend-discipline",
         }
 

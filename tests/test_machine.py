@@ -72,12 +72,6 @@ class TestCharging:
         assert m.time() == 9.0
         assert m.critical_path().F == 9
 
-    def test_charge_uniform_flops(self):
-        m = Machine(4, params=UNIT)
-        m.charge_uniform_flops([0, 1, 2, 3], 7.0)
-        assert m.time() == 7.0
-        assert m.max_counters().F == 7.0
-
     def test_barrier_aligns_clocks(self):
         m = Machine(2, params=UNIT)
         m.charge([0], Cost(9, 0, 0), sync=False)

@@ -62,7 +62,7 @@ class TestMM3DCorrectness:
 
     def test_result_layout_matches_x(self):
         machine, A, X, dB = run_mm3d(8, 8, 4, 2, 2)
-        assert isinstance(dB.layout, CyclicLayout)
+        assert dB.layout == CyclicLayout(4, 4)
         assert dB.shape == (8, 4)
 
     def test_requires_same_grid(self):

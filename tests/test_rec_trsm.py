@@ -46,7 +46,7 @@ class TestCorrectness:
     def test_result_layout_matches_b(self):
         machine, L, B, X = solve(4, (2, 2), 16, 8)
         assert X.shape == (16, 8)
-        assert isinstance(X.layout, CyclicLayout)
+        assert X.layout == CyclicLayout(2, 2)
 
     @pytest.mark.parametrize("n0", [1, 4, 16, 64])
     def test_cutoff_invariant(self, n0):

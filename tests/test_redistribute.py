@@ -61,7 +61,7 @@ class TestRedistribute:
         D = dist(m, g, A)
         D2 = change_layout(D, BlockedLayout(2, 2))
         assert np.array_equal(D2.to_global(), A)
-        assert isinstance(D2.layout, BlockedLayout)
+        assert D2.layout == BlockedLayout(2, 2)
 
 
 class TestTranspose:

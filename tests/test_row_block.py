@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dist.layout import RowCyclicColBlockedLayout
 from repro.machine import CostParams, Machine
+from repro.machine.validate import ShapeError
 from repro.trsm import it_inv_trsm_global
-from repro.trsm.iterative import _RowCyclicColBlocked
 from repro.util.checking import relative_residual
 from repro.util.randmat import random_dense, random_lower_triangular
 
@@ -16,25 +17,25 @@ UNIT = CostParams(alpha=1.0, beta=1.0, gamma=1.0, name="unit")
 
 class TestLayout:
     def test_b1_is_cyclic(self):
-        lay = _RowCyclicColBlocked(2, 2, b=1)
+        lay = RowCyclicColBlockedLayout(2, 2, b=1)
         assert np.array_equal(lay.row_indices(1, 8), [1, 3, 5, 7])
 
     def test_b2_blocks(self):
-        lay = _RowCyclicColBlocked(2, 2, b=2)
+        lay = RowCyclicColBlockedLayout(2, 2, b=2)
         assert np.array_equal(lay.row_indices(0, 8), [0, 1, 4, 5])
         assert np.array_equal(lay.row_indices(1, 8), [2, 3, 6, 7])
 
     def test_rows_partition(self):
-        lay = _RowCyclicColBlocked(3, 1, b=4)
+        lay = RowCyclicColBlockedLayout(3, 1, b=4)
         rows = np.concatenate([lay.row_indices(x, 25) for x in range(3)])
         assert sorted(rows.tolist()) == list(range(25))
 
     def test_invalid_block(self):
-        with pytest.raises(ValueError):
-            _RowCyclicColBlocked(2, 2, b=0)
+        with pytest.raises(ShapeError):
+            RowCyclicColBlockedLayout(2, 2, b=0)
 
     def test_equality_includes_block(self):
-        assert _RowCyclicColBlocked(2, 2, 1) != _RowCyclicColBlocked(2, 2, 2)
+        assert RowCyclicColBlockedLayout(2, 2, 1) != RowCyclicColBlockedLayout(2, 2, 2)
 
 
 class TestSolver:
@@ -53,7 +54,7 @@ class TestSolver:
         L = random_lower_triangular(16, seed=2)
         B = random_dense(16, 8, seed=3)
         X = it_inv_trsm_global(machine, L, B, p1=2, p2=1, n0=8, row_block=2)
-        assert getattr(X.layout, "b") == 2
+        assert X.layout.rows.block == 2
         assert np.allclose(X.to_global() @ np.eye(8), X.to_global())
 
     def test_communication_volume_insensitive_to_block_size(self):

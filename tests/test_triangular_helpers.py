@@ -39,6 +39,29 @@ class TestStructureChecks:
         with pytest.raises(ShapeError):
             require_nonsingular_triangular(L)
 
+    def test_distributed_operand_is_checked_block_by_block(self):
+        """A DistMatrix gets the same verdicts and messages as its global
+        matrix, from the entries each rank owns (no assembly)."""
+        from repro.dist import BlockedLayout, CyclicLayout, DistMatrix
+        from repro.machine import Machine
+
+        machine = Machine(4)
+        grid = machine.grid(2, 2)
+        L = np.tril(np.arange(1.0, 37.0).reshape(6, 6))
+        for layout in (CyclicLayout(2, 2), BlockedLayout(2, 2)):
+            D = DistMatrix.from_global(machine, grid, layout, L)
+            require_lower_triangular(D)
+            require_nonsingular_triangular(D)
+        bad = L.copy()
+        bad[1, 4] = 1e-12  # above the diagonal, off every rank's local diagonal
+        bad[5, 5] = bad[2, 2] = 0.0
+        D = DistMatrix.from_global(machine, grid, CyclicLayout(2, 2), bad)
+        with pytest.raises(ShapeError, match="lower triangular"):
+            require_lower_triangular(D, "L")
+        require_lower_triangular(D, "L", tol=1e-10)
+        with pytest.raises(ShapeError, match="L is singular.*at index 2$"):
+            require_nonsingular_triangular(D, "L")
+
     def test_require_square(self):
         assert require_square(np.zeros((5, 5))) == 5
         with pytest.raises(ShapeError):
