@@ -234,8 +234,6 @@ class Cluster:
         self,
         p: int,
         params: CostParams | None = None,
-        collectives: str = "butterfly",
-        trace: bool = False,
         cache: bool = True,
         policy: PackingPolicy | str | None = None,
         backend: Backend | str | None = None,
@@ -243,11 +241,9 @@ class Cluster:
         """Build a cluster of ``p`` ranks.
 
         ``params`` are the machine cost constants (default
-        :class:`CostParams`), ``collectives`` the collective cost strategy
-        (:mod:`repro.machine.collective_models`), ``trace`` records
-        per-charge ``TraceEvent``\\ s, ``cache=False`` disables staged-copy
-        reuse, ``policy`` names the packing rule and ``backend`` the
-        execution backend (``None``/``"sim"``, ``"mpi"``, or a
+        :class:`CostParams`), ``cache=False`` disables staged-copy reuse,
+        ``policy`` names the packing rule and ``backend`` the execution
+        backend (``None``/``"sim"``, ``"mpi"``, or a
         :class:`~repro.backend.Backend` instance).
         """
         require(
@@ -257,13 +253,7 @@ class Cluster:
         self.params = params or CostParams()
         #: the execution backend plans route through (repro.backend)
         self.backend = make_backend(backend)
-        self.machine = Machine(
-            self.p,
-            params=self.params,
-            trace=trace,
-            collectives=collectives,
-            backend=self.backend,
-        )
+        self.machine = Machine(self.p, params=self.params, backend=self.backend)
         #: the packing decision rule ("lpt", "backfill", "optimal",
         #: "horizon", or a PackingPolicy instance; see repro.sched.policies)
         self.policy = make_policy(policy)

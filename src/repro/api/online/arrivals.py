@@ -6,8 +6,7 @@ owns those generators — every one seeded and pure, so load tests and
 property suites are exactly reproducible:
 
 * :func:`poisson_arrivals` — the memoryless baseline (the process behind
-  :func:`repro.api.serve.poisson_stream` and
-  :func:`repro.api.serve.replay_prepared`; ``rate = 0`` is the burst);
+  :func:`repro.api.serve.poisson_stream`; ``rate = 0`` is the burst);
 * :func:`lognormal_arrivals` — heavy-tailed inter-arrivals: the same mean
   rate as Poisson but with bursts and lulls (coefficient of variation
   ``sqrt(exp(sigma^2) - 1)``), the "flash crowd" shape;

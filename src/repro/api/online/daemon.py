@@ -126,6 +126,16 @@ def _whole(msg: dict, name: str, default: int | None = None) -> int:
     return int(value)
 
 
+def _seconds(value: float | str) -> float:
+    """A time field as a float; a JSON integer too large for one (which
+    ``float()`` raises ``OverflowError`` on) reads as infinite, so the
+    finiteness check refuses it like ``1e999``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _line(obj: dict) -> str:
     """One compact JSON protocol line."""
     return json.dumps(obj, separators=(",", ":")) + "\n"
@@ -177,7 +187,7 @@ class ServeDaemon:
         """Process one protocol line; always returns a JSON-ready dict."""
         try:
             msg = json.loads(line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an int past the digit limit
             return {"ok": False, "error": f"bad JSON: {e}"}
         if not isinstance(msg, dict) or "op" not in msg:
             return {"ok": False, "error": 'expected {"op": ...}'}
@@ -227,9 +237,9 @@ class ServeDaemon:
         priority = _whole(msg, "priority", 0)
         tenant = str(msg.get("tenant", "default"))
         if msg.get("deadline") is not None:
-            deadline = float(msg["deadline"])
+            deadline = _seconds(msg["deadline"])
         elif msg.get("sla") is not None:
-            deadline = now + float(msg["sla"])
+            deadline = now + _seconds(msg["sla"])
         else:
             deadline = None
         require(

@@ -77,6 +77,14 @@ def _order_of(L, n0: int | None) -> int:
     return n
 
 
+def _rhs_cols(B, n: int) -> int:
+    """The column count ``k`` of a right-hand side ``B``, which must have
+    the ``n`` rows of ``L``."""
+    rows, k = _shape_of(B)
+    require(rows == n, ShapeError, f"B has {rows} rows, L is {n} x {n}")
+    return k
+
+
 def _operand_key(M):
     """The pricing identity of one operand.
 
@@ -273,7 +281,7 @@ class TrsmRequest(Request):
             f"unknown tune mode {self.tune!r}",
         )
         self.n = _order_of(self.L, self.n0)
-        self.k = _shape_of(self.B)[1]
+        self.k = _rhs_cols(self.B, self.n)
         self._choices = {}
 
     # -- scheduling hooks ---------------------------------------------------
@@ -515,13 +523,7 @@ class PreparedSolveRequest(Request):
     def __post_init__(self) -> None:
         self.kind = "prepared_solve"
         self.n = int(self.prepared.n)
-        k = _shape_of(self.B)[1]
-        require(
-            _shape_of(self.B)[0] == self.n,
-            ShapeError,
-            f"B has {_shape_of(self.B)[0]} rows, L is {self.n} x {self.n}",
-        )
-        self.k = k
+        self.k = _rhs_cols(self.B, self.n)
         for name, M in (("L", self.L), ("Ltilde", self.Ltilde)):
             require(
                 M is None or _shape_of(M) == (self.n, self.n),

@@ -219,14 +219,10 @@ def replay_prepared(
     count: int,
     p: int,
     k: int = 8,
-    rate: float = 0.0,
     params: CostParams | None = None,
     seed: int = 0,
     cache: bool = True,
     size: int | None = None,
-    verify: bool = True,
-    policy=None,
-    backend=None,
 ) -> ClusterOutcome:
     """A stream of solves against one hosted prepared factor.
 
@@ -238,15 +234,12 @@ def replay_prepared(
     replayed through :class:`~repro.api.PreparedSolveRequest`.  Every
     placement stages the factor pair onto its subgrid — at the full
     migration charge the first time a subgrid hosts them, and from the
-    staged-copy cache on repeat tenancies.  ``size`` pins every placement
-    to one subgrid size (deterministic placements for parity runs);
-    ``rate`` as in :func:`poisson_stream` (arrivals drawn by
-    :func:`~repro.api.online.arrivals.poisson_arrivals` from ``seed``).
+    staged-copy cache on repeat tenancies.  Every batch arrives at
+    ``t = 0`` and is verified; ``size`` pins every placement to one
+    subgrid size (deterministic placements for parity runs).
     """
-    from repro.api.online.arrivals import poisson_arrivals
-
-    arrivals = poisson_arrivals(count, rate, seed=seed)
-    cluster = Cluster(p, params=params, cache=cache, policy=policy, backend=backend)
+    require(count >= 1, ParameterError, "need at least one arrival")
+    cluster = Cluster(p, params=params, cache=cache)
     Lh = cluster.host(prepared.L)
     Lth = cluster.host(prepared.Ltilde)
     for i in range(count):
@@ -256,8 +249,6 @@ def replay_prepared(
                 B=random_dense(prepared.n, k, seed=seed + 31 * i + 1),
                 L=Lh,
                 Ltilde=Lth,
-                verify=verify,
-                arrival=float(arrivals[i]),
                 sizes=None if size is None else (size,),
             )
         )

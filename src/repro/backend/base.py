@@ -12,16 +12,16 @@ the scheduler — speaks to execution through a :class:`Backend`:
   ``plan.apply`` verbatim; :class:`~repro.backend.mpi.MPIBackend` moves
   the same payloads over a real communicator with ``Alltoallv``
   count/displacement rounds and times them;
-* :meth:`Backend.barrier` / :meth:`Backend.timer` — synchronization and
-  the backend's clock (simulated seconds for the simulator, wall seconds
-  for MPI);
+* :meth:`Backend.timer` — the backend's clock (simulated seconds for the
+  simulator, wall seconds for MPI);
 * capability flags — ``name``, ``is_real`` (are measured seconds real
   wall-clock readings?), ``world_size`` (processes backing execution).
 
-Every plan execution appends a measurement record, so
-:mod:`repro.analysis.validation` can compare the model's predictions with
-what execution observed — trivially self-consistent under the simulator,
-a genuine hardware validation under MPI.
+Every plan execution appends a measurement record (label, phase, words,
+messages, modeled and measured seconds; the one per-transition log the
+program keeps), so :mod:`repro.analysis.validation` can compare the model's
+predictions with what execution observed — trivially self-consistent under
+the simulator, a genuine hardware validation under MPI.
 """
 
 from __future__ import annotations
@@ -118,10 +118,6 @@ class Backend(abc.ABC):
         business (``plan.charge``/``charge_pointwise`` before executing),
         exactly as it was for direct ``apply`` calls.
         """
-
-    @abc.abstractmethod
-    def barrier(self) -> None:
-        """Synchronize all ranks (simulated clocks, or the communicator)."""
 
     @abc.abstractmethod
     def timer(self) -> float:

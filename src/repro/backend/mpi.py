@@ -337,8 +337,5 @@ class MPIBackend(Backend):
         )
         return expected_out
 
-    def barrier(self) -> None:
-        self.comm.Barrier()
-
     def timer(self) -> float:
         return time.perf_counter()

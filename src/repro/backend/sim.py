@@ -35,9 +35,6 @@ class SimBackend(Backend):
         self._log_plan(plan, label, measured_seconds=plan.cost().time(self.machine.params))
         return result
 
-    def barrier(self) -> None:
-        self.machine.barrier()
-
     def timer(self) -> float:
         """The simulated clock: the bound machine's critical-path seconds."""
         return self.machine.time()

@@ -51,11 +51,12 @@ oracle the hypothesis suite compares every plan against):
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.dist.layout import Layout, expected_local_words
+from repro.machine import collective_models
 from repro.machine.cost import Cost
 from repro.machine.validate import ParameterError, ShapeError, require
 
@@ -135,9 +136,9 @@ class End:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def of(cls, D: "DistMatrix", transpose: bool = False) -> "End":
-        """The frame covering all of ``D`` (transposed view if asked)."""
-        return cls(D.grid, D.layout, D.shape, transpose=transpose)
+    def of(cls, D: "DistMatrix") -> "End":
+        """The frame covering all of ``D``."""
+        return cls(D.grid, D.layout, D.shape)
 
     @classmethod
     def window_of(cls, D: "DistMatrix", r0: int, c0: int) -> "End":
@@ -445,13 +446,9 @@ class RoutingPlan:
             }
         return cached
 
-    def alltoall_bound(self, collective_model: Any = None) -> Cost:
+    def alltoall_bound(self) -> Cost:
         """The old uniform bound this plan replaces (for comparison/tests):
         an all-to-all over the union at the larger per-rank footprint."""
-        if collective_model is None:
-            from repro.machine.collective_models import COLLECTIVE_MODELS
-
-            collective_model = COLLECTIVE_MODELS["butterfly"]
         g = len(self.ranks())
         if g <= 1:
             return Cost.zero()
@@ -459,7 +456,7 @@ class RoutingPlan:
             expected_local_words(self.src.layout, _end_extent(self.src, self.shape)),
             expected_local_words(self.dst.layout, _end_extent(self.dst, self.shape)),
         )
-        return collective_model.alltoall(g, float(n_per_rank))
+        return collective_models.alltoall(g, float(n_per_rank))
 
     # -- data movement ------------------------------------------------------
 

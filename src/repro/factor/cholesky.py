@@ -31,7 +31,7 @@ from repro.dist.distmatrix import DistMatrix
 from repro.dist.layout import CyclicLayout
 from repro.dist.triangular import require_square
 from repro.inversion.sequential import invert_lower_triangular
-from repro.machine.collectives import _log2_ceil
+from repro.machine.collective_models import _log2_ceil
 from repro.machine.cost import Cost
 from repro.machine.machine import Machine
 from repro.machine.topology import ProcessorGrid

@@ -1,20 +1,28 @@
-"""Pluggable collective cost models.
+"""The Section II-C1 collective cost table: butterfly (recursive-doubling)
+collectives, ``log g`` rounds, bandwidth-optimal volumes.
 
-Section II-C1 builds everything on butterfly (recursive-doubling)
-collectives; the paper notes simpler alternatives exist and sets aside the
-factor-of-two-cheaper specialized broadcasts.  To make that design choice
-measurable, the machine's collective costs are a strategy object:
+This is the one place the table lives.  :mod:`repro.machine.collectives`
+(which also moves the data), ``mm3d`` and ``it_inv_trsm`` call these
+functions qualified by module (``collective_models.bcast``), so a cost is
+never mistaken for the collective of the same name.
 
-* :class:`ButterflyModel` — the paper's choice (default everywhere):
-  ``log p`` rounds, bandwidth-optimal volumes;
-* :class:`RingModel` — linear/ring algorithms: same (or better) bandwidth,
-  but ``p - 1`` rounds.  Running any experiment under this model shows the
-  latency terms of every TRSM cost blowing up from ``log p`` to ``p`` —
-  i.e. *why* the paper's analysis assumes butterfly collectives.
+Every function returns the :class:`Cost` charged to **each participant** of
+a group of size ``g`` (``n`` = words, ``1_g`` = unit step):
 
-Every method returns the :class:`Cost` charged to **each participant** of
-a group of size ``g`` for a payload of ``n`` words (conventions documented
-per method; ``n`` means what it means in the paper's table).
+===============  =======================  =========================  ==========
+collective       S (messages)             W (words)                  F (flops)
+===============  =======================  =========================  ==========
+allgather        ``log g``                ``n_result * 1_g``         0
+scatter          ``log g``                ``n_total * 1_g``          0
+gather           ``log g``                ``n_total * 1_g``          0
+reduce-scatter   ``log g``                ``n_total * 1_g``          ``n_total * 1_g``
+bcast            ``2 log g``              ``2 n * 1_g``              0
+reduce           ``2 log g``              ``2 n * 1_g``              ``n * 1_g``
+allreduce        ``2 log g``              ``2 n * 1_g``              ``n * 1_g``
+all-to-all       ``log g``                ``(n_per_rank/2) log g``   0
+===============  =======================  =========================  ==========
+
+``log`` is ``ceil(log2)``; groups of size 1 charge nothing.
 """
 
 from __future__ import annotations
@@ -29,88 +37,35 @@ def _log2_ceil(g: int) -> int:
     return int(math.ceil(math.log2(g))) if g > 1 else 0
 
 
-class ButterflyModel:
-    """Recursive-doubling collectives (the paper's Section II-C1 table)."""
-
-    name = "butterfly"
-
-    def allgather(self, g: int, n_result: float) -> Cost:
-        return Cost(S=_log2_ceil(g), W=n_result * unit_step(g), F=0.0)
-
-    def scatter(self, g: int, n_total: float) -> Cost:
-        return Cost(S=_log2_ceil(g), W=n_total * unit_step(g), F=0.0)
-
-    gather = scatter
-
-    def reduce_scatter(self, g: int, n_total: float) -> Cost:
-        return Cost(
-            S=_log2_ceil(g),
-            W=n_total * unit_step(g),
-            F=n_total * unit_step(g),
-        )
-
-    def bcast(self, g: int, n: float) -> Cost:
-        return Cost(S=2 * _log2_ceil(g), W=2 * n * unit_step(g), F=0.0)
-
-    def reduce(self, g: int, n: float) -> Cost:
-        return Cost(
-            S=2 * _log2_ceil(g), W=2 * n * unit_step(g), F=n * unit_step(g)
-        )
-
-    allreduce = reduce
-
-    def alltoall(self, g: int, n_per_rank: float) -> Cost:
-        return Cost(
-            S=_log2_ceil(g), W=(n_per_rank / 2.0) * _log2_ceil(g), F=0.0
-        )
+def allgather(g: int, n_result: float) -> Cost:
+    return Cost(S=_log2_ceil(g), W=n_result * unit_step(g), F=0.0)
 
 
-class RingModel:
-    """Linear-ring collectives: ``g - 1`` rounds, bandwidth-lean.
-
-    Classical ring allgather/reduce-scatter move ``n (g-1)/g ~ n`` words in
-    ``g - 1`` rounds; ring bcast/allreduce pipelines cost ``~2n`` words in
-    ``~g`` rounds.  All-to-all degenerates to ``g - 1`` direct exchanges of
-    ``n/g`` words each.
-    """
-
-    name = "ring"
-
-    @staticmethod
-    def _rounds(g: int) -> int:
-        return max(g - 1, 0)
-
-    def allgather(self, g: int, n_result: float) -> Cost:
-        return Cost(S=self._rounds(g), W=n_result * unit_step(g), F=0.0)
-
-    def scatter(self, g: int, n_total: float) -> Cost:
-        return Cost(S=self._rounds(g), W=n_total * unit_step(g), F=0.0)
-
-    gather = scatter
-
-    def reduce_scatter(self, g: int, n_total: float) -> Cost:
-        return Cost(
-            S=self._rounds(g),
-            W=n_total * unit_step(g),
-            F=n_total * unit_step(g),
-        )
-
-    def bcast(self, g: int, n: float) -> Cost:
-        return Cost(S=2 * self._rounds(g), W=2 * n * unit_step(g), F=0.0)
-
-    def reduce(self, g: int, n: float) -> Cost:
-        return Cost(
-            S=2 * self._rounds(g), W=2 * n * unit_step(g), F=n * unit_step(g)
-        )
-
-    allreduce = reduce
-
-    def alltoall(self, g: int, n_per_rank: float) -> Cost:
-        return Cost(S=self._rounds(g), W=n_per_rank * unit_step(g), F=0.0)
+def scatter(g: int, n_total: float) -> Cost:
+    return Cost(S=_log2_ceil(g), W=n_total * unit_step(g), F=0.0)
 
 
-#: registry for Machine(collectives="...")
-COLLECTIVE_MODELS = {
-    "butterfly": ButterflyModel(),
-    "ring": RingModel(),
-}
+gather = scatter
+
+
+def reduce_scatter(g: int, n_total: float) -> Cost:
+    return Cost(
+        S=_log2_ceil(g),
+        W=n_total * unit_step(g),
+        F=n_total * unit_step(g),
+    )
+
+
+def bcast(g: int, n: float) -> Cost:
+    return Cost(S=2 * _log2_ceil(g), W=2 * n * unit_step(g), F=0.0)
+
+
+def reduce(g: int, n: float) -> Cost:
+    return Cost(S=2 * _log2_ceil(g), W=2 * n * unit_step(g), F=n * unit_step(g))
+
+
+allreduce = reduce
+
+
+def alltoall(g: int, n_per_rank: float) -> Cost:
+    return Cost(S=_log2_ceil(g), W=(n_per_rank / 2.0) * _log2_ceil(g), F=0.0)

@@ -5,46 +5,28 @@ Every collective here does two things at once:
 1. **moves real numpy data** between virtual ranks (dicts ``rank -> ndarray``),
    so algorithm implementations are numerically honest end to end; and
 2. **charges the butterfly-collective costs of the paper's Section II-C1**
-   to the participating group, via :meth:`Machine.charge`.
+   to the participating group, via :meth:`Machine.charge` — the cost table
+   is :mod:`repro.machine.collective_models`; point-to-point messages
+   charge ``S = 1, W = n`` per end.
 
-Cost formulas (``g`` = group size, ``n`` = words, ``1_g`` = unit step):
-
-===============  =======================  =========================  ==========
-collective       S (messages)             W (words)                  F (flops)
-===============  =======================  =========================  ==========
-allgather        ``log g``                ``n_result * 1_g``         0
-scatter          ``log g``                ``n_total * 1_g``          0
-gather           ``log g``                ``n_total * 1_g``          0
-reduce-scatter   ``log g``                ``n_total * 1_g``          ``n_total * 1_g``
-bcast            ``2 log g``              ``2 n * 1_g``              0
-reduce           ``2 log g``              ``2 n * 1_g``              ``n * 1_g``
-allreduce        ``2 log g``              ``2 n * 1_g``              ``n * 1_g``
-all-to-all       ``log g``                ``(n_per_rank/2) log g``   0
-point-to-point   ``1``                    ``n``                      0
-===============  =======================  =========================  ==========
-
-``log`` is ``ceil(log2)``; groups of size 1 charge nothing.  All collectives
-are *group-synchronizing*: participants' clocks align to the group max before
-the charge, which is how the simulation measures critical-path time.
+All collectives are *group-synchronizing*: participants' clocks align to the
+group max before the charge, which is how the simulation measures
+critical-path time.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
+from repro.machine import collective_models
 from repro.machine.cost import Cost
 from repro.machine.machine import Machine
 from repro.machine.validate import ShapeError, require
 from repro.util.mathutil import split_indices
 
 Arrays = dict[int, np.ndarray]
-
-
-def _log2_ceil(g: int) -> int:
-    return int(math.ceil(math.log2(g))) if g > 1 else 0
 
 
 def _words(a: np.ndarray) -> int:
@@ -77,7 +59,7 @@ def allgather(
     parts = [contribs[r] for r in group]
     result = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
     g = len(group)
-    machine.charge(group, machine.coll.allgather(g, _words(result)), label=label)
+    machine.charge(group, collective_models.allgather(g, _words(result)), label=label)
     return {r: result for r in group}
 
 
@@ -99,7 +81,7 @@ def allgather_blocks(
     _check_group_data(group, contribs, "allgather_blocks")
     g = len(group)
     n_result = sum(_words(contribs[r]) for r in group)
-    machine.charge(group, machine.coll.allgather(g, n_result), label=label)
+    machine.charge(group, collective_models.allgather(g, n_result), label=label)
     gathered = {r: contribs[r] for r in group}
     return {r: gathered for r in group}
 
@@ -125,7 +107,7 @@ def scatter(
     )
     g = len(group)
     n_total = sum(_words(c) for c in chunks)
-    machine.charge(group, machine.coll.scatter(g, n_total), label=label)
+    machine.charge(group, collective_models.scatter(g, n_total), label=label)
     return {r: chunks[i] for i, r in enumerate(group)}
 
 
@@ -145,7 +127,7 @@ def gather(
     _check_group_data(group, contribs, "gather")
     g = len(group)
     n_total = sum(_words(contribs[r]) for r in group)
-    machine.charge(group, machine.coll.gather(g, n_total), label=label)
+    machine.charge(group, collective_models.gather(g, n_total), label=label)
     return [contribs[r] for r in group]
 
 
@@ -171,7 +153,7 @@ def reduce_scatter(
         total = total + contribs[r]
     g = len(group)
     n_total = _words(total)
-    machine.charge(group, machine.coll.reduce_scatter(g, n_total), label=label)
+    machine.charge(group, collective_models.reduce_scatter(g, n_total), label=label)
     slabs = split_indices(total.shape[axis], g)
     out: Arrays = {}
     for i, r in enumerate(group):
@@ -201,7 +183,7 @@ def bcast(
     group = list(group)
     require(root in group, ShapeError, "bcast root must be in the group")
     g = len(group)
-    machine.charge(group, machine.coll.bcast(g, _words(value)), label=label)
+    machine.charge(group, collective_models.bcast(g, _words(value)), label=label)
     return {r: value for r in group}
 
 
@@ -225,7 +207,7 @@ def reduce(
     for r in group[1:]:
         total = total + contribs[r]
     g = len(group)
-    machine.charge(group, machine.coll.reduce(g, _words(total)), label=label)
+    machine.charge(group, collective_models.reduce(g, _words(total)), label=label)
     return total
 
 
@@ -247,7 +229,7 @@ def allreduce(
     for r in group[1:]:
         total = total + contribs[r]
     g = len(group)
-    machine.charge(group, machine.coll.allreduce(g, _words(total)), label=label)
+    machine.charge(group, collective_models.allreduce(g, _words(total)), label=label)
     return {r: total for r in group}
 
 
@@ -278,7 +260,7 @@ def alltoall(
             f"alltoall: rank {r} supplied {len(blocks[r])} blocks for group of {g}",
         )
     n_per_rank = max(sum(_words(b) for b in blocks[r]) for r in group)
-    machine.charge(group, machine.coll.alltoall(g, n_per_rank), label=label)
+    machine.charge(group, collective_models.alltoall(g, n_per_rank), label=label)
     return {
         dest: [np.asarray(blocks[src][j]) for src in group]
         for j, dest in enumerate(group)

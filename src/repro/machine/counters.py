@@ -1,4 +1,4 @@
-"""Per-rank cost counters and an optional event trace.
+"""Per-rank cost counters.
 
 The :class:`CounterSet` holds, for every virtual rank, the *path* counters
 (S, W, F) accumulated along that rank's execution path.  At a group
@@ -10,21 +10,9 @@ paper's tables report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.machine.cost import Cost
-
-
-@dataclass
-class TraceEvent:
-    """One charged operation, for debugging and the per-line cost benches."""
-
-    label: str
-    group_size: int
-    cost: Cost
-    phase: str = ""
 
 
 class CounterSet:

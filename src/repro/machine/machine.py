@@ -6,7 +6,9 @@ per-rank clocks/counters and provides:
 * ``grid(shape)`` — allocate a fresh :class:`ProcessorGrid` over new ranks
   (most programs allocate exactly one grid over all ranks);
 * ``charge(group, cost, label=...)`` — synchronize the group, then add the
-  cost to every member.  All collectives go through this;
+  cost to every member.  All collectives go through this.  ``label`` names
+  the charge at its call site; the machine keeps no per-charge log (every
+  routed transition is logged, labelled, by ``backend.measurements()``);
 * ``charge_local(rank_costs)`` — per-rank compute charges without sync;
 * ``phase(name)`` — context manager labelling subsequent charges, used by the
   per-phase cost benches (inversion / solve / update in Section VII);
@@ -32,7 +34,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro.machine.cost import Cost, CostParams
-from repro.machine.counters import CounterSet, TraceEvent
+from repro.machine.counters import CounterSet
+from repro.machine.memory import MemoryTracker
 from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import GridError, require
 
@@ -47,29 +50,14 @@ class Machine:
         self,
         n_ranks: int,
         params: CostParams | None = None,
-        trace: bool = False,
-        collectives: str = "butterfly",
         backend: "Backend | None" = None,
     ):
         require(n_ranks >= 1, GridError, f"need >= 1 rank, got {n_ranks}")
         self.n_ranks = int(n_ranks)
         self.params = params or CostParams()
         self.counters = CounterSet(self.n_ranks)
-        from repro.machine.collective_models import COLLECTIVE_MODELS
-        from repro.machine.memory import MemoryTracker
-
-        require(
-            collectives in COLLECTIVE_MODELS,
-            GridError,
-            f"unknown collective model {collectives!r}; "
-            f"choose from {sorted(COLLECTIVE_MODELS)}",
-        )
-        #: collective cost strategy (butterfly = the paper's Section II-C1)
-        self.coll = COLLECTIVE_MODELS[collectives]
         #: per-rank memory high-water accounting (see machine/memory.py)
         self.memory = MemoryTracker(self.n_ranks)
-        self.trace_enabled = bool(trace)
-        self.trace: list[TraceEvent] = []
         self._phase_stack: list[str] = []
         #: per-phase, per-rank (S, W, F) accumulators; the reported phase
         #: cost is the componentwise max over ranks (see phase_cost)
@@ -114,16 +102,13 @@ class Machine:
         allocates that grid instead.  Power-of-two subgrids are then handed
         out with ``allocate``/``release`` (split/coalesce semantics).
         """
-        from repro.machine.validate import require as _require
         from repro.sched.allocator import SubgridAllocator
 
         if not shape:
             remaining = self.n_ranks - self._next_rank
-            _require(
-                remaining >= 1, GridError, "machine has no unallocated ranks to pool"
-            )
+            require(remaining >= 1, GridError, "machine has no unallocated ranks to pool")
             b = int(np.log2(remaining)) if remaining > 1 else 0
-            _require(
+            require(
                 2**b == remaining,
                 GridError,
                 f"grid_pool needs a power-of-two rank count, got {remaining}",
@@ -149,7 +134,6 @@ class Machine:
         seconds = cost.time(self.params)
         self.counters.charge(ranks, cost, seconds)
         self._phase_add(ranks, cost)
-        self._record(label, len(ranks), cost)
 
     def charge_local(self, rank_costs: dict[int, Cost], label: str = "") -> None:
         """Charge per-rank compute costs (no synchronization).
@@ -157,20 +141,10 @@ class Machine:
         Used for local flops where different ranks may do different amounts
         of work (e.g. triangular blocks).
         """
-        worst = Cost.zero()
         for rank, cost in rank_costs.items():
             ranks = np.asarray([rank], dtype=np.int64)
             self.counters.charge(ranks, cost, cost.time(self.params))
             self._phase_add(ranks, cost)
-            worst = Cost.max(worst, cost)
-        if rank_costs:
-            self._record(label, len(rank_costs), worst)
-
-    def barrier(self, group: Sequence[int] | None = None) -> None:
-        """Synchronize a group (default: all ranks) without charging."""
-        if group is None:
-            group = range(self.n_ranks)
-        self.counters.sync(np.asarray(list(group), dtype=np.int64))
 
     def advance_group(self, group: Sequence[int], t: float) -> None:
         """Advance the group's clocks to at least simulated time ``t``.
@@ -269,10 +243,6 @@ class Machine:
         acc[1, ranks] += cost.W
         acc[2, ranks] += cost.F
 
-    def _record(self, label: str, group_size: int, cost: Cost) -> None:
-        if self.trace_enabled:
-            self.trace.append(TraceEvent(label, group_size, cost, self.current_phase()))
-
     # -- results -------------------------------------------------------------------
 
     def time(self) -> float:
@@ -299,10 +269,9 @@ class Machine:
         return self.counters.total
 
     def reset(self) -> None:
-        """Zero all clocks, counters, memory, traces and phase attributions."""
+        """Zero all clocks, counters, memory and phase attributions."""
         self.counters = CounterSet(self.n_ranks)
         self.memory.reset()
-        self.trace.clear()
         self._phase_acc.clear()
         self._region_acc.clear()
 

@@ -40,6 +40,7 @@ import numpy as np
 from repro.dist.distmatrix import DistMatrix
 from repro.dist.layout import CyclicLayout
 from repro.dist.routing import End, gather_frame, scatter_frame
+from repro.machine import collective_models
 from repro.machine.collectives import allgather_blocks, reduce_scatter
 from repro.machine.cost import Cost
 from repro.machine.validate import GridError, ParameterError, ShapeError, require
@@ -125,7 +126,7 @@ def mm3d(A: DistMatrix, X: DistMatrix, p1: int, scale: float = 1.0) -> DistMatri
     if p2 > 1 and p > 1:
         # rectangular-grid transpose: all-to-all bound, nk/p words per rank
         machine.charge(
-            all_ranks, machine.coll.alltoall(p, xw / p), label="mm3d.line3"
+            all_ranks, collective_models.alltoall(p, xw / p), label="mm3d.line3"
         )
     if p > 1:
         machine.charge(
@@ -213,7 +214,7 @@ def mm3d(A: DistMatrix, X: DistMatrix, p1: int, scale: float = 1.0) -> DistMatri
     if p > 1:
         mk = float(m) * float(k)
         machine.charge(
-            all_ranks, machine.coll.alltoall(p, mk / p), label="mm3d.line8"
+            all_ranks, collective_models.alltoall(p, mk / p), label="mm3d.line8"
         )
 
     return DistMatrix(machine, grid, X.layout, (m, k), out_blocks)

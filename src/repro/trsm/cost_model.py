@@ -178,16 +178,12 @@ def iterative_parts(
     n0: int,
     p1: int,
     p2: int,
-    r1: float | None = None,
-    r2: float | None = None,
 ) -> IterativeParts:
-    """All three Section VII parts; ``r1``/``r2`` default to the paper's
-    optimal inversion subgrid (Section VII-A)."""
+    """All three Section VII parts, the inversion on the paper's optimal
+    inversion subgrid (Section VII-A)."""
     from repro.inversion.cost_model import optimal_inversion_grid
 
-    p = p1 * p1 * p2
-    if r1 is None or r2 is None:
-        r1, r2 = optimal_inversion_grid(p, n0, n)
+    r1, r2 = optimal_inversion_grid(p1 * p1 * p2, n0, n)
     return IterativeParts(
         inversion=inversion_part(n, n0, p1, p2, r1, r2),
         solve=solve_part(n, k, n0, p1, p2),

@@ -46,6 +46,7 @@ from repro.dist.triangular import (
     require_nonsingular_triangular,
     require_square,
 )
+from repro.machine import collective_models
 from repro.machine.collectives import allreduce, bcast, sendrecv
 from repro.machine.cost import Cost
 from repro.machine.machine import Machine
@@ -156,7 +157,7 @@ def it_inv_trsm(
                     words = sum(pc.size for pc in piecesT[(x, y)])
                     machine.charge(
                         fiber,
-                        machine.coll.bcast(p2, float(words)),
+                        collective_models.bcast(p2, float(words)),
                         label="itinv.solve_bcastD",
                     )
                 if x != y:
@@ -223,7 +224,7 @@ def it_inv_trsm(
                         fiber = grid3d.fiber(2, (x, y, 0))
                         machine.charge(
                             fiber,
-                            machine.coll.bcast(p2, float(panel.size)),
+                            collective_models.bcast(p2, float(panel.size)),
                             label="itinv.update_bcast_panel",
                         )
                     for z in range(p2):

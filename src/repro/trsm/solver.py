@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.machine.cost import Cost, CostParams
 from repro.machine.machine import Machine
-from repro.machine.validate import ParameterError, require
+from repro.machine.validate import ParameterError, ShapeError, require
 from repro.tuning.parameters import TuningChoice
 from repro.util.mathutil import is_power_of_two
 
@@ -105,8 +105,14 @@ def trsm(
 
     require(is_power_of_two(p), ParameterError, f"p must be a power of two, got {p}")
     L = np.asarray(L, dtype=np.float64)
-    vector = np.asarray(B).ndim == 1
-    B2 = np.asarray(B, dtype=np.float64).reshape(L.shape[0], -1)
+    B = np.asarray(B, dtype=np.float64)
+    require(
+        B.ndim >= 1 and B.shape[0] == L.shape[0],
+        ShapeError,
+        f"B has shape {B.shape}, L has {L.shape[0]} rows",
+    )
+    vector = B.ndim == 1
+    B2 = B.reshape(L.shape[0], -1)
 
     cluster = Cluster(p, params=params, backend=backend)
     rid = cluster.submit(

@@ -43,22 +43,16 @@ def _candidate_n0s(n: int, max_candidates: int = 64) -> list[int]:
 def optimize_parameters(
     n: int,
     k: int,
-    p: int | None = None,
+    p: int,
     params: CostParams | None = None,
-    *,
-    grid=None,
 ) -> TuningChoice:
     """Best ``(p1, p2, n0)`` under the modeled total time.
 
     ``r1, r2`` are set to the paper's optimum for the winning ``n0``.
-    ``grid=`` scopes the search to a specific processor grid (a Cluster
-    subgrid lease) instead of a bare machine size.
     """
     from repro.inversion.cost_model import optimal_inversion_grid
     from repro.trsm.cost_model import iterative_cost
-    from repro.tuning.parameters import resolve_grid_size
 
-    p = resolve_grid_size(p, grid)
     require(n >= 1 and k >= 1 and p >= 1, ParameterError, "n, k, p must be >= 1")
     require(is_power_of_two(p), ParameterError, f"p must be a power of two, got {p}")
     params = params or CostParams()

@@ -60,34 +60,9 @@ def _snap_n0(n: int, target: float) -> int:
     return min(divisors, key=lambda d: abs(math.log(d / max(target, 1e-12))))
 
 
-def resolve_grid_size(p: int | None, grid) -> int:
-    """Resolve the processor count from an explicit ``p`` and/or a grid target.
-
-    The tuning entry points historically assumed the whole machine; with the
-    Cluster front-end a request is tuned *for its assigned subgrid*, so the
-    caller passes ``grid=`` (any :class:`~repro.machine.topology.
-    ProcessorGrid` view — its rank count is what matters) and may omit ``p``.
-    Passing both requires them to agree.
-    """
-    if grid is not None:
-        size = int(grid.size)
-        require(
-            p is None or int(p) == size,
-            ParameterError,
-            f"p={p} disagrees with the target grid's {size} ranks",
-        )
-        return size
-    require(p is not None, ParameterError, "need p or a target grid")
-    return int(p)
-
-
-def tuned_parameters(n: int, k: int, p: int | None = None, *, grid=None) -> TuningChoice:
-    """The Section VIII closed-form parameters, snapped to valid values.
-
-    ``grid=`` scopes the choice to a specific processor grid (a Cluster
-    subgrid lease) instead of a bare machine size.
-    """
-    p = resolve_grid_size(p, grid)
+def tuned_parameters(n: int, k: int, p: int) -> TuningChoice:
+    """The Section VIII closed-form parameters for ``p`` ranks, snapped to
+    valid values."""
     require(n >= 1 and k >= 1 and p >= 1, ParameterError, "n, k, p must be >= 1")
     require(
         is_power_of_two(p),

@@ -10,5 +10,5 @@ from repro.machine.machine import Machine
 def simulate(p: int) -> float:
     machine = Machine(p)
     t0 = time.perf_counter()
-    machine.barrier()
+    machine.grid(p)
     return time.perf_counter() - t0

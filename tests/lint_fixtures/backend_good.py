@@ -7,5 +7,5 @@ from repro.machine.machine import Machine
 def simulate(p: int) -> float:
     machine = Machine(p)
     t0 = machine.backend.timer()
-    machine.barrier()
+    machine.grid(p)
     return machine.backend.timer() - t0

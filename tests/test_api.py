@@ -16,7 +16,7 @@ from repro.api.serve import poisson_stream, replay
 from repro.dist.distmatrix import DistMatrix
 from repro.machine.cost import CostParams
 from repro.machine.machine import Machine
-from repro.machine.validate import ParameterError
+from repro.machine.validate import ParameterError, ShapeError
 from repro.sched.pricing import DirectPricing
 from repro.trsm.cost_model import iterative_cost
 from repro.trsm.iterative import it_inv_trsm_global
@@ -206,6 +206,18 @@ class TestOtherRequests:
                 atol=1e-9,
             )
 
+    def test_trsm_request_refuses_b_rows_not_n(self):
+        """Regression: a ``B`` whose row count is not ``n`` was accepted,
+        and the next ``run()`` raised ``ValueError``, losing the valid
+        request queued with it."""
+        L = random_lower_triangular(16, seed=0)
+        cluster = Cluster(4)
+        rid = cluster.submit(TrsmRequest(L=L, B=random_dense(16, 4, seed=1)))
+        for B in (random_dense(8, 4, seed=2), cluster.host(random_dense(8, 4, seed=2))):
+            with pytest.raises(ShapeError, match="B has 8 rows"):
+                TrsmRequest(L=L, B=B)
+        assert cluster.run().record(rid).residual < 1e-10
+
     def test_submit_rejects_untyped_requests(self):
         cluster = Cluster(4)
         with pytest.raises(ParameterError):
@@ -248,22 +260,6 @@ class TestServeStream:
         assert rec.measured_start >= 5.0
         assert rec.measured_finish > rec.measured_start
         assert outcome.measured_makespan >= 5.0
-
-
-class TestTuningGridTarget:
-    def test_tuned_parameters_accepts_grid(self):
-        machine = Machine(16)
-        grid = machine.grid(4, 4)
-        assert tuned_parameters(128, 16, grid=grid) == tuned_parameters(128, 16, 16)
-        with pytest.raises(ParameterError):
-            tuned_parameters(128, 16, 8, grid=grid)
-
-    def test_optimizer_accepts_grid(self):
-        from repro.tuning.optimizer import optimize_parameters
-
-        machine = Machine(16)
-        grid = machine.grid(4, 4)
-        assert optimize_parameters(64, 8, grid=grid) == optimize_parameters(64, 8, 16)
 
 
 class TestRegionAccounting:

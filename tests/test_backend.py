@@ -149,13 +149,13 @@ class TestClusterConfig:
         cluster = Cluster(8)
         assert isinstance(cluster.backend, SimBackend)
         assert cluster.machine.backend is cluster.backend
-        assert cluster.machine.trace_enabled is False
         assert cluster.opcache is not None
 
     def test_keywords_are_honoured(self):
-        cluster = Cluster(8, trace=True, cache=False)
-        assert cluster.machine.trace_enabled is True
+        cluster = Cluster(8, params=UNIT, cache=False, policy="backfill")
+        assert cluster.machine.params is UNIT
         assert cluster.opcache is None
+        assert cluster.policy.name == "backfill"
 
     def test_backend_instance_is_threaded_through(self):
         backend = SimBackend()

@@ -1,114 +1,47 @@
-"""Butterfly vs ring collective models — why Section II-C1 picks butterfly."""
+"""The Section II-C1 butterfly cost table and the machine charging it."""
 
 import numpy as np
-import pytest
 
 from repro.machine import CostParams, Machine
-from repro.machine.collective_models import (
-    COLLECTIVE_MODELS,
-    ButterflyModel,
-    RingModel,
-)
-from repro.machine.collectives import allgather, allreduce
-from repro.machine.validate import GridError
+from repro.machine import collective_models
+from repro.machine.collectives import allgather
 
 UNIT = CostParams(alpha=1.0, beta=1.0, gamma=1.0, name="unit")
 
 
 class TestModels:
-    def test_registry(self):
-        assert set(COLLECTIVE_MODELS) == {"butterfly", "ring"}
-
     def test_butterfly_log_latency(self):
-        m = ButterflyModel()
-        assert m.allgather(8, 64).S == 3
-        assert m.bcast(8, 64).S == 6
-
-    def test_ring_linear_latency(self):
-        m = RingModel()
-        assert m.allgather(8, 64).S == 7
-        assert m.bcast(8, 64).S == 14
+        assert collective_models.allgather(8, 64).S == 3
+        assert collective_models.bcast(8, 64).S == 6
 
     def test_same_bandwidth_for_one_phase_ops(self):
-        b, r = ButterflyModel(), RingModel()
-        assert b.allgather(8, 64).W == r.allgather(8, 64).W
-        assert b.reduce_scatter(8, 64).F == r.reduce_scatter(8, 64).F
+        """allgather, scatter, gather and reduce-scatter all move ``n * 1_g``
+        words; only reduce-scatter adds the ``n * 1_g`` flops."""
+        for cost in (
+            collective_models.allgather(8, 64),
+            collective_models.scatter(8, 64),
+            collective_models.gather(8, 64),
+            collective_models.reduce_scatter(8, 64),
+        ):
+            assert (cost.S, cost.W) == (3, 64)
+        assert collective_models.reduce_scatter(8, 64).F == 64
 
     def test_singleton_groups_free_in_both(self):
-        for m in COLLECTIVE_MODELS.values():
-            assert m.allgather(1, 64).W == 0
-            assert m.bcast(1, 64).S == 0
+        """Both the one-phase and the two-phase collectives charge a group
+        of one nothing."""
+        assert collective_models.allgather(1, 64).W == 0
+        assert collective_models.bcast(1, 64).S == 0
 
     def test_alltoall_volume(self):
-        # ring all-to-all: direct exchanges, full per-rank volume
-        assert RingModel().alltoall(8, 64) .W == 64
         # butterfly (Bruck): (n/2) log p
-        assert ButterflyModel().alltoall(8, 64).W == 32 * 3
+        assert collective_models.alltoall(8, 64).W == 32 * 3
 
 
 class TestMachineIntegration:
     def test_default_is_butterfly(self):
-        m = Machine(4)
-        assert m.coll.name == "butterfly"
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(GridError, match="unknown collective model"):
-            Machine(4, collectives="telepathy")
-
-    def test_ring_machine_charges_linear(self):
-        m = Machine(8, params=UNIT, collectives="ring")
+        """A machine's collectives charge the butterfly table: ``log g``
+        rounds for an allgather over eight ranks."""
+        m = Machine(8, params=UNIT)
         group = list(range(8))
         allgather(m, group, {r: np.ones(8) for r in group})
-        assert m.critical_path().S == 7
-
-    def test_data_identical_across_models(self):
-        results = {}
-        for name in COLLECTIVE_MODELS:
-            m = Machine(4, params=UNIT, collectives=name)
-            group = list(range(4))
-            out = allreduce(m, group, {r: np.full(3, float(r)) for r in group})
-            results[name] = out[0]
-        assert np.array_equal(results["butterfly"], results["ring"])
-
-
-class TestAlgorithmLevelContrast:
-    def test_trsm_latency_explodes_under_ring(self):
-        """The paper's log-p latency claims require butterfly collectives:
-        under ring collectives the same schedule costs Theta(p) rounds."""
-        from repro.trsm import it_inv_trsm_global
-        from repro.util.randmat import random_dense, random_lower_triangular
-
-        # n0 = 4 keeps the iteration count high so the schedule is
-        # dominated by real collectives (redistribution is now exact
-        # point-to-point routing, identical under every collective model)
-        L = random_lower_triangular(32, seed=0)
-        B = random_dense(32, 16, seed=1)
-        ss = {}
-        for name in ("butterfly", "ring"):
-            m = Machine(32, params=UNIT, collectives=name)
-            X = it_inv_trsm_global(m, L, B, p1=2, p2=8, n0=4, base_n=4)
-            from repro.util.checking import relative_residual
-
-            assert relative_residual(L, X.to_global(), B) < 1e-12
-            ss[name] = m.critical_path().S
-        assert ss["ring"] > 1.5 * ss["butterfly"]
-
-    def test_bandwidth_unchanged_across_models_for_allgathers(self):
-        from repro.mm import mm3d
-        from repro.dist import CyclicLayout, DistMatrix
-        from repro.util.randmat import random_dense
-
-        ws = {}
-        for name in ("butterfly", "ring"):
-            m = Machine(16, params=UNIT, collectives=name)
-            g = m.grid(4, 4)
-            lay = CyclicLayout(4, 4)
-            A = random_dense(16, 16, seed=0)
-            X = random_dense(16, 8, seed=1)
-            dA = DistMatrix.from_global(m, g, lay, A)
-            dX = DistMatrix.from_global(m, g, lay, X)
-            out = mm3d(dA, dX, 2)
-            assert np.allclose(out.to_global(), A @ X)
-            ws[name] = m.critical_path().W
-        # one-phase collectives dominate W; models agree within 2x
-        assert ws["ring"] <= 2 * ws["butterfly"]
+        assert m.critical_path() == collective_models.allgather(8, 64)

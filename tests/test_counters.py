@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine.cost import Cost
-from repro.machine.counters import CounterSet, TraceEvent
+from repro.machine.counters import CounterSet
 
 
 class TestCharge:
@@ -66,7 +66,3 @@ class TestReporting:
         c.charge(np.array([0]), Cost(10, 0, 0), seconds=0.0)
         c.charge(np.array([1]), Cost(0, 20, 0), seconds=0.0)
         assert c.max_counters() == Cost(10, 20, 0)
-
-    def test_trace_event_fields(self):
-        ev = TraceEvent("op", 4, Cost(1, 2, 3), phase="solve")
-        assert ev.label == "op" and ev.group_size == 4 and ev.phase == "solve"

@@ -13,27 +13,13 @@ UNIT = CostParams(alpha=1.0, beta=1.0, gamma=1.0, name="unit")
 
 
 class TestTracker:
-    def test_alloc_free_cycle(self):
-        t = MemoryTracker(2)
-        t.alloc(0, 100)
-        t.alloc(0, 50)
-        assert t.peak_words() == 150
-        t.free(0, 120)
-        assert t.current[0] == 30
-        assert t.peak_words() == 150  # peak is sticky
-
-    def test_free_floors_at_zero(self):
-        t = MemoryTracker(1)
-        t.alloc(0, 10)
-        t.free(0, 100)
-        assert t.current[0] == 0
-
     def test_observe_transient(self):
+        """Working sets are transient: the peak is their max, not their sum."""
         t = MemoryTracker(1)
-        t.alloc(0, 40)
+        t.observe(0, 40)
         t.observe(0, 100)
-        assert t.peak_words() == 140
-        assert t.current[0] == 40  # observe does not allocate
+        t.observe(0, 60)
+        assert t.peak_words() == 100  # peak is sticky
 
     def test_observe_group(self):
         t = MemoryTracker(4)
@@ -43,15 +29,11 @@ class TestTracker:
     def test_negative_rejected(self):
         t = MemoryTracker(1)
         with pytest.raises(ValueError):
-            t.alloc(0, -1)
-        with pytest.raises(ValueError):
-            t.free(0, -1)
-        with pytest.raises(ValueError):
             t.observe(0, -1)
 
     def test_reset(self):
         t = MemoryTracker(1)
-        t.alloc(0, 5)
+        t.observe(0, 5)
         t.reset()
         assert t.peak_words() == 0
 
@@ -71,7 +53,7 @@ class TestIntegration:
 
     def test_machine_reset_clears_memory(self):
         machine = Machine(4, params=UNIT)
-        machine.memory.alloc(0, 99)
+        machine.memory.observe(0, 99)
         machine.reset()
         assert machine.memory.peak_words() == 0
 

@@ -457,9 +457,10 @@ def daemon(batch=8, admission=None, **kw):
 
 #: one spelling of every JSON value class a client can put in a field
 #: (``1e999`` parses to ``inf``; 2**70 overflows no Python int but any
-#: fixed-width one)
+#: fixed-width one; 10**400 overflows a float, so ``float()`` raises)
 FIELD_VALUES = (
-    "true", "null", "-3", "2.7", "1e999", "NaN", str(2**70), '"x"', "[]", "{}"
+    "true", "null", "-3", "2.7", "1e999", "NaN", str(2**70), str(10**400),
+    '"x"', "[]", "{}",
 )
 
 
@@ -537,6 +538,10 @@ class TestDaemon:
     def test_protocol_errors_are_typed(self):
         d = daemon()
         assert d.handle("not json")["ok"] is False
+        # an integer literal past Python's int-string digit limit makes
+        # json.loads raise a plain ValueError, not JSONDecodeError
+        huge = d.handle('{"op": "trsm", "n": 1' + "0" * 5000 + "}")
+        assert huge["ok"] is False and "bad JSON" in huge["error"]
         assert d.handle('{"no_op": 1}')["ok"] is False
         assert d.handle('{"op": "warp"}')["ok"] is False
         bad = d.handle('{"op": "trsm"}')  # missing n
@@ -572,6 +577,10 @@ class TestDaemon:
             '{"op": "trsm", "n": 64, "k": 8, "seed": 1e999}',
             '{"op": "trsm", "n": 64, "k": 8, "seed": 2.7}',
             '{"op": "trsm", "n": 64, "k": 8, "priority": true}',
+            # OverflowError out of float() on an integer past the float
+            # range killed the line loop
+            '{"op": "trsm", "n": 64, "k": 8, "sla": 1' + "0" * 400 + "}",
+            '{"op": "trsm", "n": 64, "k": 8, "deadline": 1' + "0" * 400 + "}",
         ):
             out = d.handle(bad)
             assert out["ok"] is False and out["op"] == "trsm"

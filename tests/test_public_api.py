@@ -61,7 +61,6 @@ SUBPACKAGES = [
     "repro.analysis",
     "repro.analysis.sensitivity",
     "repro.analysis.export",
-    "repro.analysis.trace",
     "repro.factor",
     "repro.util",
 ]

@@ -7,8 +7,9 @@ Covers the PR-2 contract:
 * identity transitions charge zero *via the routing plan* (no special
   case) and allocate nothing once the index-map cache is warm;
 * fused transition chains (the paper's three-step cyclic/blocked/cyclic)
-  collapse to a single charge, and ``rec_tri_inv``'s trace shows exactly
-  one fused charge per extract -> redistribute chain;
+  collapse to a single charge, and ``rec_tri_inv``'s routed transitions
+  (``backend.measurements()``) show exactly one fused charge per
+  extract -> redistribute chain;
 * the charging bugfixes: misaligned final assembly in ``rec_tri_inv`` is
   charged, empty-window extraction is free and valid, and the rectangular
   transpose on a square grid charges the larger direction of each pair.
@@ -42,6 +43,12 @@ from repro.util.randmat import random_lower_triangular
 UNIT = CostParams(alpha=1.0, beta=1.0, gamma=1.0, name="unit")
 
 GRIDS = [(2, 2), (1, 3), (3, 1), (2, 4), (4, 4), (3, 3)]
+
+
+def charged_routes(machine: Machine) -> list:
+    """The backend's routed-transition records that moved data (a free
+    plan logs zero messages and charges nothing)."""
+    return [m for m in machine.backend.measurements() if m.messages > 0]
 
 
 def make_layout(kind: str, pr: int, pc: int, br: int, bc: int) -> Layout:
@@ -254,20 +261,21 @@ class TestFusedTransitions:
         """Each recursion level routes L11 and L22 down in exactly one
         fused charge per child (the old code paid extract + redistribute
         separately)."""
-        machine = Machine(16, params=UNIT, trace=True)
+        machine = Machine(16, params=UNIT)
         grid = machine.grid(4, 4)
         L = random_lower_triangular(16, seed=0)
         rec_tri_inv_global(machine, grid, L, base_n=4)
-        down = [ev for ev in machine.trace if ev.label == "rectriinv.route_down"]
-        back = [ev for ev in machine.trace if ev.label == "rectriinv.route_back"]
+        charged = charged_routes(machine)
+        down = [m for m in charged if m.label == "rectriinv.route_down"]
+        back = [m for m in charged if m.label == "rectriinv.route_back"]
         # level 0 on the 4x4 grid: 2 children; level 1 on each 2x2
         # quadrant: 2 children each -> 2 + 4 fused charges in each direction
         assert len(down) == 6
         assert len(back) == 6
         stray = [
-            ev
-            for ev in machine.trace
-            if ev.label.startswith("rectriinv.extract") and ev.label != "rectriinv.extract21"
+            m
+            for m in charged
+            if m.label.startswith("rectriinv.extract") and m.label != "rectriinv.extract21"
         ]
         assert stray == []
 
@@ -276,22 +284,22 @@ class TestChargingBugfixes:
     def test_misaligned_final_assembly_is_charged(self):
         """h % sp != 0 places inv21/inv22 at rank-moving offsets; the old
         scratch-copy assembly moved those words for free."""
-        machine = Machine(4, params=UNIT, trace=True)
+        machine = Machine(4, params=UNIT)
         grid = machine.grid(2, 2)
         L = random_lower_triangular(10, seed=1)  # h = 5, sp = 2: misaligned
         inv = rec_tri_inv_global(machine, grid, L, base_n=4)
         from repro.util.checking import backward_error
 
         assert backward_error(L, inv.to_global()) < 1e-12
-        embeds = [ev for ev in machine.trace if ev.label == "rectriinv.embed"]
-        assert any(ev.cost.S > 0 and ev.cost.W > 0 for ev in embeds)
+        embeds = [m for m in charged_routes(machine) if m.label == "rectriinv.embed"]
+        assert any(m.messages > 0 and m.words > 0 for m in embeds)
 
     def test_aligned_assembly_stays_free(self):
-        machine = Machine(4, params=UNIT, trace=True)
+        machine = Machine(4, params=UNIT)
         grid = machine.grid(2, 2)
         L = random_lower_triangular(16, seed=2)  # every level splits evenly
         rec_tri_inv_global(machine, grid, L, base_n=4)
-        embeds = [ev for ev in machine.trace if ev.label == "rectriinv.embed"]
+        embeds = [m for m in charged_routes(machine) if m.label == "rectriinv.embed"]
         assert embeds == []
 
     def test_empty_window_extraction_is_free_and_valid(self):

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 from repro import trsm
 from repro.machine.cost import CostParams
-from repro.machine.validate import ParameterError
+from repro.machine.validate import ParameterError, ShapeError
 from repro.util.randmat import random_dense, random_lower_triangular
 
 
@@ -118,6 +118,12 @@ class TestValidation:
                 p=4,
                 n0=3,
             )
+
+    def test_b_rows_must_match_l(self):
+        """Regression: an 8 x 4 ``B`` against a 16 x 16 ``L`` was reshaped
+        to 16 x 2 and solved as a different problem."""
+        with pytest.raises(ShapeError, match=r"\(8, 4\)"):
+            trsm(random_lower_triangular(16, seed=0), random_dense(8, 4, seed=1), p=4)
 
 
 class TestCrossAlgorithmAgreement:
