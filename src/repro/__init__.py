@@ -76,7 +76,6 @@ from repro.trsm import (
     trsm,
     trsm_lower_sequential,
 )
-from repro.trsm.variants import solve_lu, solve_triangular
 from repro.trsm.prepared import PreparedTrsm
 from repro.api import (
     Cluster,
@@ -98,7 +97,6 @@ from repro.sched import (
     SubgridAllocator,
     make_policy,
 )
-from repro.factor import cholesky_cost, cholesky_factor
 from repro.tuning import (
     TrsmRegime,
     TuningChoice,
@@ -163,11 +161,7 @@ __all__ = [
     "rec_tri_inv",
     "trsm",
     "TrsmResult",
-    "solve_triangular",
-    "solve_lu",
     "PreparedTrsm",
-    "cholesky_factor",
-    "cholesky_cost",
     "trsm_lower_sequential",
     "heath_romine_trsv",
     "rec_trsm",

@@ -28,9 +28,35 @@ def _add_nkp(p: argparse.ArgumentParser, n=256, k=64, pp=64) -> None:
     p.add_argument("-p", type=int, default=pp, help="processors (power of two)")
 
 
+def _add_machine(p: argparse.ArgumentParser) -> None:
+    from repro.machine import HARDWARE_PRESETS
+
+    p.add_argument("--machine", choices=list(HARDWARE_PRESETS), default="default")
+
+
+def _require_p_bounds(p_min: int, p_max: int) -> None:
+    from repro.machine.validate import ParameterError, require
+    from repro.util.mathutil import is_power_of_two
+
+    require(
+        is_power_of_two(p_min),
+        ParameterError,
+        f"p_min must be a power of two, got {p_min}",
+    )
+    require(
+        p_min <= p_max, ParameterError, f"p_min (= {p_min}) exceeds p_max (= {p_max})"
+    )
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     from repro import HARDWARE_PRESETS, random_dense, random_lower_triangular, trsm
+    from repro.machine.validate import ParameterError, require
 
+    require(
+        args.n >= 1 and args.k >= 1 and args.p >= 1,
+        ParameterError,
+        "n, k, p must be >= 1",
+    )
     params = HARDWARE_PRESETS[args.machine]
     L = random_lower_triangular(args.n, seed=args.seed)
     B = random_dense(args.n, args.k, seed=args.seed + 1)
@@ -197,6 +223,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_map(args: argparse.Namespace) -> int:
     from repro.analysis import regime_map, render_regime_map
 
+    _require_p_bounds(args.p_min, args.p_max)
     print(
         render_regime_map(
             regime_map(
@@ -212,6 +239,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     from repro.trsm.cost_model import conclusion_row
     from repro.tuning.regimes import classify_trsm
 
+    _require_p_bounds(args.p_min, args.p_max)
     rows = []
     p = args.p_min
     while p <= args.p_max:
@@ -264,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--tune", choices=["closed_form", "search"], default="closed_form"
     )
-    p_solve.add_argument("--machine", default="default")
+    _add_machine(p_solve)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument(
         "--no-verify",
@@ -288,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--n-max", type=int, default=256)
     p_serve.add_argument("--k-min", type=int, default=8)
     p_serve.add_argument("--k-max", type=int, default=64)
-    p_serve.add_argument("--machine", default="default")
+    _add_machine(p_serve)
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument(
         "--policy",
@@ -386,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = sub.add_parser("tune", help="a-priori parameter advice")
     _add_nkp(p_tune)
-    p_tune.add_argument("--machine", default="default")
+    _add_machine(p_tune)
     p_tune.set_defaults(func=_cmd_tune)
 
     p_map = sub.add_parser("map", help="Figure 1 regime map")

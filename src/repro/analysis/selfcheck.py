@@ -1,10 +1,10 @@
 """Built-in acceptance battery: one call that proves the install works.
 
 ``run_selfcheck()`` executes a compact matrix of configurations — every
-regime, both algorithms, a factorization, a prepared solve — verifying
-numerics against SciPy and sanity-checking the cost counters.  It is what
-a downstream user should run right after installing (``python -m repro
-selfcheck``), and what CI would gate on.
+regime, both algorithms, a prepared solve — verifying numerics against
+SciPy and sanity-checking the cost counters.  It is what a downstream user
+should run right after installing (``python -m repro selfcheck``), and what
+CI would gate on.
 """
 
 from __future__ import annotations
@@ -58,15 +58,7 @@ def _check(report: SelfCheckReport, name: str, fn) -> None:
 
 def run_selfcheck(quick: bool = False) -> SelfCheckReport:
     """Run the acceptance battery; returns a report (never raises)."""
-    from repro import (
-        Machine,
-        PreparedTrsm,
-        random_dense,
-        random_lower_triangular,
-        random_spd,
-        trsm,
-    )
-    from repro.factor import cholesky_factor, lu_factor_distributed
+    from repro import PreparedTrsm, random_dense, random_lower_triangular, trsm
 
     report = SelfCheckReport()
     sizes = (32, 8, 4) if quick else (96, 24, 16)
@@ -100,30 +92,6 @@ def run_selfcheck(quick: bool = False) -> SelfCheckReport:
         return f"2 solves, prep F={solver.preparation_cost.F:.0f}"
 
     _check(report, "PreparedTrsm repeated solves", prepared)
-
-    def chol():
-        A = random_spd(n, seed=5)
-        machine = Machine(4)
-        grid = machine.grid(2, 2)
-        Lc = cholesky_factor(machine, grid, A, block=max(n // 4, 1))
-        G = Lc.to_global()
-        assert np.allclose(G @ G.T, A, atol=1e-7 * np.linalg.norm(A))
-        return "reconstructed"
-
-    _check(report, "distributed Cholesky", chol)
-
-    def lu():
-        rng = np.random.default_rng(6)
-        A = rng.standard_normal((n, n))
-        machine = Machine(4)
-        grid = machine.grid(2, 2)
-        L, U, perm = lu_factor_distributed(machine, grid, A, block=max(n // 4, 1))
-        assert np.allclose(
-            A[perm], L.to_global() @ U.to_global(), atol=1e-8 * np.linalg.norm(A)
-        )
-        return "P A = L U"
-
-    _check(report, "distributed LU (tournament pivoting)", lu)
 
     def counters():
         L = random_lower_triangular(n, seed=7)

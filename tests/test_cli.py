@@ -196,3 +196,28 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--machine", "nope"],
+        ["tune", "--machine", "nope"],
+        ["solve", "-n", "0"],
+        ["map", "--p-min", "64", "--p-max", "4"],
+        ["map", "--p-min", "3"],
+        ["table", "--p-min", "64", "--p-max", "4"],
+    ],
+    ids=" ".join,
+)
+def test_bad_arguments_exit_2_with_one_error_line(argv, capsys):
+    """A bad preset or out-of-range n or p bound is a usage error: exit 2
+    and one ``error:`` line on stderr, from argparse or from ``main``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1

@@ -50,22 +50,10 @@ def test_machine_comparison():
     assert "Strong scaling" in out
 
 
-def test_lu_solver():
-    out = run_example("lu_solver.py", "48", "12", "16")
-    assert "relative error" in out
-    assert "U solve" in out
-
-
 def test_repeated_solves():
     out = run_example("repeated_solves.py", "64", "16", "16", "10")
     assert "per application" in out
     assert "speedup" in out
-
-
-def test_factorization_pipeline():
-    out = run_example("factorization_pipeline.py", "64", "8", "16", "2")
-    assert "factorization" in out
-    assert "pipeline total" in out
 
 
 def test_custom_algorithm():

@@ -53,15 +53,12 @@ SUBPACKAGES = [
     "repro.dist.triangular",
     "repro.mm",
     "repro.inversion",
-    "repro.inversion.newton",
     "repro.trsm",
-    "repro.trsm.variants",
     "repro.trsm.prepared",
     "repro.tuning",
     "repro.analysis",
     "repro.analysis.sensitivity",
     "repro.analysis.export",
-    "repro.factor",
     "repro.util",
 ]
 

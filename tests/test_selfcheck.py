@@ -8,13 +8,13 @@ class TestBattery:
     def test_quick_battery_passes(self):
         report = run_selfcheck(quick=True)
         assert report.ok, report.render()
-        assert len(report.results) == 8
+        assert len(report.results) == 6
 
     def test_render_contains_status(self):
         report = run_selfcheck(quick=True)
         text = report.render()
         assert "PASS" in text
-        assert "8/8 checks passed" in text
+        assert "6/6 checks passed" in text
 
     def test_failures_are_reported_not_raised(self):
         report = SelfCheckReport()
