@@ -222,8 +222,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     from repro.analysis import regime_map, render_regime_map
+    from repro.machine.validate import ParameterError, require
 
     _require_p_bounds(args.p_min, args.p_max)
+    require(
+        args.ratio_min <= args.ratio_max,
+        ParameterError,
+        f"ratio_min (= {args.ratio_min}) exceeds ratio_max (= {args.ratio_max})",
+    )
     print(
         render_regime_map(
             regime_map(
@@ -456,11 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src tests benchmarks)",
     )
     p_lint.add_argument(
-        "--config",
-        default=None,
-        help="pyproject.toml holding [tool.replint] (default: nearest ancestor)",
-    )
-    p_lint.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
     p_lint.set_defaults(func=_cmd_lint)
@@ -477,15 +478,9 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.lint import run_lint
 
-    return run_lint(
-        args.paths,
-        config_path=Path(args.config) if args.config else None,
-        list_rules=args.list_rules,
-    )
+    return run_lint(args.paths, list_rules=args.list_rules)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

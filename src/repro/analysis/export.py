@@ -14,12 +14,6 @@ import json
 import pathlib
 from typing import Sequence
 
-from repro.machine.cost import Cost
-
-
-def cost_to_dict(cost: Cost) -> dict[str, float]:
-    return {"S": cost.S, "W": cost.W, "F": cost.F}
-
 
 def rows_to_csv(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Render rows as CSV text (RFC-4180 quoting via the csv module)."""

@@ -42,11 +42,6 @@ def format_table(
     return "\n".join(out)
 
 
-def format_cost(cost: object) -> str:
-    """Compact one-line Cost rendering for table cells."""
-    return f"S={getattr(cost, 'S', 0):.3g} W={getattr(cost, 'W', 0):.3g} F={getattr(cost, 'F', 0):.3g}"
-
-
 def render_bars(
     values: dict[str, float],
     width: int = 50,

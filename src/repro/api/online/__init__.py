@@ -20,7 +20,6 @@ from repro.api.online.admission import (
     Decision,
     Deferred,
     Rejected,
-    TenantLimits,
     TokenBucket,
 )
 from repro.api.online.arrivals import (
@@ -43,7 +42,6 @@ __all__ = [
     "Deferred",
     "Rejected",
     "ServeDaemon",
-    "TenantLimits",
     "TokenBucket",
     "diurnal_arrivals",
     "lognormal_arrivals",

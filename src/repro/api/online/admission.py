@@ -9,19 +9,17 @@ decision per offered request:
   drained to the scheduler (FIFO within its priority class, higher
   classes first);
 * :class:`Rejected` — dropped before the scheduler ever sees it
-  (queue-depth caps, per-tenant caps, or hard rate limits).  A rejected
-  request never reaches the scheduler — the invariant the property suite
-  pins;
+  (the queue-depth cap, or hard rate limits).  A rejected request never
+  reaches the scheduler — the invariant the property suite pins;
 * :class:`Deferred` — rate-limited but retryable: carries the earliest
   time the tenant's token bucket can serve it again.
 
 Fairness is per tenant: each tenant owns a token bucket
-(:class:`TokenBucket`, ``rate`` tokens/s refill up to ``burst``) and an
-optional queue-depth cap, so one tenant's flood cannot starve the others
-of queue space.  All time is the caller's clock — simulated seconds in
-tests and load tests, scaled wall-clock in the daemon — the controller
-itself never reads a clock (``backend-discipline`` holds everywhere
-except the daemon loop).
+(:class:`TokenBucket`, ``rate`` tokens/s refill up to ``burst``), so one
+tenant's flood spends only its own tokens.  All time is the caller's
+clock — simulated seconds in tests and load tests, scaled wall-clock in
+the daemon — the controller itself never reads a clock
+(``backend-discipline`` holds everywhere except the daemon loop).
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ __all__ = [
     "Decision",
     "Deferred",
     "Rejected",
-    "TenantLimits",
     "TokenBucket",
 ]
 
@@ -84,33 +81,21 @@ class TokenBucket:
         return now + (1.0 - self.tokens) / self.rate
 
 
-@dataclass(frozen=True, slots=True)
-class TenantLimits:
-    """Per-tenant fairness knobs (``None`` = the config's defaults)."""
-
-    rate: float | None = None
-    burst: float | None = None
-    max_queued: int | None = None
-
-
 @dataclass(slots=True)
 class AdmissionConfig:
     """Controller-wide knobs.
 
-    ``rate``/``burst`` configure the default per-tenant token bucket
-    (``rate=None`` disables rate limiting entirely); ``max_queue_depth``
-    caps the whole admission queue and ``max_tenant_depth`` each tenant's
-    share of it.  ``defer_on_rate=True`` turns rate-limit refusals into
-    retryable :class:`Deferred` decisions instead of hard
-    :class:`Rejected` ones.  ``tenants`` overrides any knob per tenant.
+    ``rate``/``burst`` configure every tenant's token bucket (one bucket
+    per tenant; ``rate=None`` disables rate limiting entirely);
+    ``max_queue_depth`` caps the whole admission queue.
+    ``defer_on_rate=True`` turns rate-limit refusals into retryable
+    :class:`Deferred` decisions instead of hard :class:`Rejected` ones.
     """
 
     rate: float | None = None
     burst: float = 8.0
     max_queue_depth: int = 1024
-    max_tenant_depth: int | None = None
     defer_on_rate: bool = True
-    tenants: dict[str, TenantLimits] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         require(
@@ -129,8 +114,8 @@ class Admitted:
 
 @dataclass(frozen=True, slots=True)
 class Rejected:
-    """Dropped before the scheduler: ``queue_full`` / ``tenant_queue_full``
-    / ``rate_limited`` (when deferral is disabled)."""
+    """Dropped before the scheduler: ``queue_full`` / ``rate_limited``
+    (when deferral is disabled)."""
 
     reason: str
 
@@ -161,7 +146,6 @@ class AdmissionController:
         self.config = config or AdmissionConfig()
         self._buckets: dict[str, TokenBucket] = {}
         self._heap: list[tuple[int, int, object]] = []  # (-priority, seq, request)
-        self._depth_by_tenant: dict[str, int] = {}
         self._seq = 0
         self._clock = 0.0
         #: lifetime decision counters, by outcome and reject reason
@@ -176,9 +160,6 @@ class AdmissionController:
         """Admitted requests not yet drained to the scheduler."""
         return len(self._heap)
 
-    def tenant_depth(self, tenant: str) -> int:
-        return self._depth_by_tenant.get(tenant, 0)
-
     def stats(self) -> dict:
         """Lifetime decision counters (JSON-ready, for telemetry)."""
         return {
@@ -191,18 +172,14 @@ class AdmissionController:
 
     # -- the gate ------------------------------------------------------------
 
-    def _limits(self, tenant: str) -> TenantLimits:
-        return self.config.tenants.get(tenant, TenantLimits())
-
     def _bucket(self, tenant: str) -> TokenBucket | None:
-        limits = self._limits(tenant)
-        rate = limits.rate if limits.rate is not None else self.config.rate
-        if rate is None:
+        if self.config.rate is None:
             return None
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            burst = limits.burst if limits.burst is not None else self.config.burst
-            bucket = self._buckets[tenant] = TokenBucket(rate=rate, burst=burst)
+            bucket = self._buckets[tenant] = TokenBucket(
+                rate=self.config.rate, burst=self.config.burst
+            )
         return bucket
 
     def offer(self, request: object, now: float = 0.0) -> Decision:
@@ -220,14 +197,6 @@ class AdmissionController:
         priority = int(getattr(request, "priority", 0))
         if len(self._heap) >= self.config.max_queue_depth:
             return self._reject("queue_full")
-        limits = self._limits(tenant)
-        tenant_cap = (
-            limits.max_queued
-            if limits.max_queued is not None
-            else self.config.max_tenant_depth
-        )
-        if tenant_cap is not None and self.tenant_depth(tenant) >= tenant_cap:
-            return self._reject("tenant_queue_full")
         bucket = self._bucket(tenant)
         if bucket is not None and not bucket.try_take(now):
             if self.config.defer_on_rate:
@@ -237,7 +206,6 @@ class AdmissionController:
         seq = self._seq
         self._seq += 1
         heapq.heappush(self._heap, (-priority, seq, request))
-        self._depth_by_tenant[tenant] = self.tenant_depth(tenant) + 1
         self.admitted += 1
         return Admitted(seq=seq)
 
@@ -259,7 +227,5 @@ class AdmissionController:
         out = []
         while self._heap:
             _neg, seq, request = heapq.heappop(self._heap)
-            tenant = str(getattr(request, "tenant", "default"))
-            self._depth_by_tenant[tenant] -= 1
             out.append((seq, request))
         return out

@@ -52,8 +52,6 @@ from repro.dist.routing import (
     scatter_frame,
 )
 from repro.dist.triangular import (
-    block_diagonal_words,
-    diagonal_block,
     is_lower_triangular,
     require_lower_triangular,
     require_nonsingular_triangular,
@@ -88,7 +86,5 @@ __all__ = [
     "require_square",
     "require_lower_triangular",
     "require_nonsingular_triangular",
-    "diagonal_block",
     "triangle_words",
-    "block_diagonal_words",
 ]

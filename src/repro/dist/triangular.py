@@ -1,9 +1,9 @@
 """Triangular-structure helpers shared by every solver and factorization.
 
 Validation (``require_*``) raises :class:`~repro.machine.validate.ShapeError`
-with actionable messages; the ``*_words`` helpers are the exact storage
-counts the cost models charge for triangular and block-diagonal operands
-(the paper stores triangles, not padded squares).
+with actionable messages; ``triangle_words`` is the exact storage count
+the cost models charge for a triangular operand (the paper stores
+triangles, not padded squares).
 
 ``require_square`` is deliberately duck-typed: it accepts anything with a
 2-tuple ``.shape`` — a numpy array or a
@@ -106,30 +106,7 @@ def require_nonsingular_triangular(A: np.ndarray | DistMatrix, name: str = "matr
     )
 
 
-def diagonal_block(A: np.ndarray, b: int, n0: int) -> np.ndarray:
-    """The ``b``-th ``n0 x n0`` diagonal block ``A[b*n0:(b+1)*n0, ...]``."""
-    n = require_square(A, "A")
-    require(
-        b >= 0 and n0 >= 1 and (b + 1) * n0 <= n,
-        ShapeError,
-        f"diagonal block {b} of size {n0} out of range for n={n}",
-    )
-    lo, hi = b * n0, (b + 1) * n0
-    return A[lo:hi, lo:hi]
-
-
 def triangle_words(n: int) -> int:
     """Words in an ``n x n`` triangle including the diagonal: ``n(n+1)/2``."""
     require(n >= 0, ShapeError, f"triangle_words needs n >= 0, got {n}")
     return n * (n + 1) // 2
-
-
-def block_diagonal_words(n: int, n0: int) -> int:
-    """Words in the ``n/n0`` dense ``n0 x n0`` diagonal blocks of an ``n x n``
-    matrix — the storage of the Diagonal-Inverter's output."""
-    require(
-        n0 >= 1 and n >= 0 and n % n0 == 0,
-        ShapeError,
-        f"block size n0={n0} must divide n={n}",
-    )
-    return (n // n0) * n0 * n0

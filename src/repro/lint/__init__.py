@@ -8,31 +8,21 @@ at lint time:
 
 * :mod:`repro.lint.engine` — file collection, module naming, the
   ``# replint: disable=<rule> -- <why>`` escape hatch (justification
-  required), ``[tool.replint]`` configuration and rule dispatch;
+  required) and rule dispatch;
 * :mod:`repro.lint.rules` — the rule catalogue (no-global-gather,
   charge-soundness, slots-required, rng-discipline, int32-accumulation,
-  backend-discipline).
+  backend-discipline), each rule's module scope and the allowlist.
 """
 
-from repro.lint.engine import (
-    Finding,
-    LintConfig,
-    Project,
-    SourceFile,
-    lint_paths,
-    load_config,
-    run_lint,
-)
+from repro.lint.engine import Finding, Project, SourceFile, lint_paths, run_lint
 from repro.lint.rules import RULES, Rule
 
 __all__ = [
     "Finding",
-    "LintConfig",
     "Project",
     "Rule",
     "RULES",
     "SourceFile",
     "lint_paths",
-    "load_config",
     "run_lint",
 ]

@@ -1,4 +1,4 @@
-"""replint engine: file collection, suppressions, config, rule dispatch.
+"""replint engine: file collection, suppressions, rule dispatch.
 
 The linter proves the repo's cost-model invariants *statically* (see
 :mod:`repro.lint.rules` for the rule catalogue).  This module owns the
@@ -14,13 +14,15 @@ mechanics shared by every rule:
   *required*: a disable without one does not suppress and is itself
   reported as ``bad-suppression``, so the tree can never go green on the
   back of an unexplained opt-out;
-* **config** — ``[tool.replint]`` in ``pyproject.toml`` sets the module
-  scopes each rule patrols and per-rule allowlists of
-  ``module``/``module:qualname`` entries (``tomllib`` when available, a
-  minimal section parser on Python 3.10);
 * **fixtures** — a leading ``# replint-fixture-module: <dotted>`` comment
   overrides the derived module name so golden-test fixtures can impersonate
-  hot-path modules without living in them.
+  hot-path modules without living in them.  A directory walk skips
+  ``lint_fixtures/`` (its bad fixtures are linted by their golden tests);
+  a fixture named explicitly is linted like any other file.
+
+Rule scopes and the allowlist are constants in :mod:`repro.lint.rules`, so
+a run's verdict depends only on the paths it is given, never on the
+working directory.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ _DISABLE_RE = re.compile(
     r"(?:\s+--\s*(?P<why>\S.*))?"
 )
 _FIXTURE_MODULE_RE = re.compile(r"#\s*replint-fixture-module:\s*(?P<module>[\w.]+)")
+#: directory a walk never enters: golden-test fixtures that fail on purpose
+FIXTURE_DIR = "lint_fixtures"
 
 
 @dataclass(slots=True, frozen=True)
@@ -94,46 +98,6 @@ class Project:
 
     def in_modules(self, prefixes: tuple[str, ...]) -> list[SourceFile]:
         return [f for f in self.files if module_matches(f.module, prefixes)]
-
-
-@dataclass(slots=True)
-class LintConfig:
-    """``[tool.replint]`` knobs; defaults mirror the repo's pyproject."""
-
-    #: modules where global gathers are banned (no-global-gather)
-    hot_path_modules: tuple[str, ...] = (
-        "repro.dist.routing",
-        "repro.mm.mm3d",
-        "repro.trsm.iterative",
-        "repro.sched",
-    )
-    #: modules whose call graph must pair mutations with charges
-    charge_modules: tuple[str, ...] = ("repro.dist", "repro.machine")
-    #: routing-adjacent modules checked for implicit-dtype reductions
-    int32_modules: tuple[str, ...] = ("repro.dist", "repro.machine")
-    #: modules whose dataclasses must declare slots=True
-    slots_modules: tuple[str, ...] = ("repro.sched", "repro.api", "repro.dist")
-    #: modules that must read wall time through repro.backend: time.*
-    #: reads are banned there (backend-discipline; repro.backend and
-    #: repro.machine are exempt, the online daemon is allowlisted)
-    backend_modules: tuple[str, ...] = ("repro",)
-    #: path substrings skipped during collection (fixtures are linted by
-    #: their golden tests, not by the repo-wide run)
-    exclude: tuple[str, ...] = ("lint_fixtures",)
-    #: rule id -> tuple of ``module`` / ``module:qualname`` entries
-    allow: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def allowed(self, finding: Finding) -> bool:
-        entries = self.allow.get(finding.rule, ())
-        module, _, qual = finding.context.partition(":")
-        for entry in entries:
-            if ":" in entry:
-                emod, _, equal = entry.partition(":")
-                if module == emod and (qual == equal or qual.startswith(equal + ".")):
-                    return True
-            elif module_matches(module, (entry,)):
-                return True
-        return False
 
 
 def module_matches(module: str, prefixes: tuple[str, ...]) -> bool:
@@ -211,126 +175,33 @@ def parse_file(path: Path) -> SourceFile | Finding:
     )
 
 
-def collect_paths(paths: list[str], exclude: tuple[str, ...]) -> list[Path]:
-    """Expand files/directories into a sorted, de-duplicated .py file list."""
+def collect_paths(paths: list[str]) -> list[Path]:
+    """Expand files/directories into a sorted, de-duplicated .py file list.
+
+    A directory walk skips everything under a ``lint_fixtures`` directory;
+    a file named explicitly is always collected."""
     out: list[Path] = []
     seen: set[Path] = set()
     for raw in paths:
         p = Path(raw)
-        candidates = sorted(p.rglob("*.py")) if p.is_dir() else [p]
+        if p.is_dir():
+            candidates = [
+                c for c in sorted(p.rglob("*.py")) if FIXTURE_DIR not in c.relative_to(p).parts
+            ]
+        else:
+            candidates = [p]
         for c in candidates:
-            if any(x in str(c) for x in exclude):
-                continue
-            if c in seen:
-                continue
-            seen.add(c)
-            out.append(c)
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
     return out
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-def _parse_replint_sections(text: str) -> dict:
-    """Minimal TOML reader for ``[tool.replint*]`` on Python 3.10 (no
-    ``tomllib``).  Handles exactly the config subset replint documents:
-    string lists (possibly multi-line), strings and booleans."""
-    data: dict = {}
-    table: dict | None = None
-    pending = ""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if pending:
-            pending += " " + line
-            if pending.count("[") > pending.count("]"):
-                continue
-            line = pending
-            pending = ""
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            name = line.strip("[]").strip()
-            if name == "tool.replint" or name.startswith("tool.replint."):
-                key = name[len("tool.replint") :].lstrip(".")
-                table = data
-                for part in key.split(".") if key else []:
-                    table = table.setdefault(part, {})
-            else:
-                table = None
-            continue
-        if table is None or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        value = value.split("#", 1)[0].strip() if '"' not in value else value.strip()
-        if value.startswith("[") and value.count("[") > value.count("]"):
-            pending = line
-            continue
-        table[key.strip().strip('"')] = _parse_toml_value(value)
-    return {"tool": {"replint": data}}
-
-
-def _parse_toml_value(value: str):
-    value = value.strip()
-    if value.startswith("["):
-        inner = value.strip("[]").strip()
-        if not inner:
-            return []
-        return [_parse_toml_value(v) for v in inner.split(",") if v.strip()]
-    if value.startswith('"') or value.startswith("'"):
-        return value[1:-1]
-    if value in ("true", "false"):
-        return value == "true"
-    try:
-        return int(value)
-    except ValueError:
-        return value
-
-
-def load_config(pyproject: Path | None) -> LintConfig:
-    if pyproject is None or not pyproject.is_file():
-        return LintConfig()
-    text = pyproject.read_text(encoding="utf-8")
-    try:
-        import tomllib
-
-        data = tomllib.loads(text)
-    except ModuleNotFoundError:
-        data = _parse_replint_sections(text)
-    section = data.get("tool", {}).get("replint", {})
-    cfg = LintConfig()
-    for toml_key, attr in (
-        ("hot-path-modules", "hot_path_modules"),
-        ("charge-modules", "charge_modules"),
-        ("int32-modules", "int32_modules"),
-        ("slots-modules", "slots_modules"),
-        ("backend-modules", "backend_modules"),
-        ("exclude", "exclude"),
-    ):
-        if toml_key in section:
-            setattr(cfg, attr, tuple(section[toml_key]))
-    allow = section.get("allow", {})
-    cfg.allow = {rule: tuple(entries) for rule, entries in allow.items()}
-    return cfg
-
-
-def find_pyproject(start: Path) -> Path | None:
-    for candidate in [start, *start.parents]:
-        p = candidate / "pyproject.toml"
-        if p.is_file():
-            return p
-    return None
 
 
 # ---------------------------------------------------------------------------
 # the run
 
 
-def lint_paths(
-    paths: list[str],
-    config: LintConfig | None = None,
-    config_path: Path | None = None,
-) -> list[Finding]:
+def lint_paths(paths: list[str]) -> list[Finding]:
     """Lint ``paths`` and return the surviving findings, sorted by location.
 
     Pipeline: collect -> parse -> run every registered rule -> drop
@@ -338,14 +209,11 @@ def lint_paths(
     ``bad-suppression`` finding for every disable comment that names an
     unknown rule or lacks a ``-- <why>`` justification.
     """
-    from repro.lint.rules import RULES
-
-    if config is None:
-        config = load_config(config_path or find_pyproject(Path.cwd()))
+    from repro.lint.rules import RULES, allowed
 
     files: list[SourceFile] = []
     findings: list[Finding] = []
-    for path in collect_paths(paths, config.exclude):
+    for path in collect_paths(paths):
         parsed = parse_file(path)
         if isinstance(parsed, Finding):
             findings.append(parsed)
@@ -354,9 +222,9 @@ def lint_paths(
 
     project = Project(files)
     for rule in RULES.values():
-        findings.extend(rule.check(project, config))
+        findings.extend(rule.check(project))
 
-    findings = [f for f in findings if not config.allowed(f)]
+    findings = [f for f in findings if not allowed(f)]
 
     known = set(RULES) | set(ENGINE_RULES)
     by_path = {f.display_path(): f for f in files}
@@ -406,11 +274,7 @@ def lint_paths(
     return kept
 
 
-def run_lint(
-    paths: list[str],
-    config_path: Path | None = None,
-    list_rules: bool = False,
-) -> int:
+def run_lint(paths: list[str], list_rules: bool = False) -> int:
     """CLI entry point: print findings, return a shell exit status."""
     from repro.lint.rules import RULES
 
@@ -419,7 +283,7 @@ def run_lint(
         for rule_id, rule in RULES.items():
             print(f"{rule_id:<{width}}  {rule.summary}")
         return 0
-    findings = lint_paths(paths, config_path=config_path)
+    findings = lint_paths(paths)
     for finding in findings:
         print(finding.render())
     if findings:

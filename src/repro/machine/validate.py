@@ -1,4 +1,4 @@
-"""Validation errors and divisibility checks for grids and layouts.
+"""Validation errors for grids, layouts and parameters, and the ``require`` guard.
 
 The paper's algorithms "assume divisibility among p, p1, p2 and sqrt(p2)"
 (Section III).  Rather than silently mis-partitioning, every entry point
@@ -7,8 +7,6 @@ with an actionable message.
 """
 
 from __future__ import annotations
-
-from repro.util.mathutil import is_power_of_two
 
 
 class ReproError(Exception):
@@ -31,19 +29,3 @@ def require(condition: bool, exc: type[ReproError], message: str) -> None:
     """Raise ``exc(message)`` unless ``condition`` holds."""
     if not condition:
         raise exc(message)
-
-
-def require_power_of_two(value: int, what: str) -> None:
-    require(
-        is_power_of_two(value),
-        GridError,
-        f"{what} must be a power of two, got {value!r}",
-    )
-
-
-def require_divides(d: int, n: int, what_d: str, what_n: str) -> None:
-    require(
-        d > 0 and n % d == 0,
-        ShapeError,
-        f"{what_d} (= {d}) must divide {what_n} (= {n})",
-    )

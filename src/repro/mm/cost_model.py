@@ -25,28 +25,11 @@ from __future__ import annotations
 import math
 
 from repro.machine.cost import Cost
-from repro.machine.validate import ParameterError, require
 from repro.util.mathutil import unit_step
 
 
 def _log2(x: float) -> float:
     return math.log2(x) if x > 1 else 0.0
-
-
-def validate_mm_split(p: int, p1: int, p2: int) -> int:
-    """Check ``p = p1^2 * p2`` with integer ``sqrt(p)`` and ``sqrt(p2)``.
-
-    Returns ``sqrt(p2)``.
-    """
-    require(p1 >= 1 and p2 >= 1, ParameterError, "p1, p2 must be >= 1")
-    require(
-        p1 * p1 * p2 == p,
-        ParameterError,
-        f"MM grid split requires p1^2*p2 == p, got p1={p1}, p2={p2}, p={p}",
-    )
-    sq = math.isqrt(p2)
-    require(sq * sq == p2, ParameterError, f"p2={p2} must be a perfect square")
-    return sq
 
 
 def mm3d_cost_lines(n: int, k: int, p1: int, p2: int, m: int | None = None) -> dict[str, Cost]:

@@ -7,7 +7,6 @@ from repro.util.mathutil import (
     is_power_of_two,
     next_power_of_two,
     prev_power_of_two,
-    round_to_power_of_two,
     split_indices,
     unit_step,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "is_power_of_two",
     "next_power_of_two",
     "prev_power_of_two",
-    "round_to_power_of_two",
     "split_indices",
     "unit_step",
     "random_dense",

@@ -49,20 +49,6 @@ def backward_error(L: np.ndarray, Linv: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def flops_gemm(m: int, n: int, k: int) -> float:
-    """Multiply-add count of a dense ``(m x k) @ (k x n)`` product: m*n*k."""
-    return float(m) * float(n) * float(k)
-
-
-def flops_trmm(n: int, k: int) -> float:
-    """Multiply-add count of triangular(n) @ dense(n x k): n^2 k / 2."""
-    return float(n) * float(n) * float(k) / 2.0
-
-def flops_trsm_seq(n: int, k: int) -> float:
-    """Multiply-add count of sequential forward substitution: n^2 k / 2."""
-    return float(n) * float(n) * float(k) / 2.0
-
-
 def flops_tri_inv_seq(n: int) -> float:
     """Multiply-add count of sequential triangular inversion: n^3 / 6."""
     return float(n) ** 3 / 6.0

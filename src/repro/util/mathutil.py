@@ -7,7 +7,6 @@ that arithmetic in one audited place.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 
@@ -47,21 +46,6 @@ def prev_power_of_two(x: int) -> int:
     return 1 << (x.bit_length() - 1)
 
 
-def round_to_power_of_two(x: float) -> int:
-    """Power of two closest to ``x`` in ratio (geometric rounding).
-
-    Ties (x exactly at the geometric midpoint) round up.  Used by the tuning
-    module to snap the paper's closed-form real-valued parameter choices
-    (e.g. ``n0 = (n k^3 sqrt(p))^{1/4}``) onto realizable grids.
-    """
-    if x <= 1:
-        return 1
-    lo = prev_power_of_two(int(math.floor(x))) if x >= 1 else 1
-    hi = lo * 2
-    # geometric midpoint: sqrt(lo*hi) = lo*sqrt(2)
-    return lo if x < lo * math.sqrt(2.0) else hi
-
-
 def ceil_div(a: int, b: int) -> int:
     """Ceiling division for non-negative ``a`` and positive ``b``."""
     if b <= 0:
@@ -80,15 +64,6 @@ def divisor_pairs(p: int) -> Iterator[tuple[int, int]]:
     for a in range(1, p + 1):
         if p % a == 0:
             yield a, p // a
-
-
-def power_of_two_divisor_pairs(p: int) -> Iterator[tuple[int, int]]:
-    """Yield factorizations ``p = a * b`` where both factors are powers of two."""
-    if not is_power_of_two(p):
-        raise ValueError(f"expected a power of two, got {p!r}")
-    lg = ilog2(p)
-    for i in range(lg + 1):
-        yield 1 << i, 1 << (lg - i)
 
 
 def split_indices(n: int, parts: int) -> list[tuple[int, int]]:

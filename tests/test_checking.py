@@ -5,10 +5,7 @@ import pytest
 
 from repro.util.checking import (
     backward_error,
-    flops_gemm,
     flops_tri_inv_seq,
-    flops_trmm,
-    flops_trsm_seq,
     forward_error,
     relative_residual,
 )
@@ -51,14 +48,5 @@ class TestForwardBackward:
 
 
 class TestFlopConventions:
-    def test_gemm(self):
-        assert flops_gemm(2, 3, 4) == 24.0
-
-    def test_trmm_half_of_gemm(self):
-        assert flops_trmm(10, 4) == flops_gemm(10, 4, 10) / 2
-
-    def test_trsm_seq(self):
-        assert flops_trsm_seq(10, 2) == 100.0
-
     def test_tri_inv(self):
         assert flops_tri_inv_seq(6) == 36.0

@@ -206,12 +206,13 @@ class TestParser:
         ["solve", "-n", "0"],
         ["map", "--p-min", "64", "--p-max", "4"],
         ["map", "--p-min", "3"],
+        ["map", "--ratio-min", "5", "--ratio-max", "-5"],
         ["table", "--p-min", "64", "--p-max", "4"],
     ],
     ids=" ".join,
 )
 def test_bad_arguments_exit_2_with_one_error_line(argv, capsys):
-    """A bad preset or out-of-range n or p bound is a usage error: exit 2
+    """A bad preset or out-of-range n, p or ratio bound is a usage error: exit 2
     and one ``error:`` line on stderr, from argparse or from ``main``."""
     try:
         code = main(argv)

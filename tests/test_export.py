@@ -6,19 +6,14 @@ import json
 
 from repro.analysis.export import (
     conclusion_sweep_rows,
-    cost_to_dict,
     regime_map_json,
     rows_to_csv,
     tuning_table_rows,
     write_report,
 )
-from repro.machine.cost import Cost
 
 
 class TestPrimitives:
-    def test_cost_to_dict(self):
-        assert cost_to_dict(Cost(1, 2, 3)) == {"S": 1, "W": 2, "F": 3}
-
     def test_rows_to_csv_roundtrip(self):
         text = rows_to_csv(["a", "b"], [[1, "x,y"], [2, "z"]])
         rows = list(csv.reader(text.splitlines()))

@@ -19,22 +19,12 @@ from repro import (
 )
 from repro.dist.layout import BlockCyclicLayout
 from repro.inversion import invert_lower_triangular, rec_tri_inv
-from repro.machine.validate import ReproError, require_divides, require_power_of_two
+from repro.machine.validate import ReproError
 from repro.trsm import it_inv_trsm_global, rec_trsm_global
 from repro.util.randmat import random_dense, random_lower_triangular
 
 
 class TestValidationHelpers:
-    def test_require_power_of_two(self):
-        require_power_of_two(8, "p")
-        with pytest.raises(GridError, match="power of two"):
-            require_power_of_two(12, "p")
-
-    def test_require_divides(self):
-        require_divides(4, 12, "n0", "n")
-        with pytest.raises(ShapeError, match="must divide"):
-            require_divides(5, 12, "n0", "n")
-
     def test_error_hierarchy(self):
         assert issubclass(GridError, ReproError)
         assert issubclass(ShapeError, ReproError)

@@ -9,18 +9,20 @@ is ``stage_matrix`` with its ``charge_pointwise`` pairing deleted, and
 ``rng_bad`` is a bare ``np.random.rand`` dropped into the serve layer.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from repro.lint import RULES, LintConfig, lint_paths, load_config, run_lint
-from repro.lint.engine import _parse_replint_sections, derive_module
+from repro.lint import RULES, lint_paths, rules, run_lint
+from repro.lint.engine import derive_module
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
 
 def lint_fixture(name: str) -> list[tuple[str, int]]:
-    config = LintConfig(exclude=())
-    found = lint_paths([str(FIXTURES / name)], config=config)
+    found = lint_paths([str(FIXTURES / name)])
     return [(f.rule, f.line) for f in found]
 
 
@@ -57,7 +59,7 @@ class TestChargeSoundness:
         )
         p = tmp_path / "chain.py"
         p.write_text(src)
-        assert lint_paths([str(p)], config=LintConfig(exclude=())) == []
+        assert lint_paths([str(p)]) == []
 
     def test_uncovered_when_one_caller_lacks_charge(self, tmp_path):
         src = (
@@ -74,7 +76,7 @@ class TestChargeSoundness:
         )
         p = tmp_path / "chain_bad.py"
         p.write_text(src)
-        found = lint_paths([str(p)], config=LintConfig(exclude=()))
+        found = lint_paths([str(p)])
         assert [(f.rule, f.line) for f in found] == [("charge-soundness", 10)]
 
 
@@ -123,15 +125,14 @@ class TestWallclockDiscipline:
             ("backend-discipline", 13),
         ]
 
-    def test_daemon_is_allowlisted_not_exempt(self):
+    def test_daemon_is_allowlisted_not_exempt(self, monkeypatch):
         """The daemon's wall-clock default is caught by the rule and silenced
-        only by the pyproject allowlist — moving the read elsewhere re-fires."""
-        config = load_config(ROOT / "pyproject.toml")
+        only by the allowlist — moving the read elsewhere re-fires."""
         daemon = ROOT / "src" / "repro" / "api" / "online" / "daemon.py"
-        raw = lint_paths([str(daemon)], config=LintConfig(exclude=()))
-        assert any(f.rule == "backend-discipline" for f in raw)
-        allowed = lint_paths([str(daemon)], config=config)
-        assert [f.rule for f in allowed] == []
+        assert lint_paths([str(daemon)]) == []
+        monkeypatch.setattr(rules, "ALLOW", {})
+        raw = lint_paths([str(daemon)])
+        assert raw and {f.rule for f in raw} == {"backend-discipline"}
 
 
 class TestBackendDiscipline:
@@ -161,17 +162,16 @@ class TestBackendDiscipline:
         )
         p = tmp_path / "impl.py"
         p.write_text(src)
-        assert lint_paths([str(p)], config=LintConfig(exclude=())) == []
+        assert lint_paths([str(p)]) == []
 
-    def test_selfcheck_timer_is_allowlisted_not_exempt(self):
+    def test_selfcheck_timer_is_allowlisted_not_exempt(self, monkeypatch):
         """_check times the battery with the host clock; that is silenced by
-        the pyproject allowlist, not by weakening the rule."""
-        config = load_config(ROOT / "pyproject.toml")
+        the allowlist, not by weakening the rule."""
         selfcheck = ROOT / "src" / "repro" / "analysis" / "selfcheck.py"
-        raw = lint_paths([str(selfcheck)], config=LintConfig(exclude=()))
-        assert any(f.rule == "backend-discipline" for f in raw)
-        allowed = lint_paths([str(selfcheck)], config=config)
-        assert [f.rule for f in allowed] == []
+        assert lint_paths([str(selfcheck)]) == []
+        monkeypatch.setattr(rules, "ALLOW", {})
+        raw = lint_paths([str(selfcheck)])
+        assert raw and {f.rule for f in raw} == {"backend-discipline"}
 
 
 class TestEscapeHatch:
@@ -191,7 +191,7 @@ class TestEscapeHatch:
             "# replint: disable=rng-dicipline -- typo in the rule id\n"
             "x = 1\n"
         )
-        found = lint_paths([str(p)], config=LintConfig(exclude=()))
+        found = lint_paths([str(p)])
         assert [(f.rule, f.line) for f in found] == [("bad-suppression", 1)]
 
     def test_standalone_comment_covers_next_line_only(self, tmp_path):
@@ -207,7 +207,7 @@ class TestEscapeHatch:
             "    b = np.random.rand(2)\n"
             "    return a + b\n"
         )
-        found = lint_paths([str(p)], config=LintConfig(exclude=()))
+        found = lint_paths([str(p)])
         assert [(f.rule, f.line) for f in found] == [("rng-discipline", 8)]
 
 
@@ -221,31 +221,26 @@ class TestEngine:
     def test_parse_error_is_a_finding(self, tmp_path):
         p = tmp_path / "broken.py"
         p.write_text("def f(:\n")
-        found = lint_paths([str(p)], config=LintConfig(exclude=()))
+        found = lint_paths([str(p)])
         assert [f.rule for f in found] == ["parse-error"]
 
-    def test_allowlist_matches_module_and_qualname(self):
-        config = LintConfig(
-            exclude=(),
-            allow={"rng-discipline": ("repro.api.fixture_serve:jitter",)},
+    def test_allowlist_matches_module_and_qualname(self, monkeypatch):
+        monkeypatch.setattr(
+            rules, "ALLOW", {"rng-discipline": ("repro.api.fixture_serve:jitter",)}
         )
-        found = lint_paths([str(FIXTURES / "rng_bad.py")], config=config)
+        found = lint_paths([str(FIXTURES / "rng_bad.py")])
         assert [(f.rule, f.line) for f in found] == [("rng-discipline", 12)]
 
-    def test_config_loads_from_pyproject(self):
-        config = load_config(ROOT / "pyproject.toml")
-        assert "repro.sched" in config.hot_path_modules
-        assert "lint_fixtures" in config.exclude
-        assert "no-global-gather" in config.allow
-
-    def test_toml_fallback_matches_tomllib(self):
-        """The minimal 3.10 parser reads [tool.replint] identically."""
-        import tomllib
-
-        text = (ROOT / "pyproject.toml").read_text()
-        full = tomllib.loads(text)["tool"]["replint"]
-        mini = _parse_replint_sections(text)["tool"]["replint"]
-        assert mini == full
+    def test_directory_walk_skips_fixtures_named_file_is_linted(self):
+        """Walking ``tests/`` never enters ``lint_fixtures``; naming a fixture
+        explicitly lints it."""
+        walked = lint_paths([str(FIXTURES.parent)])
+        assert not any("lint_fixtures" in f.path for f in walked)
+        named = lint_paths([str(FIXTURES.parent), str(FIXTURES / "gather_bad.py")])
+        assert [(f.rule, f.line) for f in named] == [
+            ("no-global-gather", 10),
+            ("no-global-gather", 11),
+        ]
 
     def test_rule_catalogue_is_complete(self):
         assert set(RULES) == {
@@ -261,15 +256,24 @@ class TestEngine:
 class TestRepoTree:
     def test_repo_tree_is_clean(self):
         """`python -m repro lint src tests benchmarks` exits 0 on this tree."""
-        config = load_config(ROOT / "pyproject.toml")
-        found = lint_paths(
-            [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "benchmarks")],
-            config=config,
-        )
+        found = lint_paths([str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "benchmarks")])
         assert [f.render() for f in found] == []
 
+    def test_verdict_is_independent_of_cwd(self, tmp_path):
+        """Run from outside the repo on absolute paths: still clean."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "lint"]
+            + [str(ROOT / d) for d in ("src", "tests", "benchmarks")],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "replint: clean"
+
     def test_cli_reports_clean(self, capsys):
-        rc = run_lint([str(ROOT / "src")], config_path=ROOT / "pyproject.toml")
+        rc = run_lint([str(ROOT / "src")])
         out = capsys.readouterr().out
         assert rc == 0
         assert "replint: clean" in out

@@ -13,9 +13,7 @@ from repro.util.mathutil import (
     ilog2,
     is_power_of_two,
     next_power_of_two,
-    power_of_two_divisor_pairs,
     prev_power_of_two,
-    round_to_power_of_two,
     split_indices,
     unit_step,
 )
@@ -75,19 +73,6 @@ class TestPowersOfTwo:
         assert is_power_of_two(lo) and is_power_of_two(hi)
         assert hi <= 2 * lo or x == lo
 
-    @given(st.floats(min_value=0.01, max_value=1e9, allow_nan=False))
-    def test_round_to_power_of_two_is_geometric(self, x):
-        r = round_to_power_of_two(x)
-        assert is_power_of_two(r)
-        if x >= 1:
-            # geometrically closest: within sqrt(2) ratio
-            ratio = max(r / x, x / r)
-            assert ratio <= math.sqrt(2.0) + 1e-9
-
-    def test_round_to_power_of_two_small(self):
-        assert round_to_power_of_two(0.3) == 1
-        assert round_to_power_of_two(1.0) == 1
-
 
 class TestCeilDiv:
     def test_exact(self):
@@ -121,14 +106,6 @@ class TestDivisorPairs:
     def test_invalid(self):
         with pytest.raises(ValueError):
             list(divisor_pairs(0))
-
-    def test_power_of_two_pairs(self):
-        pairs = list(power_of_two_divisor_pairs(16))
-        assert pairs == [(1, 16), (2, 8), (4, 4), (8, 2), (16, 1)]
-
-    def test_power_of_two_pairs_rejects(self):
-        with pytest.raises(ValueError):
-            list(power_of_two_divisor_pairs(12))
 
 
 class TestSplitIndices:

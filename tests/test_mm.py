@@ -17,7 +17,6 @@ from repro.mm.cost_model import (
     mm3d_cost_lines,
     mm3d_leading_order,
     mm_bandwidth_lower_bound,
-    validate_mm_split,
 )
 from repro.mm.dispatch import MMRegime, choose_mm_split, classify_mm, valid_mm_splits
 from repro.util.randmat import random_dense
@@ -132,13 +131,6 @@ class TestMM3DCost:
     def test_leading_order_dominated_by_exact(self):
         lead = mm3d_leading_order(256, 128, 4, 4)
         assert lead.F == pytest.approx(256 * 256 * 128 / 64)
-
-    def test_validate_split(self):
-        assert validate_mm_split(16, 2, 4) == 2
-        with pytest.raises(ParameterError):
-            validate_mm_split(16, 3, 2)
-        with pytest.raises(ParameterError):
-            validate_mm_split(16, 2, 5)  # wrong product
 
     def test_flops_dominated_by_local_multiply(self):
         for p1, p2 in [(1, 16), (2, 4), (4, 1)]:

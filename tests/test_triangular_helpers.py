@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.analysis.report import format_cost, format_table
+from repro.analysis.report import format_table
 from repro.dist.triangular import (
-    block_diagonal_words,
-    diagonal_block,
     is_lower_triangular,
     require_lower_triangular,
     require_nonsingular_triangular,
     require_square,
     triangle_words,
 )
-from repro.machine.cost import Cost
 from repro.machine.validate import ShapeError
 
 
@@ -75,31 +72,11 @@ class TestStructureChecks:
 
 
 class TestBlocks:
-    def test_diagonal_block(self):
-        A = np.arange(64.0).reshape(8, 8)
-        blk = diagonal_block(A, 1, 4)
-        assert np.array_equal(blk, A[4:8, 4:8])
-
-    def test_diagonal_block_out_of_range(self):
-        with pytest.raises(ShapeError):
-            diagonal_block(np.zeros((8, 8)), 2, 4)
-
-    def test_block_diagonal_words(self):
-        assert block_diagonal_words(8, 2) == 4 * 4
-
-    def test_block_diagonal_words_requires_divisibility(self):
-        with pytest.raises(ShapeError):
-            block_diagonal_words(8, 3)
-
     def test_triangle_words(self):
         assert triangle_words(4) == 10
 
 
 class TestReportFormatting:
-    def test_format_cost(self):
-        s = format_cost(Cost(1, 2.5, 3e6))
-        assert "S=1" in s and "W=2.5" in s
-
     def test_format_table_alignment(self):
         text = format_table(["col"], [[123456.0]])
         assert "1.235e+05" in text
