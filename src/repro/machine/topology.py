@@ -30,7 +30,7 @@ from repro.machine.validate import GridError, require
 class ProcessorGrid:
     """An immutable n-dimensional arrangement of machine ranks."""
 
-    __slots__ = ("_ranks",)
+    __slots__ = ("_ranks", "_hash")
 
     def __init__(self, ranks: np.ndarray):
         ranks = np.asarray(ranks, dtype=np.int64)
@@ -44,6 +44,7 @@ class ProcessorGrid:
         )
         self._ranks = ranks
         self._ranks.setflags(write=False)
+        self._hash: int | None = None
 
     # -- basic properties ---------------------------------------------------
 
@@ -88,12 +89,22 @@ class ProcessorGrid:
         return bool(np.any(self._ranks == rank))
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return isinstance(other, ProcessorGrid) and (
             self.shape == other.shape and bool(np.all(self._ranks == other._ranks))
         )
 
     def __hash__(self) -> int:
-        return hash((self.shape, self._ranks.tobytes()))
+        # grids key the scheduler's sets and memos: hash the bytes once
+        if self._hash is None:
+            self._hash = hash((self.shape, self._ranks.tobytes()))
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # rebuild from the ranks alone: a bytes hash is salted per process
+        # (PYTHONHASHSEED), so a pickled cached hash would be wrong elsewhere
+        return (ProcessorGrid, (self._ranks,))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessorGrid(shape={self.shape})"

@@ -6,14 +6,19 @@ this module generalizes the idea from "one algorithm's private split" to a
 *pool* the Cluster front-end schedules arbitrary requests onto.
 
 The pool is a buddy tree over a root :class:`~repro.machine.topology.
-ProcessorGrid`.  A node splits into its two :meth:`ProcessorGrid.halves`
-along the currently largest axis, so repeated splits of a square root grid
-walk through halves and quadrants — every block is a contiguous
-axis-aligned sub-rectangle of the root, and every block size is
-``root.size / 2^j``.  Allocation finds the *smallest* free block that fits
-and splits it down to the exact requested size; release coalesces buddy
-pairs back up, so a drained pool always returns to the single free root
-(the invariant ``tests/test_sched.py`` property-tests).
+ProcessorGrid` whose blocks are heap indices: the root is ``1``, block
+``h`` splits into ``2h`` and ``2h + 1`` (the two
+:meth:`ProcessorGrid.halves` along its largest axis), so every block is a
+contiguous axis-aligned sub-rectangle of the root, and the blocks ``h``
+of level ``l = h.bit_length() - 1`` hold ``root.size >> l`` ranks each.
+The state is one set of free blocks per level, the split set and the
+leases: preview and allocation scan at most ``log2(p) + 1`` levels for
+the smallest free block that fits (lowest index first), and ``clone``
+copies sets.  Allocation splits that block down to the requested size;
+release coalesces buddies ``h``, ``h ^ 1`` back up, so a drained pool
+always returns to the single free root (the invariant
+``tests/test_sched.py`` property-tests).  Each block's grid is built once,
+in a table every clone of the pool shares.
 
 Grids handed out are plain :class:`ProcessorGrid` views — reshape them to
 whatever topology the algorithm wants (``p1 x p1 x p2`` for It-Inv-TRSM, a
@@ -25,36 +30,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.machine.topology import ProcessorGrid
-from repro.machine.validate import GridError, ParameterError, require
+from repro.machine.validate import ParameterError, require
 from repro.util.mathutil import is_power_of_two
-
-
-class _Node:
-    """One block of the buddy tree."""
-
-    __slots__ = ("grid", "parent", "children", "allocated")
-
-    def __init__(self, grid: ProcessorGrid, parent: "_Node | None" = None) -> None:
-        self.grid = grid
-        self.parent = parent
-        self.children: tuple[_Node, _Node] | None = None
-        self.allocated = False
-
-    @property
-    def free(self) -> bool:
-        return not self.allocated and self.children is None
-
-    def split(self) -> tuple["_Node", "_Node"]:
-        """Halve along the largest axis (ties break toward the first axis)."""
-        axis = max(range(self.grid.ndim), key=lambda a: self.grid.shape[a])
-        require(
-            self.grid.shape[axis] % 2 == 0,
-            GridError,
-            f"block of shape {self.grid.shape} cannot split further",
-        )
-        lo, hi = self.grid.halves(axis)
-        self.children = (_Node(lo, self), _Node(hi, self))
-        return self.children
 
 
 class SubgridAllocator:
@@ -66,8 +43,15 @@ class SubgridAllocator:
             ParameterError,
             f"the pool needs a power-of-two root, got {root.size} ranks",
         )
-        self._root = _Node(root)
-        self._leases: dict[ProcessorGrid, _Node] = {}
+        #: heap index -> block grid and back, filled on first use and
+        #: shared by every clone of this pool
+        self._grids: dict[int, ProcessorGrid] = {1: root}
+        self._index: dict[ProcessorGrid, int] = {root: 1}
+        self._depth = root.size.bit_length() - 1
+        #: free blocks per level, split blocks, leased blocks
+        self._free: list[set[int]] = [{1}] + [set() for _ in range(self._depth)]
+        self._split: set[int] = set()
+        self._leases: dict[ProcessorGrid, int] = {}
         #: optional hook called with every block *destroyed* by the pool —
         #: a free block split down to serve a smaller lease, or a buddy
         #: pair coalesced back into its parent on release.  The operand
@@ -80,12 +64,12 @@ class SubgridAllocator:
 
     @property
     def root_grid(self) -> ProcessorGrid:
-        return self._root.grid
+        return self._grids[1]
 
     @property
     def capacity(self) -> int:
         """Total ranks in the pool."""
-        return self._root.grid.size
+        return self._grids[1].size
 
     def in_use(self) -> int:
         """Ranks currently leased."""
@@ -93,7 +77,7 @@ class SubgridAllocator:
 
     def drained(self) -> bool:
         """True iff nothing is leased and the pool has coalesced to the root."""
-        return self._root.free
+        return 1 in self._free[0]
 
     def can_allocate(self, size: int) -> bool:
         return self.preview(size) is not None
@@ -105,16 +89,10 @@ class SubgridAllocator:
 
         The scheduler uses this to price a request's operand migration onto
         the *concrete* candidate subgrid before committing.  Returns ``None``
-        when no free block can currently serve the size.
+        when no free block can currently serve the size; ``size`` must be
+        one :meth:`allocate` accepts.
         """
-        node = self._fit(size)
-        if node is None:
-            return None
-        grid = node.grid
-        while grid.size > size:
-            axis = max(range(grid.ndim), key=lambda a: grid.shape[a])
-            grid = grid.halves(axis)[0]
-        return grid
+        return self._fit(size)
 
     def allocate(self, size: int) -> ProcessorGrid | None:
         """Lease a subgrid of exactly ``size`` ranks (``None`` if full).
@@ -123,66 +101,52 @@ class SubgridAllocator:
         smallest free block that fits is split down (first half each time,
         so the result matches :meth:`preview`) and marked allocated.
         """
-        require(
-            is_power_of_two(size) and 1 <= size <= self.capacity,
-            ParameterError,
-            f"size must be a power of two in [1, {self.capacity}], got {size}",
-        )
-        node = self._fit(size)
-        if node is None:
-            return None
-        while node.grid.size > size:
-            self._destroyed(node.grid)
-            node = node.split()[0]
-        node.allocated = True
-        self._leases[node.grid] = node
-        return node.grid
+        grid = self._fit(size)
+        return None if grid is None else self.lease_exact(grid)
 
     def lease_exact(self, grid: ProcessorGrid) -> ProcessorGrid:
-        """Lease a *specific* block, splitting down along its path.
+        """Lease a *specific* block, splitting its free ancestor down.
 
         The buddy tree is canonical in its lease set — splits exist only
         on the paths to leased blocks, everything else is coalesced — so
         re-leasing another pool's exact grids reconstructs that pool's
-        state.  The hole-preview machinery is built on this: policies
-        :meth:`clone` the pool, release and re-lease freely to answer
-        "when would this fit?", and the real pool's destroy hook never
-        fires.  Raises when ``grid`` is not a reachable block of this
-        pool or overlaps an existing lease.
+        state.  The window search is built on this: it releases blocks
+        of a :meth:`clone` as its wait branches pass their finishes and
+        re-leases them with this method on the way back, and the real
+        pool's destroy hook never fires.  Raises when ``grid`` is not a
+        block this pool or a clone of it has handed out, or overlaps an
+        existing lease.
         """
-        target = set(grid.ranks())
-        node = self._root
-        while set(node.grid.ranks()) != target:
-            require(
-                not node.allocated and target < set(node.grid.ranks()),
-                ParameterError,
-                f"{grid!r} is not a free block of this pool",
-            )
-            children = node.children
-            if children is None:
-                self._destroyed(node.grid)
-                children = node.split()
-            lo, hi = children
-            node = lo if target <= set(lo.grid.ranks()) else hi
-        require(
-            node.free,
-            ParameterError,
-            f"{grid!r} is not a free block of this pool",
-        )
-        node.allocated = True
-        self._leases[node.grid] = node
-        return node.grid
+        h = self._index.get(grid, 0)  # 0, not a block, is in no set
+        level = h.bit_length() - 1
+        for k in range(level, 0, -1):
+            a = h >> k
+            if a in self._split:
+                continue
+            if a not in self._free[level - k]:
+                break  # a leased ancestor
+            self._destroyed(a)
+            self._free[level - k].remove(a)
+            self._split.add(a)
+            self._free[level - k + 1].update((2 * a, 2 * a + 1))
+        if h not in self._free[level]:
+            raise ParameterError(f"{grid!r} is not a free block of this pool")
+        self._free[level].remove(h)
+        self._leases[self._grids[h]] = h
+        return self._grids[h]
 
     def clone(self) -> "SubgridAllocator":
         """A detached copy: same root, same leases, no destroy hook.
 
+        Copies the free, split and lease sets; the block table is shared.
         The scheduler's policies simulate against clones (reservation
         lookahead, running-work-aware branch-and-bound), so what-if
         releases never emit destroy events on the real pool.
         """
-        pool = SubgridAllocator(self._root.grid)
-        for grid in self._leases:
-            pool.lease_exact(grid)
+        pool = self.drained_clone()
+        pool._free = [set(level) for level in self._free]
+        pool._split = set(self._split)
+        pool._leases = dict(self._leases)
         return pool
 
     def drained_clone(self) -> "SubgridAllocator":
@@ -195,27 +159,28 @@ class SubgridAllocator:
         block, so the canonical price stands in for any block of that
         size.
         """
-        return SubgridAllocator(self._root.grid)
+        pool = SubgridAllocator(self.root_grid)
+        pool._grids, pool._index = self._grids, self._index
+        return pool
 
     def release(self, grid: ProcessorGrid) -> None:
         """Return a leased subgrid; buddy pairs coalesce back toward the root."""
-        node = self._leases.pop(grid, None)
-        require(node is not None, ParameterError, f"{grid!r} is not leased from this pool")
-        node.allocated = False
-        parent = node.parent
-        while (
-            parent is not None
-            and parent.children is not None
-            and all(c.free for c in parent.children)
-        ):
-            parent.children = None
-            self._destroyed(parent.grid)
-            parent = parent.parent
+        h = self._leases.pop(grid, 0)
+        if not h:
+            raise ParameterError(f"{grid!r} is not leased from this pool")
+        level = h.bit_length() - 1
+        while h > 1 and (h ^ 1) in self._free[level]:
+            self._free[level].remove(h ^ 1)
+            h >>= 1
+            level -= 1
+            self._split.remove(h)
+            self._destroyed(h)
+        self._free[level].add(h)
 
     # -- internals ----------------------------------------------------------
 
-    def _destroyed(self, grid: ProcessorGrid) -> None:
-        """Notify the subscriber that a block stopped existing as a unit.
+    def _destroyed(self, h: int) -> None:
+        """Notify the subscriber that block ``h`` stopped existing as a unit.
 
         A coalesce reports the merged parent (it covers both destroyed
         children); a split reports the block being split.  Subscribers
@@ -223,25 +188,33 @@ class SubgridAllocator:
         sufficient in both directions.
         """
         if self.on_destroy is not None:
-            self.on_destroy(grid)
+            self.on_destroy(self._grid(h))
 
-    def _fit(self, size: int) -> _Node | None:
-        """Smallest free block with ``size`` ranks or more (DFS, first wins)."""
-        best: _Node | None = None
+    def _fit(self, size: int) -> ProcessorGrid | None:
+        """The first ``size``-rank block of the smallest free block that
+        fits (lowest index per level: first in depth-first order)."""
+        level = self._depth + 1 - size.bit_length() if is_power_of_two(size) else -1
+        if level < 0:
+            raise ParameterError(
+                f"size must be a power of two in [1, {self.capacity}], got {size}"
+            )
+        for free in self._free[level::-1]:
+            if free:
+                h = min(free)
+                return self._grid(h << (level - h.bit_length() + 1))
+        return None
 
-        def visit(node: _Node) -> None:
-            nonlocal best
-            if node.allocated:
-                return
-            if node.children is not None:
-                for c in node.children:
-                    visit(c)
-                return
-            if node.grid.size >= size and (best is None or node.grid.size < best.grid.size):
-                best = node
-
-        visit(self._root)
-        return best
+    def _grid(self, h: int) -> ProcessorGrid:
+        """Block ``h``'s grid, built (with its buddy) on first use."""
+        grid = self._grids.get(h)
+        if grid is None:
+            parent = self._grid(h >> 1)
+            axis = max(range(parent.ndim), key=lambda a: parent.shape[a])
+            for child, half in zip((h & ~1, h | 1), parent.halves(axis)):
+                self._grids[child] = half
+                self._index[half] = child
+            grid = self._grids[h]
+        return grid
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -39,6 +39,7 @@ rest of a plan whose head commits at a finish other than the planned one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -379,10 +380,10 @@ def _search_window(
     idle pool, unbounded) and :class:`HorizonPolicy` (sliding window,
     running work, budgeted) plan with.  ``running`` seeds the search with
     the committed-but-unfinished placements — their blocks are leased in
-    the scratch pool (:meth:`SubgridAllocator.clone` reconstructs the
-    live lease set via ``lease_exact``) and released as the search's wait
-    branches reach their modeled finishes — so re-planning mid-stream
-    sees exactly the machine the event loop sees.
+    the scratch pool (a :meth:`SubgridAllocator.clone` of the live pool),
+    released as the search's wait branches reach their modeled finishes
+    and re-leased with ``lease_exact`` on backtrack — so re-planning
+    mid-stream sees exactly the machine the event loop sees.
 
     ``node_budget`` bounds the search: once that many nodes have been
     explored *and* a complete incumbent exists, remaining branches are
@@ -442,6 +443,10 @@ def _search_window(
         for i, _req in items
     }
 
+    @functools.cache
+    def rank_set(grid: ProcessorGrid) -> frozenset[int]:
+        return frozenset(grid.ranks())
+
     def state_key(
         pending: frozenset[int],
         running: list[tuple[float, int, int, ProcessorGrid]],
@@ -452,9 +457,10 @@ def _search_window(
         # wait-descendant (e.g. a sub-grain arrival) and prune the
         # only feasible path; identical placement sets still collide
         # exactly because their times are the same float sums
+        # (running grids are distinct blocks, so the set is the multiset)
         return (
             frozenset(pending),
-            tuple(sorted((f, tuple(g.ranks())) for f, _i, _s, g in running)),
+            frozenset((f, g) for f, _i, _s, g in running),
             now,
             barrier,
         )
@@ -518,9 +524,9 @@ def _search_window(
                 # request at most as long while leaving the pool
                 # strictly freer — the bigger placement can always be
                 # exchanged for the smaller one without losing makespan
-                ranks = set(grid.ranks())
+                ranks = rank_set(grid)
                 if any(
-                    d2 <= duration and set(g2.ranks()) <= ranks
+                    d2 <= duration and rank_set(g2) <= ranks
                     for _s2, g2, d2 in priced[:pos]
                 ):
                     continue

@@ -410,7 +410,39 @@ class TestOptimalGroundTruth:
             make_policy("round_robin")
 
 
+# Captured from the window search that keyed its seen states on sorted
+# rank lists: [index, size, start, finish, ranks] per assignment, start
+# order, for the stream test_golden_horizon_stream packs.
+GOLDEN_HORIZON = [
+    [0, 1, 1.1001481267803983e-07, 5.500761481267804e-05, [0]],
+    [1, 4, 4.996716862517436e-07, 3.1111456038715235e-05, [2, 3, 6, 7]],
+    [2, 4, 1.8992126443709819e-06, 5.603275005422494e-05, [8, 9, 12, 13]],
+    [3, 1, 4.099360740152362e-06, 5.8996960740152367e-05, [1]],
+    [4, 1, 4.442854559320684e-06, 5.934045455932068e-05, [4]],
+    [5, 1, 4.700690082392566e-06, 4.701429008239256e-05, [5]],
+    [6, 1, 5.135236596458579e-06, 6.003283659645858e-05, [10]],
+    [7, 1, 5.237829866495989e-06, 4.270822986649599e-05, [11]],
+    [8, 1, 6.2387914334546755e-06, 4.855239143345467e-05, [14]],
+    [9, 1, 6.3050994728389605e-06, 6.974029947283895e-05, [15]],
+    [12, 4, 3.1111456038715235e-05, 5.955364039117873e-05, [2, 3, 6, 7]],
+    [15, 1, 4.270822986649599e-05, 8.017862986649599e-05, [11]],
+    [10, 1, 4.701429008239256e-05, 8.923643085939774e-05, [5]],
+    [11, 1, 4.855239143345467e-05, 9.086599143345467e-05, [14]],
+    [13, 1, 5.500761481267804e-05, 9.732121481267803e-05, [0]],
+    [14, 4, 5.603275005422494e-05, 9.984948746407891e-05, [8, 9, 12, 13]],
+]
+
+
 class TestHorizonPolicy:
+    def test_golden_horizon_stream(self):
+        """The search's node count, re-plans and placements are pinned:
+        any change to its state keys or pool shows here."""
+        stream = poisson_stream(16, rate=1e6, n_range=(64, 128), k_range=(8, 32), seed=3)
+        policy = HorizonPolicy(node_budget=200)
+        schedule = schedule_stream(stream, p=16, policy=policy, cache=False)
+        assert (policy.nodes_explored, policy.replans) == (1_470, 9)
+        assert flatten(schedule) == GOLDEN_HORIZON
+
     @given(fake_streams(max_count=4, max_menu=2))
     @settings(max_examples=25, deadline=None)
     def test_bit_identical_to_optimal_when_queue_fits(self, reqs):

@@ -1,5 +1,9 @@
 """Subgrid allocator invariants and scheduler packing properties."""
 
+import hashlib
+import json
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +56,12 @@ class TestAllocatorBasics:
             pool.allocate(3)
         with pytest.raises(ParameterError):
             pool.allocate(16)
+        # preview and can_allocate share allocate's size check
+        for size in (0, 3, 6, 2 * pool.capacity):
+            with pytest.raises(ParameterError):
+                pool.preview(size)
+            with pytest.raises(ParameterError):
+                pool.can_allocate(size)
 
     def test_machine_grid_pool(self):
         pool = Machine(16).grid_pool()
@@ -75,7 +85,132 @@ def alloc_scripts(draw):
     return capacity, sizes
 
 
+# Recorded from the buddy tree the heap-index pool replaced: every grid
+# returned, every preview and every destroy event of pool_trace(0..59).
+POOL_TRACE_DIGEST = "51da27dbe79fe7cedfc8707a370417398faff3620f078d73220874cdf22f0edf"
+POOL_TRACE_SIZES = (1, 2, 4, 16, 64)
+
+
+def pool_trace(seed: int) -> list:
+    """One seeded allocate / release / lease_exact-into-clone script."""
+    rng = random.Random(seed)
+    p = POOL_TRACE_SIZES[seed % len(POOL_TRACE_SIZES)]
+    sizes = [2**e for e in range(p.bit_length())]
+    out: list = []
+
+    def block(g):
+        return None if g is None else [list(g.shape), g.ranks()]
+
+    def hook(tag):
+        return lambda g: out.append([tag, block(g)])
+
+    def previews(tag, pool):
+        out.append([tag, [block(pool.preview(s)) for s in sizes]])
+
+    pool = make_pool(p)
+    pool.on_destroy = hook("destroy")
+    live: list = []
+    for _ in range(rng.randrange(6, 20)):
+        op = rng.random()
+        if op < 0.5 or not live:
+            g = pool.allocate(rng.choice(sizes))
+            out.append(["allocate", block(g)])
+            if g is not None:
+                live.append(g)
+        elif op < 0.75:
+            g = live.pop(rng.randrange(len(live)))
+            pool.release(g)
+            out.append(["release", block(g)])
+        else:
+            # what-if on a clone: release a lease, allocate into the hole,
+            # put everything back with lease_exact
+            clone = pool.clone()
+            clone.on_destroy = hook("clone-destroy")
+            g = rng.choice(live)
+            clone.release(g)
+            previews("clone-released", clone)
+            h = clone.allocate(rng.choice(sizes))
+            out.append(["clone-allocate", block(h)])
+            if h is not None:
+                clone.release(h)
+                clone.lease_exact(h)
+                previews("clone-leased", clone)
+                clone.release(h)
+            clone.lease_exact(g)
+            try:
+                clone.lease_exact(rng.choice(live))
+                out.append(["clone-double-lease", "accepted"])
+            except ParameterError:
+                out.append(["clone-double-lease", "refused"])
+            previews("clone", clone)
+            drained = pool.drained_clone()
+            drained.on_destroy = hook("drained-destroy")
+            for g in live:
+                drained.lease_exact(g)
+            previews("drained", drained)
+        previews("pool", pool)
+    for g in live:
+        pool.release(g)
+    out.append(["drained", pool.drained()])
+    return out
+
+
+def pool_trace_digest(seeds=range(60)) -> str:
+    text = json.dumps([pool_trace(s) for s in seeds], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def all_previews(pool: SubgridAllocator) -> list:
+    sizes = [2**e for e in range(pool.capacity.bit_length())]
+    return [pool.preview(s) for s in sizes]
+
+
+def leased_pool(script) -> tuple[SubgridAllocator, list]:
+    """Allocate a script's sizes, releasing every third grant again."""
+    capacity, sizes = script
+    pool = make_pool(capacity)
+    live = []
+    for i, size in enumerate(sizes):
+        g = pool.allocate(size)
+        if g is not None:
+            live.append(g)
+        if i % 3 == 2 and live:
+            pool.release(live.pop(0))
+    return pool, live
+
+
 class TestAllocatorInvariants:
+    def test_pinned_trace(self):
+        assert pool_trace_digest() == POOL_TRACE_DIGEST
+
+    @given(alloc_scripts())
+    @settings(max_examples=100, deadline=None)
+    def test_clone_is_detached(self, script):
+        pool, live = leased_pool(script)
+        events = []
+        pool.on_destroy = events.append
+        before = all_previews(pool)
+        clone = pool.clone()
+        assert all_previews(clone) == before
+        for g in live:
+            clone.release(g)
+        assert clone.drained()
+        for size in script[1]:
+            clone.allocate(size)
+        assert events == []
+        assert all_previews(pool) == before
+        assert pool.in_use() == sum(g.size for g in live)
+
+    @given(alloc_scripts())
+    @settings(max_examples=100, deadline=None)
+    def test_lease_exact_rebuilds_the_pool(self, script):
+        pool, live = leased_pool(script)
+        rebuilt = pool.drained_clone()
+        for g in live:
+            assert rebuilt.lease_exact(g) == g
+        assert all_previews(rebuilt) == all_previews(pool)
+        assert rebuilt.in_use() == pool.in_use()
+
     @given(alloc_scripts())
     @settings(max_examples=200, deadline=None)
     def test_disjoint_bounded_and_coalescing(self, script):

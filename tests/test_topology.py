@@ -1,5 +1,11 @@
 """Tests for processor grids (fibers, embeddings, subgrids)."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -48,6 +54,35 @@ class TestConstruction:
         b = ProcessorGrid.build((2, 2))
         assert a == b and hash(a) == hash(b)
         assert a != ProcessorGrid.build((4,))
+
+    def test_pickle_round_trip_rehashes(self):
+        # the hash is cached on first use, but bytes hashes are salted per
+        # process: a grid pickled after hashing under another
+        # PYTHONHASHSEED must hash like a fresh grid here
+        g = ProcessorGrid.build((2, 4), start=3)
+        hash(g)
+        assert pickle.loads(pickle.dumps(g)) == g
+        other = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import pickle, sys\n"
+            "from repro.machine.topology import ProcessorGrid\n"
+            "g = ProcessorGrid.build((2, 4), start=3)\n"
+            "print(hash(g))\n"
+            "print(pickle.dumps(g).hex())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": other, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        their_hash, payload = out.stdout.split()
+        assert int(their_hash) != hash(g)  # the salts differ
+        back = pickle.loads(bytes.fromhex(payload))
+        assert back == g and hash(back) == hash(g)
 
 
 class TestViews:
