@@ -10,7 +10,7 @@ test:
 
 ## Fail-fast subset: the dist-layer contracts plus the scheduler and
 ## packing-policy contracts (allocator invariants, LPT parity goldens,
-## backfill no-delay, optimal ground truth).
+## horizon goldens, optimal ground truth).
 test-fast:
 	$(PYTHON) -m pytest -x -q tests/test_layout.py tests/test_distmatrix.py \
 		tests/test_redistribute.py tests/test_triangular_helpers.py \
@@ -41,10 +41,10 @@ bench-paper:
 	$(PYTHON) -m pytest -x -q $(PAPER_BENCHES) $$($(PYTHON) -c \
 		"from importlib.util import find_spec as f; print('--benchmark-disable' if f('pytest_benchmark') else '')")
 
-## Full-fat serve + policy-comparison sweep: gates backfill <= LPT (with
-## the mixed-stream strict win), horizon <= min(lpt, backfill) on every
-## recorded stream (counterexample included), horizon <= 1.1x the
-## exhaustive optimum on small queues, and the opcache reuse floor;
+## Full-fat serve + policy-comparison sweep: gates horizon <= lpt on every
+## recorded stream (arrival-heavy one included), the mixed-stream horizon
+## win (> 5 %), horizon <= 1.1x the exhaustive optimum on small queues,
+## and the opcache reuse floor;
 ## records (ungated) the cache-on window-search table; rewrites the tracked
 ## benchmarks/results/BENCH_serve.json (simulated numbers only — the CI
 ## bench job fails if the committed file differs).

@@ -17,17 +17,15 @@ acceptance artifact:
   subgrid tenancy, with ``staging_saved_seconds > 0`` and a hit rate of
   at least 50 % on the repeat placements, bit-identically to a cache-off
   run;
-* **policies** — the packing-policy sweep (PR 5, tightened by the
-  rolling-horizon PR): every stream replayed under LPT, conservative
-  backfilling and the rolling-horizon policy.  Gates: ``backfill <= LPT``
-  on the representative streams (strict win on the mixed small/large
-  pinned stream), ``horizon <= min(lpt, backfill)`` on *every* recorded
-  stream — including the arrival-heavy counterexample where backfill
-  loses to LPT — and ``horizon <= 1.1 x optimal`` on every small queue
-  the exhaustive :class:`~repro.sched.OptimalPolicy` ground truth can
-  price (including the tiny-burst stream where LPT sits ~67 % above the
-  optimum).  The same three policies then run **with the operand cache
-  on** over shared-operand streams, beside an uncached horizon run:
+* **policies** — the packing-policy sweep: every stream replayed under
+  LPT and the rolling-horizon policy.  Gates: ``horizon <= lpt`` on
+  *every* recorded stream (the arrival-heavy stream included), a strict
+  horizon win of more than 5 % on the mixed small/large pinned stream,
+  and ``horizon <= 1.1 x optimal`` on every small queue the exhaustive
+  ``"optimal"`` ground truth (the unbudgeted horizon search) can price
+  (including the tiny-burst stream where LPT sits ~67 % above the
+  optimum).  Both policies then run **with the operand cache on** over
+  shared-operand streams, beside an uncached horizon run:
   modeled and measured makespan, hits/misses and ``replans`` are
   recorded, and only what a plan-as-guide supports is gated (the runs
   complete, horizon actually hits the cache) — the orderings are data.
@@ -178,23 +176,18 @@ def test_prepared_stream_amortizes_factor_migration(emit, benchmark):
 
 
 def test_policy_sweep_emits_bench_json(emit, results_dir, benchmark):
-    """E10 — packing policies: backfill never loses to LPT on the sweep
-    streams (strict win on the mixed pinned stream), horizon never loses
-    to *either* incumbent on any recorded stream (including the
-    arrival-heavy counterexample where backfill loses to LPT), horizon
-    stays within 1.1x of the exhaustive optimum on every small queue,
-    and the whole comparison lands in ``BENCH_serve.json`` for the CI
-    bench job."""
+    """E10 — packing policies: horizon never loses to LPT on any recorded
+    stream (strict win on the mixed pinned stream), stays within 1.1x of
+    the exhaustive optimum on every small queue, and the whole comparison
+    lands in ``BENCH_serve.json`` for the CI bench job."""
     report: dict = {"smoke": SMOKE, "p": P}
 
-    def _gate_horizon(hor: float, lpt: float, bf: float, label: str) -> None:
-        floor = min(lpt, bf)
-        assert hor <= floor * (1 + 1e-9), (
-            f"horizon must not lose to lpt/backfill ({label}): "
-            f"{hor} > min({lpt}, {bf})"
+    def _gate_horizon(hor: float, lpt: float, label: str) -> None:
+        assert hor <= lpt * (1 + 1e-9), (
+            f"horizon must not lose to lpt ({label}): {hor} > {lpt}"
         )
 
-    # -- horizon vs backfill vs LPT on representative streams ------------
+    # -- horizon vs LPT on representative streams -------------------------
     sweep_rows = []
     sweep_json = []
     rates = (0.0, 5e4) if SMOKE else (0.0, 2e4, 1e5)
@@ -205,16 +198,10 @@ def test_policy_sweep_emits_bench_json(emit, results_dir, benchmark):
                 count=COUNT, rate=rate, n_range=N_RANGE, k_range=K_RANGE, seed=seed
             )
             lpt = replay(stream, p=P, policy="lpt", cache=False, verify=False)
-            bf = replay(stream, p=P, policy="backfill", cache=False, verify=False)
             hor = replay(stream, p=P, policy="horizon", cache=False, verify=False)
-            assert bf.modeled_makespan <= lpt.modeled_makespan * (1 + 1e-9), (
-                f"backfill must not lose to LPT (seed {seed}, rate {rate:.0f}): "
-                f"{bf.modeled_makespan} > {lpt.modeled_makespan}"
-            )
             _gate_horizon(
                 hor.modeled_makespan,
                 lpt.modeled_makespan,
-                bf.modeled_makespan,
                 f"seed {seed}, rate {rate:.0f}",
             )
             sweep_rows.append(
@@ -222,10 +209,8 @@ def test_policy_sweep_emits_bench_json(emit, results_dir, benchmark):
                     seed,
                     f"{rate:.0f}" if rate else "burst",
                     lpt.modeled_makespan * 1e6,
-                    bf.modeled_makespan * 1e6,
                     hor.modeled_makespan * 1e6,
-                    min(lpt.modeled_makespan, bf.modeled_makespan)
-                    / hor.modeled_makespan,
+                    lpt.modeled_makespan / hor.modeled_makespan,
                 ]
             )
             sweep_json.append(
@@ -234,36 +219,29 @@ def test_policy_sweep_emits_bench_json(emit, results_dir, benchmark):
                     "rate": rate,
                     "requests": COUNT,
                     "lpt_makespan_seconds": lpt.modeled_makespan,
-                    "backfill_makespan_seconds": bf.modeled_makespan,
                     "horizon_makespan_seconds": hor.modeled_makespan,
                 }
             )
-    report["backfill_vs_lpt"] = sweep_json
-    # The backfill counterexample (tracked since PR 5): on this
-    # arrival-heavy stream the reservation's conservatism costs backfill
-    # ~6% vs LPT — still deliberately ungated for backfill.  Horizon IS
-    # gated here: the windowed search dominates both incumbents on every
-    # recorded stream, counterexample included.
+    report["horizon_vs_lpt"] = sweep_json
+    # One arrival-heavy stream beyond the sweep (full-fat only), gated
+    # like every other recorded stream.
     if not SMOKE:
-        counter = poisson_stream(
+        heavy = poisson_stream(
             count=COUNT, rate=1e5, n_range=N_RANGE, k_range=K_RANGE, seed=2
         )
-        c_lpt = replay(counter, p=P, policy="lpt", cache=False, verify=False)
-        c_bf = replay(counter, p=P, policy="backfill", cache=False, verify=False)
-        c_hor = replay(counter, p=P, policy="horizon", cache=False, verify=False)
+        h_lpt = replay(heavy, p=P, policy="lpt", cache=False, verify=False)
+        h_hor = replay(heavy, p=P, policy="horizon", cache=False, verify=False)
         _gate_horizon(
-            c_hor.modeled_makespan,
-            c_lpt.modeled_makespan,
-            c_bf.modeled_makespan,
-            "counterexample seed 2, rate 1e5",
+            h_hor.modeled_makespan,
+            h_lpt.modeled_makespan,
+            "arrival-heavy seed 2, rate 1e5",
         )
-        report["backfill_counterexample_ungated"] = {
+        report["arrival_heavy_stream"] = {
             "seed": 2,
             "rate": 1e5,
             "requests": COUNT,
-            "lpt_makespan_seconds": c_lpt.modeled_makespan,
-            "backfill_makespan_seconds": c_bf.modeled_makespan,
-            "horizon_makespan_seconds": c_hor.modeled_makespan,
+            "lpt_makespan_seconds": h_lpt.modeled_makespan,
+            "horizon_makespan_seconds": h_hor.modeled_makespan,
         }
 
     # -- the window search with the operand cache on ----------------------
@@ -286,7 +264,6 @@ def test_policy_sweep_emits_bench_json(emit, results_dir, benchmark):
             runs = {}
             for label, policy, cache in (
                 ("lpt", "lpt", True),
-                ("backfill", "backfill", True),
                 ("horizon", HorizonPolicy(node_budget=budget), True),
                 ("horizon_uncached", HorizonPolicy(node_budget=budget), False),
             ):
@@ -338,27 +315,16 @@ def test_policy_sweep_emits_bench_json(emit, results_dir, benchmark):
         ),
     }
 
-    # -- the mixed small/large pinned stream: the strict backfill win ----
+    # -- the mixed small/large pinned stream: the strict horizon win -----
     smalls = 8 if SMOKE else 10
     mixed_lpt = benchmark(
         lambda: replay_mixed(p=16, policy="lpt", smalls=smalls)
     )
-    mixed_bf = replay_mixed(p=16, policy="backfill", smalls=smalls)
     mixed_hor = replay_mixed(p=16, policy="horizon", smalls=smalls)
-    win = 1.0 - mixed_bf.modeled_makespan / mixed_lpt.modeled_makespan
-    assert mixed_bf.modeled_makespan < mixed_lpt.modeled_makespan, (
-        "backfilling must strictly beat greedy LPT on the mixed pinned stream"
-    )
-    assert win > 0.05, f"the backfill win collapsed to {win * 100.0:.2f}%"
-    _gate_horizon(
-        mixed_hor.modeled_makespan,
-        mixed_lpt.modeled_makespan,
-        mixed_bf.modeled_makespan,
-        "mixed pinned stream",
-    )
+    win = 1.0 - mixed_hor.modeled_makespan / mixed_lpt.modeled_makespan
+    assert win > 0.05, f"the horizon win collapsed to {win * 100.0:.2f}%"
     report["mixed_stream_win"] = {
         "lpt_makespan_seconds": mixed_lpt.modeled_makespan,
-        "backfill_makespan_seconds": mixed_bf.modeled_makespan,
         "horizon_makespan_seconds": mixed_hor.modeled_makespan,
         "win_fraction": win,
     }
@@ -374,23 +340,21 @@ def test_policy_sweep_emits_bench_json(emit, results_dir, benchmark):
         stream = poisson_stream(count=6, rate=rate, n_range=nr, k_range=kr, seed=seed)
         data = policy_gap_data(stream, p=p)
         lpt_gap = data["gap_vs_optimal_pct"]["lpt"]
-        bf_gap = data["gap_vs_optimal_pct"]["backfill"]
         hor_gap = data["gap_vs_optimal_pct"]["horizon"]
         assert hor_gap is not None and hor_gap <= 10.0, (
             f"horizon exceeded 1.1x the exhaustive optimum "
             f"(p={p}, seed={seed}, rate={rate:.0f}: +{hor_gap:.2f}%)"
         )
         assert hor_gap >= -1e-6  # optimal is a floor
-        assert bf_gap is not None and bf_gap >= -1e-6
         assert lpt_gap is not None and lpt_gap >= -1e-6
         gap_rows.append(
             [p, seed, f"{rate:.0f}" if rate else "burst",
-             f"+{lpt_gap:.2f}", f"+{bf_gap:.2f}", f"+{hor_gap:.2f}"]
+             f"+{lpt_gap:.2f}", f"+{hor_gap:.2f}"]
         )
         gap_json.append(
             {"p": p, "seed": seed, "rate": rate, **data}
         )
-    # adversarial tiny-burst stream: the ~67% LPT/backfill loss stays
+    # adversarial tiny-burst stream: the ~67% LPT loss stays
     # tracked (ungated) in the JSON — but horizon is gated to close it
     adversarial = policy_gap_data(
         poisson_stream(count=6, rate=0.0, n_range=(32, 64), k_range=(8, 16), seed=0),
@@ -421,12 +385,12 @@ def test_policy_sweep_emits_bench_json(emit, results_dir, benchmark):
     path = pathlib.Path(results_dir) / name
     path.write_text(json.dumps(report, indent=2) + "\n")
     table = format_table(
-        ["seed", "rate 1/s", "lpt us", "backfill us", "horizon us", "best/horizon"],
+        ["seed", "rate 1/s", "lpt us", "horizon us", "lpt/horizon"],
         sweep_rows,
         title=f"Policy sweep (p={P}, n in {N_RANGE}, k in {K_RANGE})",
     )
     gap_table = format_table(
-        ["p", "seed", "rate 1/s", "lpt vs opt", "backfill vs opt", "horizon vs opt"],
+        ["p", "seed", "rate 1/s", "lpt vs opt", "horizon vs opt"],
         gap_rows,
         title="Small-queue gap vs exhaustive optimum (6 requests, cache off)",
     )
@@ -459,6 +423,6 @@ def test_policy_sweep_emits_bench_json(emit, results_dir, benchmark):
         + gap_table
         + "\n\n"
         + cached_table
-        + f"\n\nmixed pinned stream: backfill wins {win * 100.0:.1f}%"
+        + f"\n\nmixed pinned stream: horizon wins {win * 100.0:.1f}%"
         + f"\nwrote {path}",
     )

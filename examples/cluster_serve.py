@@ -56,13 +56,13 @@ def main() -> int:
     print(f"\npacked {count} requests at {speedup:.2f}x the serial rate")
 
     # The packing rule is pluggable: the mixed small/large pinned stream
-    # is where conservative backfilling strictly beats greedy LPT.
+    # is where the rolling-horizon search strictly beats greedy LPT.
     lpt = replay_mixed(p=16, policy="lpt", smalls=8)
-    backfill = replay_mixed(p=16, policy="backfill", smalls=8)
-    win = (1.0 - backfill.modeled_makespan / lpt.modeled_makespan) * 100.0
+    horizon = replay_mixed(p=16, policy="horizon", smalls=8)
+    win = (1.0 - horizon.modeled_makespan / lpt.modeled_makespan) * 100.0
     print(
         f"mixed pinned stream: lpt {lpt.modeled_makespan * 1e6:.1f} us, "
-        f"backfill {backfill.modeled_makespan * 1e6:.1f} us "
+        f"horizon {horizon.modeled_makespan * 1e6:.1f} us "
         f"({win:+.1f}% makespan win)"
     )
     return 0

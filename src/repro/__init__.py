@@ -87,10 +87,8 @@ from repro.api import (
     TrsmRequest,
 )
 from repro.sched import (
-    BackfillPolicy,
     HorizonPolicy,
     LPTPolicy,
-    OptimalPolicy,
     PackingPolicy,
     Schedule,
     Scheduler,
@@ -126,8 +124,6 @@ __all__ = [
     "Schedule",
     "PackingPolicy",
     "LPTPolicy",
-    "BackfillPolicy",
-    "OptimalPolicy",
     "HorizonPolicy",
     "make_policy",
     "Cost",

@@ -326,10 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument(
         "--policy",
-        choices=["lpt", "backfill", "optimal", "horizon"],
+        choices=["lpt", "optimal", "horizon"],
         default="lpt",
-        help="packing policy (optimal is exhaustive: queues of <= 8 only; "
-        "horizon runs the same search on a sliding window at any length)",
+        help="packing policy (optimal searches exhaustively and refuses "
+        "queues longer than its window; horizon runs the same search on a "
+        "sliding window at any length)",
     )
     p_serve.add_argument(
         "--backend",

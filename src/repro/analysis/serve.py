@@ -12,7 +12,7 @@ packing a request queue onto the subgrid pool — as plain-text artifacts:
   replayed under every policy (cache off: only uncached is the
   exhaustive optimum exact, so only there is it a ground truth), with
   per-policy makespan/occupancy/throughput and the %-above-optimal gap
-  on queues small enough for :class:`~repro.sched.OptimalPolicy`;
+  on queues that fit the ``"optimal"`` search's window;
 * :func:`latency_report` — the p50/p95/p99 request-latency line, the
   *one* formatter both the replay reports and the
   :mod:`repro.api.online.daemon` telemetry render through;
@@ -160,31 +160,32 @@ def policy_gap_data(
     stream,
     p: int,
     params=None,
-    policies: tuple[str, ...] = ("lpt", "backfill", "horizon", "optimal"),
-    optimal_max: int = 8,
     verify: bool = False,
 ) -> dict:
     """Replay ``stream`` under every policy; return the comparison as data.
 
     Every replay is uncached (``cache=False``): the optimum is exact only
     when no price moves between planning and commit.  ``"optimal"`` is
-    skipped (entry ``None``) on queues longer than ``optimal_max`` — the
-    exhaustive search is exponential in the queue length; ``"horizon"``
-    runs the same search windowed, so it serves at any length.  The
+    skipped (entry ``None``) on queues longer than its
+    :attr:`~repro.sched.PackingPolicy.max_queue` — the exhaustive search
+    is exponential in the queue length; ``"horizon"`` runs the same
+    search windowed and budgeted, so it serves at any length.  The
     result is JSON-ready: per-policy ``makespan_seconds`` / ``occupancy``
     / ``throughput_rps``, plus ``gap_vs_optimal_pct`` (how far each
     policy sits above the ground-truth makespan — ``None`` entries mean
     the optimum did not run) when the optimum ran.
     """
     from repro.api.serve import replay
+    from repro.sched.policies import make_policy
 
     results: dict[str, dict | None] = {}
-    for name in policies:
-        if name == "optimal" and len(stream) > optimal_max:
+    for name in ("lpt", "horizon", "optimal"):
+        policy = make_policy(name)
+        if policy.max_queue is not None and len(stream) > policy.max_queue:
             results[name] = None
             continue
         outcome = replay(
-            stream, p=p, params=params, verify=verify, policy=name, cache=False
+            stream, p=p, params=params, verify=verify, policy=policy, cache=False
         )
         results[name] = {
             "makespan_seconds": outcome.modeled_makespan,
@@ -219,15 +220,10 @@ def policy_gap_report(
     stream,
     p: int,
     params=None,
-    policies: tuple[str, ...] = ("lpt", "backfill", "horizon", "optimal"),
-    optimal_max: int = 8,
     verify: bool = False,
 ) -> str:
     """Render :func:`policy_gap_data` as the gap-report table."""
-    data = policy_gap_data(
-        stream, p, params=params, policies=policies, optimal_max=optimal_max,
-        verify=verify,
-    )
+    data = policy_gap_data(stream, p, params=params, verify=verify)
     rows = []
     for name, res in data["policies"].items():
         if res is None:

@@ -7,10 +7,9 @@ requests (:mod:`repro.api.requests`) are queued with :meth:`submit`;
 :meth:`run` packs the queue onto disjoint subgrids with the
 :class:`~repro.sched.Scheduler` and replays the packing on the machine.
 The packing decision rule is pluggable (``policy="lpt"`` greedy LPT, the
-default; ``"backfill"`` conservative no-delay backfilling; ``"optimal"``
-exhaustive ground truth for queues of ≤ 8; ``"horizon"`` the same search
-on a sliding window, serving any queue length — see
-:mod:`repro.sched.policies`).
+default; ``"horizon"`` branch-and-bound on a sliding window, serving any
+queue length; ``"optimal"`` the same search unbudgeted, exhaustive ground
+truth for queues that fit its window — see :mod:`repro.sched.policies`).
 
 Because a charge only advances the clocks of the ranks it touches, requests
 executed on disjoint subgrids overlap in simulated time exactly as the
@@ -254,8 +253,8 @@ class Cluster:
         #: the execution backend plans route through (repro.backend)
         self.backend = make_backend(backend)
         self.machine = Machine(self.p, params=self.params, backend=self.backend)
-        #: the packing decision rule ("lpt", "backfill", "optimal",
-        #: "horizon", or a PackingPolicy instance; see repro.sched.policies)
+        #: the packing decision rule ("lpt", "horizon", "optimal", or a
+        #: PackingPolicy instance; see repro.sched.policies)
         self.policy = make_policy(policy)
         #: the quadrant pool over all ranks (repro.sched.SubgridAllocator)
         self.pool = self.machine.grid_pool()

@@ -57,6 +57,7 @@ from repro.api.serve import StreamRequest, _trsm_requests
 from repro.dist.routing import plan_cache_stats
 from repro.machine.cost import CostParams
 from repro.machine.validate import ParameterError, require
+from repro.sched.policies import make_policy
 
 __all__ = ["DaemonConfig", "ServeDaemon"]
 
@@ -78,6 +79,9 @@ class DaemonConfig:
     gaps).  ``batch`` auto-flushes whenever that many requests are
     queued.  ``verify`` checks every solve's residual (slower).  Every
     flush runs with the operand cache on and logs one telemetry record.
+    A policy that refuses queues longer than its ``max_queue`` (the
+    exhaustive ``"optimal"``) is refused here when ``batch`` exceeds it:
+    otherwise the first full batch would fail to schedule.
     """
 
     p: int = 16
@@ -94,6 +98,13 @@ class DaemonConfig:
             self.time_scale > 0.0,
             ParameterError,
             f"time_scale must be > 0, got {self.time_scale}",
+        )
+        bound = make_policy(self.policy).max_queue
+        require(
+            bound is None or self.batch <= bound,
+            ParameterError,
+            f"policy {self.policy!r} searches at most {bound} requests "
+            f"exhaustively, fewer than batch={self.batch}",
         )
 
 

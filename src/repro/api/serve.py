@@ -119,7 +119,7 @@ def replay(
     placement is charged the exact migration plan; ``resident=False``
     passes globals (free Require-clause placement) — useful to isolate the
     scheduling gain from the migration cost.  ``policy`` selects the
-    packing rule (``"lpt"``/``"backfill"``/``"optimal"``/``"horizon"``;
+    packing rule (``"lpt"``/``"horizon"``/``"optimal"``;
     see :mod:`repro.sched.policies`) and ``cache=False`` disables the
     staged-copy operand cache — the gap report runs every policy uncached
     because the exhaustive optimum is exact only there.
@@ -176,20 +176,20 @@ def schedule_stream(
 
 
 def replay_mixed(p: int, policy=None, smalls: int = 10) -> ClusterOutcome:
-    """The mixed small/large serving scenario backfilling exists for.
+    """The mixed small/large serving scenario greedy LPT starves on.
 
     A stream of small solves (n = 64, k = 8) pinned to quarter subgrids
     keeps the pool busy (the first four arrive at t = 0, the rest every
     20 us), and one large solve (n = 256, k = 32) pinned to the full grid
     arrives at 5 us, just after the pool fills.  Greedy LPT keeps placing
     arriving smalls in the freed blocks, so the large solve — which needs
-    *all* blocks free at once — starves behind the stream; conservative
-    backfilling reserves its earliest start and only admits smalls that
-    finish by the reservation, so the pool drains and the large solve
-    runs.  This is the paper's selective-inversion serving mix (small
+    *all* blocks free at once — starves behind the stream; the horizon
+    search plans the large solve into its window, so it starts as soon as
+    the first four smalls finish and the later smalls queue behind it.
+    This is the paper's selective-inversion serving mix (small
     preconditioner applications interleaved with occasional large
     solves), and the stream ``benchmarks/bench_serve.py`` gates the
-    backfill-vs-LPT win on.  Runs uncached and unverified on the default
+    horizon-vs-LPT win on.  Runs uncached and unverified on the default
     machine constants.
     """
     require(smalls >= 5, ParameterError, "the mixed stream needs >= 5 smalls")

@@ -15,21 +15,18 @@ front-end schedules arbitrary request queues with:
   migration cost of staging its operands, and replays the cache plan and
   eviction timeline;
 * :mod:`repro.sched.policies` — the pluggable decision rules:
-  :class:`LPTPolicy` (greedy longest-first, the default),
-  :class:`BackfillPolicy` (conservative no-delay backfilling),
-  :class:`OptimalPolicy` (exhaustive branch-and-bound ground truth for
-  small queues), and :class:`HorizonPolicy` (the branch-and-bound on a
-  sliding window with backfill beyond it — optimal-quality packing at
-  any queue length).
+  :class:`LPTPolicy` (greedy longest-first, the default) and
+  :class:`HorizonPolicy` (branch-and-bound on a sliding window with
+  guarded backfill beyond it — optimal-quality packing at any queue
+  length; unbudgeted, the registry's ``"optimal"`` ground truth for
+  small queues).
 """
 
 from repro.sched.allocator import SubgridAllocator
 from repro.sched.policies import (
     POLICIES,
-    BackfillPolicy,
     HorizonPolicy,
     LPTPolicy,
-    OptimalPolicy,
     PackingPolicy,
     make_policy,
 )
@@ -42,8 +39,6 @@ __all__ = [
     "Scheduler",
     "PackingPolicy",
     "LPTPolicy",
-    "BackfillPolicy",
-    "OptimalPolicy",
     "HorizonPolicy",
     "POLICIES",
     "make_policy",

@@ -4,28 +4,21 @@ The :class:`~repro.sched.scheduler.Scheduler` owns the event loop — when
 time advances, how placements commit, how the operand-cache plan and the
 allocator destroy events are replayed — but *which* request is placed on
 *which* subgrid size at each decision point is a strategy.  This module
-defines that strategy interface (:class:`PackingPolicy`) and four
-implementations the gap report in :mod:`repro.analysis.serve` compares:
+defines that strategy interface (:class:`PackingPolicy`) and the two rules
+the gap report in :mod:`repro.analysis.serve` compares:
 
 * :class:`LPTPolicy` — the greedy longest-processing-time rule the
   scheduler always used, extracted verbatim (bit-identical schedules;
   ``tests/test_policies.py`` pins pre-refactor goldens);
-* :class:`BackfillPolicy` — conservative (EASY-style) backfilling: when
-  the longest arrived request is blocked, its earliest possible start is
-  *reserved* and only placements that finish by the reservation may jump
-  the queue, so backfilling can never delay the blocked head (the
-  no-delay invariant, property-tested against the reservation log);
-* :class:`OptimalPolicy` — branch-and-bound exhaustive search over all
-  event-aligned schedules of a small queue (≤ 8 requests by default),
-  pruned by the area bound; uncached, the ground-truth baseline the gap
-  report measures the heuristics against;
-* :class:`HorizonPolicy` — the rolling-horizon composition of the two:
-  the same branch-and-bound run over a sliding window of queued
-  requests, seeded from the *live* allocator state (running placements
-  and all), committing only the head of each plan and re-planning when
-  the window's membership changes or a commit's price drifts from the
-  plan, with conservative backfill scoring for arrived requests beyond
-  the window.  Serves queues of any length at bounded per-decision cost.
+* :class:`HorizonPolicy` — branch-and-bound over a sliding window of
+  queued requests, seeded from the *live* allocator state (running
+  placements and all), committing only the head of each plan and
+  re-planning when the window's membership changes or a commit's price
+  drifts from the plan, with guarded first-fit for arrived requests
+  beyond the window.  Serves queues of any length at bounded
+  per-decision cost.  Unbudgeted (``node_budget=None``) it is the
+  exhaustive optimum — the registry's ``"optimal"`` — and refuses queues
+  longer than its window.
 
 Every placement option a policy considers is priced by the scheduling
 pass's one pricing object (closed-form execution cost plus the exact
@@ -41,7 +34,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.machine.cost import Cost, CostParams
 from repro.machine.topology import ProcessorGrid
@@ -160,8 +153,8 @@ class PolicyContext:
         the remaining queue's minimum rank-seconds — the rule that makes
         every policy *pack* instead of grabbing the whole machine.
         Near-ties (1 ppm) take the smaller subgrid.  ``deadline`` drops
-        candidates finishing after it (how backfilling guards a
-        reservation).
+        candidates finishing after it (how the window search guards its
+        next planned start).
         """
         best: tuple[float, Candidate] | None = None
         for size in self.pricing.sizes(req):
@@ -196,30 +189,6 @@ class PolicyContext:
             cand = self.best_candidate(req, self.pricing.rest_area(index), deadline)
             if cand is not None:
                 return Decision(index, req, cand)
-        return None
-
-    # -- what-if simulation -------------------------------------------------
-
-    def earliest_fit(self, req: SchedulableRequest) -> float | None:
-        """Earliest modeled time ``req`` could start with no new tenants.
-
-        Simulates the running placements releasing at their modeled
-        finishes (in finish order) on a scratch pool and returns the
-        first time a candidate size of ``req`` fits — ``self.now`` when
-        it already fits, ``None`` when it can never fit (no candidate
-        size is allocatable even in a drained pool).
-        """
-        sizes = self.pricing.sizes(req)
-        if not sizes:
-            return None
-        smallest = min(sizes)
-        if self.allocator.can_allocate(smallest):
-            return self.now
-        pool = self.allocator.clone()
-        for finish, _index, _size, grid in self.running:
-            pool.release(grid)
-            if pool.can_allocate(smallest):
-                return finish
         return None
 
     # -- the priority-aware view ---------------------------------------------
@@ -260,6 +229,8 @@ class PackingPolicy:
     """
 
     name = "policy"
+    #: the longest queue one pass accepts (``None``: any length)
+    max_queue: int | None = None
 
     def reset(self, requests: Sequence[object]) -> None:
         """Hook called once per scheduling pass with the full queue."""
@@ -273,95 +244,13 @@ class LPTPolicy(PackingPolicy):
 
     Arrived requests are ranked longest best-case execution first; the
     first one with any feasible placement is committed at its best-scored
-    size.  A blocked longer request does *not* hold shorter ones back —
-    that greedy skip is exactly what :class:`BackfillPolicy` replaces
-    with a reservation.
+    size.  A blocked longer request does *not* hold shorter ones back.
     """
 
     name = "lpt"
 
     def choose(self, ctx: PolicyContext) -> Decision | None:
         return ctx.first_fit(ctx.class_order())
-
-
-class BackfillPolicy(PackingPolicy):
-    """Conservative backfilling: fill holes without delaying the blocked head.
-
-    Identical to :class:`LPTPolicy` until the LPT head cannot be placed.
-    Then the head's earliest possible start is computed from the running
-    placements' modeled finishes (:meth:`PolicyContext.earliest_fit`) and
-    *reserved*; later requests in the LPT order may start in the idle
-    blocks only if every candidate placement finishes by the reservation.
-
-    The reservation is *sticky*: the reserved request keeps queue
-    priority until it is placed, even if a longer request arrives in the
-    meantime (a reservation is a promise — new arrivals go behind it,
-    exactly as in EASY backfilling's FCFS guarantee).  The one exception
-    is the online-serving priority ladder: a reservation held by a
-    *queued* request is dropped when a strictly higher priority class
-    arrives — the preempting request becomes the new head and the old
-    head re-reserves behind it.  Only queued work is ever preempted;
-    committed placements (running work) are never revoked, so preemption
-    can change who waits but never rolls back the simulated machine.
-    ``preemptions`` logs every ``(decision time, preempted index,
-    preempting index)``.
-
-    **No-delay invariant**: a backfilled placement returns its block by
-    the reserved time, and buddy coalescing is canonical in the lease
-    set, so the free blocks the reservation was computed from are free
-    again at the reservation — the head can always start by it.  While
-    the head stays blocked the reservation is recomputed every decision
-    point and can only move *earlier* (every tenant admitted after the
-    reservation releases its block by it).  ``reservations`` logs every
-    ``(decision time, head index, reserved start)`` so the property test
-    can check ``head start ≤ reserved start`` directly.
-    """
-
-    name = "backfill"
-
-    def __init__(self) -> None:
-        #: (decision time, blocked head index, reserved start) log
-        self.reservations: list[tuple[float, int, float]] = []
-        #: (decision time, preempted index, preempting index) log
-        self.preemptions: list[tuple[float, int, int]] = []
-        self._reserved: int | None = None
-
-    def reset(self, requests: Sequence[object]) -> None:
-        self.reservations = []
-        self.preemptions = []
-        self._reserved = None
-
-    def choose(self, ctx: PolicyContext) -> Decision | None:
-        order = ctx.class_order()
-        if not order:
-            return None
-        if self._reserved is not None:
-            at = [i for i, it in enumerate(order) if it[0] == self._reserved]
-            if not at:
-                self._reserved = None  # placed on a previous pass
-            elif order[0][1].priority > order[at[0]][1].priority:
-                # A strictly higher priority class arrived: the *queued*
-                # reservation is preempted (running placements are never
-                # revoked) and the new head reserves in its place below.
-                self.preemptions.append((ctx.now, self._reserved, order[0][0]))
-                self._reserved = None
-            elif at[0] != 0:
-                order.insert(0, order.pop(at[0]))
-        index, req = order[0]
-        cand = ctx.best_candidate(req, ctx.pricing.rest_area(index))
-        if cand is not None:
-            if index == self._reserved:
-                self._reserved = None
-            return Decision(index, req, cand)
-        reserve = ctx.earliest_fit(req)
-        if reserve is None:
-            # The head can never fit any block of this pool: fall back to
-            # plain greedy so the scheduler's guard reports it, exactly
-            # as under LPT.
-            return ctx.first_fit(order[1:])
-        self._reserved = index
-        self.reservations.append((ctx.now, index, reserve))
-        return ctx.first_fit(order[1:], deadline=reserve)
 
 
 #: one planned placement: (queue index, request, size, start, grid, finish)
@@ -376,9 +265,8 @@ def _search_window(
 ) -> tuple[list[PlanEntry], float, int]:
     """Branch-and-bound minimum-makespan plan for ``items``, live state in.
 
-    The one exhaustive search both :class:`OptimalPolicy` (whole queue,
-    idle pool, unbounded) and :class:`HorizonPolicy` (sliding window,
-    running work, budgeted) plan with.  ``running`` seeds the search with
+    The exhaustive search :class:`HorizonPolicy` plans its window with.
+    ``running`` seeds the search with
     the committed-but-unfinished placements — their blocks are leased in
     the scratch pool (a :meth:`SubgridAllocator.clone` of the live pool),
     released as the search's wait branches reach their modeled finishes
@@ -610,11 +498,9 @@ def _plan_tolerance(start: float, span: float) -> float:
 class HorizonPolicy(PackingPolicy):
     """Rolling-horizon packing: branch-and-bound over a sliding window.
 
-    Closes the measured policy gaps from both sides: on queues that fit
-    the window this is the exhaustive optimum (:class:`OptimalPolicy` is
-    this class with the whole queue in the window and no node budget),
-    and on longer queues it keeps the exhaustive search tractable by
-    planning only a window of requests at a time:
+    On queues that fit the window this is the exhaustive optimum, and on
+    longer queues it keeps the exhaustive search tractable by planning
+    only a window of requests at a time:
 
     * at each decision point the window holds the first ``window``
       unplaced requests — arrived requests in priority/LPT serving order
@@ -629,12 +515,11 @@ class HorizonPolicy(PackingPolicy):
       changes (a placement slides the next queued request in, a new
       arrival jumps in ahead of a future member);
     * while the plan deliberately idles until its next start, arrived
-      requests *beyond* the window may backfill — with
-      :class:`BackfillPolicy`'s conservative scoring, where the next
-      planned start acts as the reservation: only placements finishing by
-      it are admitted, so backfilled work always returns its block before
-      the plan needs the pool (buddy coalescing is canonical, so the free
-      structure the plan modeled is intact) and the plan is never delayed.
+      requests *beyond* the window may backfill — guarded by the next
+      planned start: only placements finishing by it are admitted, so
+      backfilled work always returns its block before the plan needs the
+      pool (buddy coalescing is canonical, so the free structure the plan
+      modeled is intact) and the plan is never delayed.
 
     Each re-plan is budgeted (``node_budget`` search nodes): the
     branch-and-bound is *anytime* — the greedy-first descent completes an
@@ -648,9 +533,19 @@ class HorizonPolicy(PackingPolicy):
     finish, so on drift the rest of the plan is dropped and re-planned
     from the live pool; without a cache nothing drifts.  ``replans`` and
     ``nodes_explored`` expose the planning effort for reports.
-    """
 
-    name = "horizon"
+    Unbudgeted (``node_budget=None``) the search is exhaustive, so the
+    policy is named ``"optimal"`` and refuses a queue longer than its
+    window (:attr:`max_queue`; the search is exponential).  The first
+    decision point then plans the whole queue, whose membership never
+    changes, so nothing is backfilled.  The search explores every
+    *event-aligned* schedule (placements at t = 0, at an arrival or at a
+    modeled finish; some optimal schedule is always of this form),
+    deliberate idling included, and the LPT schedule is in that space, so
+    the result never loses to LPT.  It is exact only uncached (why the
+    gap report keeps ``cache=False``): under an operand cache it re-plans
+    on drift like any horizon.
+    """
 
     def __init__(self, window: int = 8, node_budget: int | None = 50_000) -> None:
         require(
@@ -663,6 +558,8 @@ class HorizonPolicy(PackingPolicy):
         )
         self.window = int(window)
         self.node_budget = None if node_budget is None else int(node_budget)
+        self.name = "horizon" if self.node_budget is not None else "optimal"
+        self.max_queue = self.window if self.node_budget is None else None
         self._plan: list[PlanEntry] = []
         self._plan_span = 0.0
         #: planning-effort statistics of the last scheduling pass
@@ -670,6 +567,13 @@ class HorizonPolicy(PackingPolicy):
         self.replans = 0
 
     def reset(self, requests: Sequence[object]) -> None:
+        require(
+            self.max_queue is None or len(requests) <= self.max_queue,
+            ParameterError,
+            f"{self.name} searches exhaustively: a queue of {len(requests)} "
+            f"requests exceeds its window of {self.max_queue} (horizon and "
+            "lpt serve queues of any length)",
+        )
         self._plan = []
         self._plan_span = 0.0
         self.nodes_explored = 0
@@ -679,8 +583,8 @@ class HorizonPolicy(PackingPolicy):
         """The first ``window`` unplaced requests in serving order.
 
         Arrived requests first (priority-aware LPT order, the same view
-        every other policy serves from), then not-yet-arrived requests
-        earliest arrival first — the rolling head of the stream.
+        LPT serves from), then not-yet-arrived requests earliest arrival
+        first — the rolling head of the stream.
         """
         head = ctx.class_order()
         if len(head) < self.window:
@@ -706,11 +610,10 @@ class HorizonPolicy(PackingPolicy):
             # The plan idles until its next start (the arrival check keeps
             # the tolerance floor from committing before the head's own
             # arrival): arrived requests beyond the window may backfill,
-            # under BackfillPolicy's guarded scoring with that start as
-            # the reservation — admitted only if every way of running one
-            # finishes by it, so its block coalesces back before the plan
-            # touches the pool again and the planned grids still preview
-            # exactly as modeled.
+            # admitted only if every way of running one finishes by that
+            # start, so its block coalesces back before the plan touches
+            # the pool again and the planned grids still preview exactly
+            # as modeled.
             return ctx.first_fit(ctx.class_order(), deadline=start, skip=members)
         require(
             ctx.now <= start + tol,
@@ -729,62 +632,11 @@ class HorizonPolicy(PackingPolicy):
         return Decision(index, req, cand)
 
 
-class OptimalPolicy(HorizonPolicy):
-    """Branch-and-bound exhaustive packing of a small queue (ground truth).
-
-    :class:`HorizonPolicy` with the whole queue in the window and no node
-    budget: the first decision point plans every request at once, the
-    window's membership never changes, so nothing is ever re-planned or
-    backfilled.  The search explores every *event-aligned* schedule —
-    placements happen at t = 0, at an arrival, or at a modeled finish,
-    which is exactly the set of decision points the event loop offers,
-    and some optimal schedule is always of this form (shifting any
-    placement earlier to the previous event never hurts) — including
-    deliberately idling capacity that the greedy rules would grab.
-    Pruned by the area bound (remaining rank-seconds over capacity), by
-    per-request release-plus-execution lower bounds, and by state
-    dominance; the first descent follows the greedy scoring so the
-    incumbent starts at (roughly) the LPT makespan and the search space
-    only shrinks it.  The LPT schedule itself is in the search space, so
-    the result is never worse than LPT.  Exact only *uncached* (why the
-    gap report keeps ``cache=False``): under an operand cache it plans
-    against the view as it stands and re-plans on drift — a budget-free
-    horizon, not a proven optimum.
-
-    Exhaustive search is exponential: queues above ``max_requests``
-    (default 8, the tractability bound the gap report advertises) are
-    rejected — :class:`HorizonPolicy` proper serves longer queues.
-    """
-
-    name = "optimal"
-
-    def __init__(self, max_requests: int = 8) -> None:
-        require(
-            max_requests >= 1,
-            ParameterError,
-            f"max_requests must be positive, got {max_requests}",
-        )
-        super().__init__(window=max_requests, node_budget=None)
-        self.max_requests = self.window
-
-    def reset(self, requests: Sequence[object]) -> None:
-        require(
-            len(requests) <= self.max_requests,
-            ParameterError,
-            f"OptimalPolicy searches exhaustively: a queue of "
-            f"{len(requests)} requests exceeds max_requests="
-            f"{self.max_requests} (use horizon/lpt/backfill for long "
-            "queues)",
-        )
-        super().reset(requests)
-
-
 #: policy registry: the names ``--policy`` and ``Cluster(policy=...)`` accept
-POLICIES: dict[str, type[PackingPolicy]] = {
-    LPTPolicy.name: LPTPolicy,
-    BackfillPolicy.name: BackfillPolicy,
-    OptimalPolicy.name: OptimalPolicy,
-    HorizonPolicy.name: HorizonPolicy,
+POLICIES: dict[str, Callable[[], PackingPolicy]] = {
+    "lpt": LPTPolicy,
+    "horizon": HorizonPolicy,
+    "optimal": functools.partial(HorizonPolicy, window=8, node_budget=None),
 }
 
 
@@ -795,14 +647,14 @@ def make_policy(policy: "PackingPolicy | str | None") -> PackingPolicy:
     if isinstance(policy, PackingPolicy):
         return policy
     if isinstance(policy, str):
-        cls = POLICIES.get(policy)
+        factory = POLICIES.get(policy)
         require(
-            cls is not None,
+            factory is not None,
             ParameterError,
             f"unknown packing policy {policy!r} (choose from "
             f"{sorted(POLICIES)})",
         )
-        return cls()
+        return factory()
     raise ParameterError(
         f"policy must be a PackingPolicy, a name, or None, got {type(policy).__name__}"
     )

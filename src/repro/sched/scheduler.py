@@ -4,8 +4,8 @@ The scheduler is an event-driven list scheduler over the modeled costs.
 It owns the *mechanics* of packing; the *decision rule* — which request
 is placed on which subgrid size at each decision point — is a pluggable
 :class:`~repro.sched.policies.PackingPolicy` (greedy LPT by default,
-conservative backfilling and an exhaustive small-queue optimum as
-alternatives; see :mod:`repro.sched.policies`).  The loop:
+a rolling-horizon branch-and-bound and its unbudgeted small-queue
+optimum as alternatives; see :mod:`repro.sched.policies`).  The loop:
 
 * at every decision point the policy is consulted with a
   :class:`~repro.sched.policies.PolicyContext` — the loop's own arrived,
@@ -157,7 +157,7 @@ class Scheduler:
 
     ``policy`` selects the packing decision rule — a
     :class:`~repro.sched.policies.PackingPolicy` instance, a registry name
-    (``"lpt"``, ``"backfill"``, ``"optimal"``, ``"horizon"``), or ``None``
+    (``"lpt"``, ``"horizon"``, ``"optimal"``), or ``None``
     for the default greedy LPT.  ``cache`` (an
     :class:`~repro.api.opcache.OperandCache`, optional) makes staging
     prices cache-aware; without one the scheduler prices every placement

@@ -152,10 +152,10 @@ class TestClusterConfig:
         assert cluster.opcache is not None
 
     def test_keywords_are_honoured(self):
-        cluster = Cluster(8, params=UNIT, cache=False, policy="backfill")
+        cluster = Cluster(8, params=UNIT, cache=False, policy="horizon")
         assert cluster.machine.params is UNIT
         assert cluster.opcache is None
-        assert cluster.policy.name == "backfill"
+        assert cluster.policy.name == "horizon"
 
     def test_backend_instance_is_threaded_through(self):
         backend = SimBackend()

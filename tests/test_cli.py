@@ -77,8 +77,14 @@ class TestServe:
         err_lines = [ln for ln in captured.err.splitlines() if ln]
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: ")
-        assert "max_requests" in err_lines[0]
+        assert "exceeds its window of 8" in err_lines[0]
         assert "Traceback" not in captured.err
+
+    def test_serve_backfill_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--policy", "backfill"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'backfill'" in capsys.readouterr().err
 
     def test_serve_horizon_serves_long_queue(self, capsys):
         """The fix proper: --policy horizon packs the queue optimal refuses."""
@@ -164,6 +170,30 @@ class TestServeDaemon:
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["offered"] == 4 and summary["completed"] == 4
         assert summary["flushes"] == 2
+
+    def test_daemon_refuses_batch_past_the_exhaustive_bound(
+        self, capsys, monkeypatch
+    ):
+        """Regression: a batch of 12 under the 8-request exhaustive search
+        used to admit 11 requests, fail the 12th's auto-flush and lose all
+        of them, then exit 0.  The config is refused before anything is
+        admitted."""
+        lines = [json.dumps({"op": "trsm", "n": 32, "k": 8})] * 12
+        lines += [json.dumps({"op": "stats"}), json.dumps({"op": "shutdown"})]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        code = main(
+            [
+                "serve", "--daemon", "--policy", "optimal", "--batch", "12",
+                "-p", "16", "--no-verify",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err_lines = [ln for ln in captured.err.splitlines() if ln]
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error: ")
+        assert "batch=12" in err_lines[0]
 
 
 class TestOtherCommands:

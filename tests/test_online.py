@@ -8,9 +8,10 @@ The property suite pins the contracts ISSUE 8 names:
   admitted request drained exactly once (no starvation), and rejected
   requests never reach the scheduler;
 * priority classes and SLA deadlines are honored by the policy layer
-  (higher classes first, EDF within a class, backfill preempts *queued*
-  reservations only) while a uniform priority shift stays bit-identical
-  to the default schedule — the offline-parity guarantee;
+  (higher classes first, EDF within a class, a later higher class jumps
+  the queue but never revokes running work) while a uniform priority
+  shift stays bit-identical to the default schedule — the offline-parity
+  guarantee;
 * the daemon protocol round-trips in virtual time via an injected clock.
 """
 
@@ -41,7 +42,7 @@ from repro.dist.routing import clear_plan_cache
 from repro.machine.cost import Cost, CostParams
 from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ParameterError
-from repro.sched import BackfillPolicy, Scheduler, SubgridAllocator
+from repro.sched import HorizonPolicy, Scheduler, SubgridAllocator
 
 UNIT = CostParams(alpha=1.0, beta=1.0, gamma=1.0, name="unit")
 
@@ -339,7 +340,7 @@ class TestPriorityScheduling:
         schedule = Scheduler(make_pool(16), UNIT).schedule(reqs)
         assert start_order(schedule) == [1, 0, 2]
 
-    @pytest.mark.parametrize("policy", ["lpt", "backfill"])
+    @pytest.mark.parametrize("policy", ["lpt", "horizon"])
     def test_uniform_priority_shift_is_parity_neutral(self, policy):
         """Offline parity: one class is one class, whatever its number."""
 
@@ -357,39 +358,27 @@ class TestPriorityScheduling:
                 )
             return reqs
 
+        if policy == "horizon":  # a small search keeps the case quick
+            policy = HorizonPolicy(window=4, node_budget=2_000)
         a = Scheduler(make_pool(16), UNIT, policy=policy).schedule(stream(0))
         b = Scheduler(make_pool(16), UNIT, policy=policy).schedule(stream(9))
         assert [
             (x.index, x.size, x.start, x.finish) for x in a.assignments
         ] == [(x.index, x.size, x.start, x.finish) for x in b.assignments]
 
-    def test_backfill_preempts_queued_reservation_only(self):
-        """A late high-priority arrival takes the *reservation*, never the
-        running request."""
+    def test_late_higher_class_starts_first_running_never_revoked(self):
+        """A later, higher-class arrival overtakes the queued request that
+        arrived before it, never the running one."""
         reqs = [
             FakeReq({16: 10.0}, arrival=0.0, priority=0),  # running head
-            FakeReq({16: 10.0}, arrival=1.0, priority=0),  # reserved at t=10
-            FakeReq({16: 1.0}, arrival=2.0, priority=5),  # preempts the queue
+            FakeReq({16: 10.0}, arrival=1.0, priority=0),  # queued behind it
+            FakeReq({16: 1.0}, arrival=2.0, priority=5),  # jumps the queue
         ]
-        policy = BackfillPolicy()
-        schedule = Scheduler(make_pool(16), UNIT, policy=policy).schedule(reqs)
+        schedule = Scheduler(make_pool(16), UNIT, policy="lpt").schedule(reqs)
         by_index = {a.index: a for a in schedule.assignments}
-        assert by_index[0].start == 0.0  # the running request was untouched
+        assert (by_index[0].start, by_index[0].finish) == (0.0, 10.0)
         assert by_index[2].start == pytest.approx(10.0)
         assert by_index[1].start == pytest.approx(11.0)
-        assert len(policy.preemptions) == 1
-
-    def test_backfill_reservation_sticky_without_priority(self):
-        """Same stream, one class: the reservation holds (no starvation)."""
-        reqs = [
-            FakeReq({16: 10.0}, arrival=0.0),
-            FakeReq({16: 10.0}, arrival=1.0),
-            FakeReq({16: 1.0}, arrival=2.0),
-        ]
-        policy = BackfillPolicy()
-        schedule = Scheduler(make_pool(16), UNIT, policy=policy).schedule(reqs)
-        assert start_order(schedule) == [0, 1, 2]
-        assert policy.preemptions == []
 
 
 # ---------------------------------------------------------------------------
@@ -717,3 +706,9 @@ class TestDaemon:
             DaemonConfig(batch=0)
         with pytest.raises(ParameterError):
             DaemonConfig(time_scale=0.0)
+        # an auto-flushed batch longer than the exhaustive search's window
+        # could never be scheduled
+        with pytest.raises(ParameterError, match="batch=9"):
+            DaemonConfig(policy="optimal", batch=9)
+        assert DaemonConfig(policy="optimal", batch=8).batch == 8
+        assert DaemonConfig(policy="horizon", batch=64).batch == 64

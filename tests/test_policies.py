@@ -8,23 +8,22 @@
   time-overlapping placements share a subgrid rank, every start respects
   the arrival, every placement books a candidate size for its modeled
   duration, and the pool drains.
-* **Backfill no-delay** — a backfilled placement never delays the blocked
-  head past its logged reservation, and the mixed small/large stream
-  shows the strict win over greedy LPT.
-* **Optimal ground truth** — the branch-and-bound search never loses to
-  either heuristic, matches hand-checkable optima, and refuses queues it
-  cannot search exhaustively.
+* **No starved head** — where greedy LPT keeps handing freed blocks to
+  small requests, the horizon search starts the blocked full-grid head
+  earlier, and the mixed small/large stream shows the strict win.
+* **Optimal ground truth** — the unbudgeted search (the registry's
+  ``"optimal"``) never loses to either heuristic, matches hand-checkable
+  optima, and refuses queues it cannot search exhaustively.
 * **Plans are guides** — the window-search policies run with the operand
   cache on: they plan against the cache view as it stands, commit at the
   live price, and re-plan when the two drift (property-tested through
   ``Cluster.run``'s planned == measured hit/miss check, one hand-built
   drift case, one pinned cached schedule).
 * **Rolling horizon** — ``HorizonPolicy`` is bit-identical to
-  ``OptimalPolicy`` whenever the whole queue fits its window
+  ``"optimal"`` whenever the whole queue fits its window
   (property-tested), serves queues the optimum refuses, never loses to
-  either heuristic on the pinned mixed stream or the recorded gap
-  streams, and tolerates re-plans at t = 0 (the tolerance-floor
-  regression).
+  LPT on the pinned mixed stream or the recorded gap streams, and
+  tolerates re-plans at t = 0 (the tolerance-floor regression).
 * **Accounting** — executing any policy's schedule charges the machine
   exactly once per request region: the global volume total equals the
   per-rank, per-region sums from ``machine.region_cost``.
@@ -49,10 +48,9 @@ from repro.machine.cost import Cost, CostParams
 from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ParameterError
 from repro.sched import (
-    BackfillPolicy,
+    POLICIES,
     HorizonPolicy,
     LPTPolicy,
-    OptimalPolicy,
     Scheduler,
     SubgridAllocator,
     make_policy,
@@ -64,7 +62,7 @@ from repro.util.randmat import random_dense, random_lower_triangular
 
 UNIT = CostParams(alpha=1.0, beta=1.0, gamma=1.0, name="unit")
 
-POLICY_NAMES = ("lpt", "backfill", "optimal", "horizon")
+POLICY_NAMES = ("lpt", "optimal", "horizon")
 
 
 def make_pool(p: int) -> SubgridAllocator:
@@ -275,7 +273,7 @@ def cached_window_cases(draw):
     optimum on queues it can search quickly, the budgeted horizon beyond."""
     p = draw(st.sampled_from([16, 64]))
     if draw(st.booleans()):
-        policy, max_count = OptimalPolicy(), 6
+        policy, max_count = make_policy("optimal"), 6
     else:
         policy = HorizonPolicy(
             window=draw(st.sampled_from([3, 8])),
@@ -300,13 +298,6 @@ class TestEveryPolicyEmitsValidSchedules:
         schedule = Scheduler(pool, UNIT, policy="lpt").schedule(reqs)
         assert_valid_schedule(schedule, reqs, pool)
 
-    @given(fake_streams())
-    @settings(max_examples=60, deadline=None)
-    def test_backfill_valid(self, reqs):
-        pool = make_pool(16)
-        schedule = Scheduler(pool, UNIT, policy="backfill").schedule(reqs)
-        assert_valid_schedule(schedule, reqs, pool)
-
     @given(fake_streams(max_count=4, max_menu=2))
     @settings(max_examples=25, deadline=None)
     def test_optimal_valid(self, reqs):
@@ -316,22 +307,14 @@ class TestEveryPolicyEmitsValidSchedules:
 
 
 class TestBackfillNoDelay:
-    @given(fake_streams())
-    @settings(max_examples=60, deadline=None)
-    def test_head_starts_by_every_logged_reservation(self, reqs):
-        policy = BackfillPolicy()
-        schedule = Scheduler(make_pool(16), UNIT, policy=policy).schedule(reqs)
-        by_index = {a.index: a for a in schedule.assignments}
-        for logged_at, head, reserved in policy.reservations:
-            assert by_index[head].start <= reserved + 1e-9, (
-                f"head {head} reserved at t={logged_at} for {reserved} "
-                f"started {by_index[head].start}"
-            )
+    """The horizon search holds freed blocks for a blocked head: arrived
+    requests only backfill around its plan when they finish by the next
+    planned start."""
 
     def test_reservation_holds_capacity_for_the_blocked_head(self):
         """The textbook scenario: a full-grid request starves under greedy
         LPT while staggered small requests keep grabbing freed blocks;
-        backfilling reserves its start and refuses the late smalls."""
+        the horizon plan starts it as soon as the pool drains."""
         def stream():
             reqs = [FakeRequest({8: 3.0}) for _ in range(2)]          # fill pool
             reqs.append(FakeRequest({16: 10.0}, arrival=0.5))         # blocked head
@@ -341,21 +324,19 @@ class TestBackfillNoDelay:
             return reqs
 
         lpt = Scheduler(make_pool(16), UNIT, policy="lpt").schedule(stream())
-        policy = BackfillPolicy()
-        bf = Scheduler(make_pool(16), UNIT, policy=policy).schedule(stream())
+        hor = Scheduler(make_pool(16), UNIT, policy="horizon").schedule(stream())
         big_lpt = next(a for a in lpt.assignments if a.size == 16)
-        big_bf = next(a for a in bf.assignments if a.size == 16)
-        assert policy.reservations, "the head must have been reserved"
-        assert big_bf.start < big_lpt.start, "backfilling must unblock the head"
-        assert bf.makespan < lpt.makespan, "and win the makespan here"
+        big_hor = next(a for a in hor.assignments if a.size == 16)
+        assert (big_hor.start, big_lpt.start) == (6.0, 6.5)
+        assert (hor.makespan, lpt.makespan) == (19.0, 19.5)
 
     def test_mixed_pinned_stream_strict_win(self):
         """The real-request version (the bench gate scenario)."""
         lpt = replay_mixed(p=16, policy="lpt", smalls=8)
-        bf = replay_mixed(p=16, policy="backfill", smalls=8)
-        assert bf.policy == "backfill"
-        assert bf.modeled_makespan < lpt.modeled_makespan
-        assert bf.measured_makespan < lpt.measured_makespan
+        hor = replay_mixed(p=16, policy="horizon", smalls=8)
+        assert hor.policy == "horizon"
+        assert hor.modeled_makespan < lpt.modeled_makespan
+        assert hor.measured_makespan < lpt.measured_makespan
 
 
 class TestOptimalGroundTruth:
@@ -363,9 +344,11 @@ class TestOptimalGroundTruth:
     @settings(max_examples=25, deadline=None)
     def test_never_worse_than_either_heuristic(self, reqs):
         lpt = Scheduler(make_pool(16), UNIT, policy="lpt").schedule(reqs)
-        bf = Scheduler(make_pool(16), UNIT, policy="backfill").schedule(reqs)
+        hor = Scheduler(
+            make_pool(16), UNIT, policy=HorizonPolicy(window=2)
+        ).schedule(reqs)
         opt = Scheduler(make_pool(16), UNIT, policy="optimal").schedule(reqs)
-        assert opt.makespan <= min(lpt.makespan, bf.makespan) * (1 + 1e-9)
+        assert opt.makespan <= min(lpt.makespan, hor.makespan) * (1 + 1e-9)
 
     def test_hand_checkable_optimum(self):
         # Two half-grid placements in parallel beat any serial full-grid
@@ -389,9 +372,9 @@ class TestOptimalGroundTruth:
         reqs = [FakeRequest({4: 1.0}) for _ in range(9)]
         with pytest.raises(ParameterError):
             Scheduler(make_pool(16), UNIT, policy="optimal").schedule(reqs)
-        # a raised cap admits the same queue
+        # a wider unbudgeted window admits the same queue
         relaxed = Scheduler(
-            make_pool(16), UNIT, policy=OptimalPolicy(max_requests=9)
+            make_pool(16), UNIT, policy=HorizonPolicy(window=9, node_budget=None)
         )
         assert len(relaxed.schedule(reqs).assignments) == 9
 
@@ -408,6 +391,21 @@ class TestOptimalGroundTruth:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ParameterError):
             make_policy("round_robin")
+        with pytest.raises(ParameterError):
+            make_policy("backfill")
+
+    def test_optimal_is_an_unbudgeted_horizon(self):
+        """One search, one bound: ``"optimal"`` is the window search with
+        no node budget, named for what it computes, and only the
+        unbudgeted search bounds the queue."""
+        assert sorted(POLICIES) == ["horizon", "lpt", "optimal"]
+        opt = make_policy("optimal")
+        assert type(opt) is HorizonPolicy
+        assert (opt.name, opt.window, opt.node_budget) == ("optimal", 8, None)
+        assert opt.max_queue == 8
+        assert HorizonPolicy(window=3, node_budget=None).name == "optimal"
+        assert HorizonPolicy().name == "horizon"
+        assert HorizonPolicy().max_queue is LPTPolicy().max_queue is None
 
 
 # Captured from the window search that keyed its seen states on sorted
@@ -483,18 +481,16 @@ class TestHorizonPolicy:
         assert hor.makespan <= lpt.makespan * (1 + 1e-9)
 
     def test_mixed_pinned_stream_never_loses(self):
-        """The bench gate scenario: horizon <= min(lpt, backfill)."""
+        """The bench gate scenario: horizon <= lpt."""
         lpt = replay_mixed(p=16, policy="lpt", smalls=8)
-        bf = replay_mixed(p=16, policy="backfill", smalls=8)
         hor = replay_mixed(p=16, policy="horizon", smalls=8)
         assert hor.policy == "horizon"
-        floor = min(lpt.modeled_makespan, bf.modeled_makespan)
-        assert hor.modeled_makespan <= floor * (1 + 1e-9)
+        assert hor.modeled_makespan <= lpt.modeled_makespan * (1 + 1e-9)
 
     @pytest.mark.parametrize("seed,rate", [(0, 0.0), (1, 0.0), (2, 0.0), (0, 3e4)])
     def test_recorded_gap_streams_never_lose(self, seed, rate):
         """The gap-report streams (scheduling-only, so the comparison is
-        cheap): horizon <= min(lpt, backfill) on each."""
+        cheap): horizon <= lpt on each."""
         from repro.api.serve import schedule_stream
 
         def stream():
@@ -504,9 +500,9 @@ class TestHorizonPolicy:
 
         spans = {
             pol: schedule_stream(stream(), p=16, policy=pol, cache=False).makespan
-            for pol in ("lpt", "backfill", "horizon")
+            for pol in ("lpt", "horizon")
         }
-        assert spans["horizon"] <= min(spans["lpt"], spans["backfill"]) * (1 + 1e-9)
+        assert spans["horizon"] <= spans["lpt"] * (1 + 1e-9)
 
     def test_replan_tolerance_floor_at_t0(self):
         """Regression: a planned start of 0.0 used to collapse the
@@ -518,7 +514,7 @@ class TestHorizonPolicy:
         reqs = [FakeRequest({8: 1.0}), FakeRequest({8: 2.0})]
 
         pool = make_pool(16)
-        policy = OptimalPolicy()
+        policy = make_policy("optimal")
         policy.reset(reqs)
         pending = list(enumerate(reqs))
         pricing = DirectPricing(UNIT, pool.capacity)
@@ -641,14 +637,13 @@ class TestGapReportRendering:
         assert format_gap_pct(0.0) == "+0.00"
         assert format_gap_pct(12.5) == "+12.50"
         assert format_gap_pct(-0.25) == "-0.25"
-        # a queue past optimal_max: the optimum is skipped, every gap is
-        # null, and the table renders — cells (never "None%"/a TypeError)
+        # a queue past the optimum's window: the optimum is skipped, every
+        # gap is null, and the table renders — cells (never "None%"/a
+        # TypeError)
         stream = poisson_stream(
-            count=2, rate=0.0, n_range=(32, 32), k_range=(8, 8), seed=0
+            count=9, rate=0.0, n_range=(32, 32), k_range=(8, 8), seed=0
         )
-        report = policy_gap_report(
-            stream, p=16, policies=("lpt", "optimal"), optimal_max=1
-        )
+        report = policy_gap_report(stream, p=16)
         assert "n/a (queue too long)" in report
         assert "—" in report
         assert "None" not in report
