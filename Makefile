@@ -8,13 +8,16 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Fail-fast subset: the dist-layer contracts plus the scheduler and
-## packing-policy contracts (allocator invariants, LPT parity goldens,
-## horizon goldens, optimal ground truth).
+## Fail-fast subset: the dist-layer contracts (layouts, routing plans
+## and their message list), the backend seam (SimBackend goldens, the
+## Alltoallv packing cross-checked across processes, loopback MPI) plus
+## the scheduler and packing-policy contracts (allocator invariants, LPT
+## parity goldens, horizon goldens, optimal ground truth).
 test-fast:
 	$(PYTHON) -m pytest -x -q tests/test_layout.py tests/test_distmatrix.py \
 		tests/test_redistribute.py tests/test_triangular_helpers.py \
 		tests/test_row_block.py tests/test_layout_equivalences.py \
+		tests/test_routing.py tests/test_backend.py \
 		tests/test_sched.py tests/test_policies.py
 
 ## The benchmark harness's own tests.  benchmarks/perf/trace.py rebinds

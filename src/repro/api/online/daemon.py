@@ -137,10 +137,17 @@ def _whole(msg: dict, name: str, default: int | None = None) -> int:
     return int(value)
 
 
-def _seconds(value: float | str) -> float:
-    """A time field as a float; a JSON integer too large for one (which
-    ``float()`` raises ``OverflowError`` on) reads as infinite, so the
-    finiteness check refuses it like ``1e999``."""
+def _seconds(msg: dict, name: str) -> float:
+    """A time field as a float: a JSON number, not ``true`` or ``"5e-5"``.
+    A JSON integer too large for a float (which ``float()`` raises
+    ``OverflowError`` on) reads as infinite, so the finiteness check
+    refuses it like ``1e999``."""
+    value = msg[name]
+    require(
+        isinstance(value, (int, float)) and not isinstance(value, bool),
+        ParameterError,
+        f"trsm needs a number of seconds for {name}, got {value!r}",
+    )
     try:
         return float(value)
     except OverflowError:
@@ -248,9 +255,12 @@ class ServeDaemon:
         priority = _whole(msg, "priority", 0)
         tenant = str(msg.get("tenant", "default"))
         if msg.get("deadline") is not None:
-            deadline = _seconds(msg["deadline"])
+            deadline = _seconds(msg, "deadline")
         elif msg.get("sla") is not None:
-            deadline = now + _seconds(msg["sla"])
+            sla = _seconds(msg, "sla")
+            # ``not <`` lets NaN through to the finiteness check below
+            require(not sla < 0.0, ParameterError, f"trsm needs sla >= 0, got {sla!r}")
+            deadline = now + sla
         else:
             deadline = None
         require(

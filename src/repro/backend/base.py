@@ -8,9 +8,11 @@ the scheduler — speaks to execution through a :class:`Backend`:
   clocks, counters, phases — is always simulated; a real backend adds
   wall-clock measurement alongside it, it does not replace the model);
 * :meth:`Backend.execute_plan` routes a :class:`~repro.dist.routing.
-  RoutingPlan`'s blocks.  :class:`~repro.backend.sim.SimBackend` is
-  ``plan.apply`` verbatim; :class:`~repro.backend.mpi.MPIBackend` moves
-  the same payloads over a real communicator with ``Alltoallv``
+  RoutingPlan`'s blocks.  Both executors read the plan's one message
+  list (:meth:`~repro.dist.routing.RoutingPlan.messages`):
+  :class:`~repro.backend.sim.SimBackend` applies all of it
+  (``plan.apply`` verbatim); :class:`~repro.backend.mpi.MPIBackend`
+  sends its off-rank messages over a real communicator in ``Alltoallv``
   count/displacement rounds and times them;
 * :meth:`Backend.timer` — the backend's clock (simulated seconds for the
   simulator, wall seconds for MPI);

@@ -6,9 +6,9 @@ dict the simulator routes), so any process can compute any message's
 payload and every process can verify the bytes the wire delivered.
 What MPI adds is real transport and a real clock:
 
-* a plan's cross-rank messages are read off
-  :meth:`RoutingPlan.transfer_groups` in the simulator's own
-  deterministic enumeration order (:func:`plan_messages`);
+* a plan's wire traffic is exactly its :meth:`RoutingPlan.messages`
+  with ``src != dst``, in the order the simulator applies them, and each
+  payload is the source read :meth:`RoutingPlan.apply` makes;
 * virtual ranks are folded onto the ``world`` processes round-robin
   (:func:`virtual_rank_map`) — running ``p=64`` plans under
   ``mpirun -np 4`` is the normal case, not an error;
@@ -45,67 +45,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend.base import Backend, BackendExecutionError
-from repro.dist.routing import INT32_LIMIT, RoutingPlan
+from repro.dist.routing import INT32_LIMIT, Message, RoutingPlan
 from repro.machine.validate import ParameterError, require
 
 
 @dataclass(slots=True, frozen=True)
-class PlanMessage:
-    """One (source vrank, destination vrank) message of a routing plan.
-
-    ``src_coords`` are the source end's frame-axis coordinates and
-    ``rs``/``cs`` the source-side position arrays of the row/column
-    groups — exactly what :meth:`RoutingPlan.apply` reads, so
-    :func:`message_payload` selects the very elements the simulator
-    routes for this pair.
-    """
-
-    src_vrank: int
-    dst_vrank: int
-    src_coords: tuple[int, int]
-    rs: np.ndarray
-    cs: np.ndarray
-
-    @property
-    def words(self) -> int:
-        return len(self.rs) * len(self.cs)
-
-
-@dataclass(slots=True, frozen=True)
 class Segment:
-    """A chunk of one message: ``words`` payload words from ``offset``."""
+    """A chunk of ``messages[message]``: ``words`` payload words from ``offset``."""
 
     message: int
     offset: int
     words: int
-
-
-def plan_messages(plan: RoutingPlan) -> list[PlanMessage]:
-    """A plan's per-(vrank, vrank) messages, in apply's enumeration order.
-
-    Messages whose source and destination virtual rank coincide are pure
-    local copies — the simulator routes them for free and so do we —
-    and are excluded here; everything else goes on the wire (or through
-    a verified self-segment when both vranks share a process).
-    """
-    row_groups, col_groups = plan.transfer_groups()
-    messages: list[PlanMessage] = []
-    for (a, x), (rs, _rd) in row_groups.items():
-        for (b, y), (cs, _cd) in col_groups.items():
-            src_vrank = plan.src.rank(a, b)
-            dst_vrank = plan.dst.rank(x, y)
-            if src_vrank == dst_vrank or len(rs) == 0 or len(cs) == 0:
-                continue
-            messages.append(
-                PlanMessage(
-                    src_vrank=int(src_vrank),
-                    dst_vrank=int(dst_vrank),
-                    src_coords=(int(a), int(b)),
-                    rs=rs,
-                    cs=cs,
-                )
-            )
-    return messages
 
 
 def virtual_rank_map(n_vranks: int, world: int) -> np.ndarray:
@@ -114,17 +64,8 @@ def virtual_rank_map(n_vranks: int, world: int) -> np.ndarray:
     return np.arange(int(n_vranks), dtype=np.int64) % int(world)
 
 
-def message_payload(
-    plan: RoutingPlan, msg: PlanMessage, blocks: dict[int, np.ndarray]
-) -> np.ndarray:
-    """The message's payload words, flattened row-major (C order)."""
-    a, b = msg.src_coords
-    view = plan.src.local_view(blocks, a, b)
-    return np.ascontiguousarray(view[np.ix_(msg.rs, msg.cs)]).ravel()
-
-
 def build_alltoallv_rounds(
-    messages: list[PlanMessage],
+    messages: list[Message],
     vmap: np.ndarray,
     world: int,
     cap: int = INT32_LIMIT,
@@ -152,10 +93,10 @@ def build_alltoallv_rounds(
 
     open_round()
     for index, msg in enumerate(messages):
-        sp = int(vmap[msg.src_vrank])
-        dp = int(vmap[msg.dst_vrank])
+        sp = int(vmap[msg.src])
+        dp = int(vmap[msg.dst])
         offset = 0
-        remaining = msg.words
+        remaining = len(msg.src_rows) * len(msg.src_cols)
         while remaining > 0:
             words = min(remaining, cap)
             if send_used[sp] + words > cap or recv_used[dp] + words > cap:
@@ -172,8 +113,8 @@ def build_alltoallv_rounds(
 
 def round_buffers(
     segments: list[Segment],
-    messages: list[PlanMessage],
-    payloads: dict[int, np.ndarray],
+    messages: list[Message],
+    payloads: list[np.ndarray],
     vmap: np.ndarray,
     world: int,
     rank: int,
@@ -191,10 +132,10 @@ def round_buffers(
     rcounts = np.zeros(world, dtype=np.int32)
     for seg in segments:
         msg = messages[seg.message]
-        if int(vmap[msg.src_vrank]) == rank:
-            scounts[int(vmap[msg.dst_vrank])] += seg.words
-        if int(vmap[msg.dst_vrank]) == rank:
-            rcounts[int(vmap[msg.src_vrank])] += seg.words
+        if int(vmap[msg.src]) == rank:
+            scounts[int(vmap[msg.dst])] += seg.words
+        if int(vmap[msg.dst]) == rank:
+            rcounts[int(vmap[msg.src])] += seg.words
     sdispls = np.zeros(world, dtype=np.int32)
     rdispls = np.zeros(world, dtype=np.int32)
     np.cumsum(scounts[:-1], out=sdispls[1:], dtype=np.int32)
@@ -205,8 +146,8 @@ def round_buffers(
     rfill = rdispls.astype(np.int64).copy()
     for seg in segments:
         msg = messages[seg.message]
-        sp = int(vmap[msg.src_vrank])
-        dp = int(vmap[msg.dst_vrank])
+        sp = int(vmap[msg.src])
+        dp = int(vmap[msg.dst])
         if sp != rank and dp != rank:
             continue
         chunk = payloads[seg.message][seg.offset : seg.offset + seg.words]
@@ -287,24 +228,30 @@ class MPIBackend(Backend):
         out: dict[int, np.ndarray] | None = None,
         label: str = "route",
     ) -> dict[int, np.ndarray]:
-        messages = plan_messages(plan)
+        messages = [m for m in plan.messages() if m.src != m.dst]
         n_vranks = max(
             self.machine.n_ranks,
-            1 + max((max(m.src_vrank, m.dst_vrank) for m in messages), default=0),
+            1 + max((max(m.src, m.dst) for m in messages), default=0),
         )
         vmap = virtual_rank_map(n_vranks, self.world_size)
         colocated = sum(
-            m.words for m in messages if vmap[m.src_vrank] == vmap[m.dst_vrank]
+            len(m.src_rows) * len(m.src_cols)
+            for m in messages
+            if vmap[m.src] == vmap[m.dst]
         )
         rounds = build_alltoallv_rounds(
             messages, vmap, self.world_size, cap=self.chunk_limit
         )
-        # Payloads must be read from the pristine source blocks: apply may
-        # write into aliased arrays (a matrix routed into itself).
-        payloads = {
-            i: message_payload(plan, messages[i], blocks)
-            for i in range(len(messages))
-        }
+        # Payloads are apply's source reads, taken from the pristine source
+        # blocks: apply may write into aliased arrays (a matrix routed into
+        # itself).
+        src_t = plan.src.transpose
+        payloads = [
+            (blocks[m.src].T if src_t else blocks[m.src])[
+                m.src_rows[:, None], m.src_cols
+            ].ravel()
+            for m in messages
+        ]
         staged = [
             round_buffers(
                 segments, messages, payloads, vmap, self.world_size, self.rank

@@ -1,8 +1,8 @@
 """The simulated backend: today's per-rank clocks, verbatim.
 
 ``SimBackend`` is the CI default and the pre-backend behavior bit for
-bit: :meth:`execute_plan` *is* :meth:`RoutingPlan.apply` (same group
-enumeration, same fancy-index assignments, same aliasing snapshot),
+bit: :meth:`execute_plan` *is* :meth:`RoutingPlan.apply` (the plan's
+one message list, on-rank copies included, and its aliasing snapshot),
 plus a measurement record whose "measured" seconds are the model's own
 prediction — the simulator validates against itself by construction, so
 the modeled-vs-measured report degenerates to zero relative error.

@@ -27,38 +27,42 @@ Two layers:
   no type of its own: each intermediate end is a bijection of the frame,
   so the fused chain is simply the plan from the first end to the last.
 
-Plans also *move* the data: :meth:`RoutingPlan.apply` routes blocks
-directly from source ranks to destination ranks, which is what lets the
-hot paths in :mod:`repro.dist.redistribute` and :mod:`repro.mm.mm3d` skip
-the ``DistMatrix.to_global()`` scratch assembly.
+Plans also *move* the data.  :meth:`RoutingPlan.messages` is the plan
+as one list of per-(sender, receiver) :class:`Message` s — built lazily
+from one stable argsort/group-by per frame axis and cached on the plan —
+and every data mover reads that list: :meth:`RoutingPlan.apply` copies
+each message's elements block to block (which is what lets the hot paths
+in :mod:`repro.dist.redistribute` and :mod:`repro.mm.mm3d` skip the
+``DistMatrix.to_global()`` scratch assembly), the MPI backend sends the
+off-rank ones, and :func:`gather_frame`/:func:`scatter_frame` run the
+same group-by against a dense frame.
 
 Two serve-scale mechanisms sit on top (both bit-identical to the original
 per-pair loops, which are pinned verbatim under ``tests/`` as the parity
 oracle the hypothesis suite compares every plan against):
 
-* the pair enumeration, per-rank traffic summaries and block routing are
-  **vectorized** — one stable argsort/group-by over owner pairs per axis,
-  computed once per plan and shared by :meth:`RoutingPlan.pairs`,
-  :meth:`RoutingPlan.cost`, :meth:`RoutingPlan.charge_pointwise` and
-  :meth:`RoutingPlan.apply`;
-* :func:`routing_plan` memoizes whole plans in an LRU keyed by the two
-  ends' full fingerprints plus the frame shape, so a stream of requests
-  re-pricing and re-staging the same transitions builds each plan once
-  (:func:`plan_cache_stats` / :func:`clear_plan_cache` for tests;
-  :func:`set_plan_cache_capacity` sizes it, ``0`` switching it off).
+* pricing never builds messages: the pair enumeration and per-rank
+  traffic summaries behind :meth:`RoutingPlan.pairs`,
+  :meth:`RoutingPlan.cost` and :meth:`RoutingPlan.charge_pointwise` are
+  **vectorized** over the per-axis owner intersections;
+* :func:`routing_plan` memoizes whole plans (messages included) in an
+  LRU of :data:`_PLAN_CACHE_MAX` entries keyed by the two ends' full
+  fingerprints plus the frame shape, so a stream of requests re-pricing
+  and re-staging the same transitions builds each plan once
+  (:func:`plan_cache_stats` / :func:`clear_plan_cache` for tests).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.dist.layout import Layout, expected_local_words
 from repro.machine import collective_models
 from repro.machine.cost import Cost
-from repro.machine.validate import ParameterError, ShapeError, require
+from repro.machine.validate import ShapeError, require
 
 if TYPE_CHECKING:
     from repro.dist.distmatrix import DistMatrix
@@ -67,10 +71,6 @@ if TYPE_CHECKING:
 
 Blocks = Mapping[int, np.ndarray]
 
-#: one frame axis grouped by (source coord, destination coord) pair:
-#: the (source positions, destination positions) arrays per pair
-_AxisGroups = dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-
 #: per-(sender, receiver) word counts and bincount keys must stay
 #: addressable by 32-bit message-count APIs; guarded at plan construction
 #: (accumulators are int64 throughout, so the guard is exact).
@@ -78,7 +78,7 @@ INT32_LIMIT = 2**31 - 1
 
 #: (src fingerprint, dst fingerprint, shape) -> RoutingPlan, LRU order
 _PLAN_CACHE: "OrderedDict[tuple, RoutingPlan]" = OrderedDict()
-#: LRU capacity; :func:`set_plan_cache_capacity` is the one way to change it
+#: LRU capacity (``0`` would keep the cache empty)
 _PLAN_CACHE_MAX = 1024
 _PLAN_CACHE_HITS = 0
 _PLAN_CACHE_MISSES = 0
@@ -261,6 +261,50 @@ class End:
         )
 
 
+class Message(NamedTuple):
+    """One (sender, receiver) message of a :class:`RoutingPlan`.
+
+    Element ``(src_rows[i], src_cols[j])`` of the source rank's local
+    block goes to ``(dst_rows[i], dst_cols[j])`` of the destination
+    rank's; both index pairs address the blocks in *frame* orientation
+    (through ``.T`` for a transposed end).  ``src == dst`` is an on-rank
+    copy, which moves data but no words.
+    """
+
+    src: int
+    dst: int
+    src_rows: np.ndarray
+    src_cols: np.ndarray
+    dst_rows: np.ndarray
+    dst_cols: np.ndarray
+
+
+def _axis_pairs(
+    so: np.ndarray, do: np.ndarray | int, sp: np.ndarray, dp: np.ndarray, d_size: int
+) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Group one frame axis by (source coord, destination coord) pair.
+
+    Returns ``(a, x, source positions, destination positions)`` per
+    nonempty pair.  One stable argsort over ``so * d_size + do`` replaces
+    the reference's per-pair ``np.nonzero((so == a) & (do == x))`` scans:
+    pairs come in ``np.nonzero`` row-major order and the positions keep
+    the ascending frame order within each pair, so routed assignments are
+    identical element for element.  A dense side is one coordinate
+    (``do = 0``, ``d_size = 1``) whose positions are the frame indices.
+    """
+    key = so * d_size + do
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    bounds = [0, *(np.flatnonzero(np.diff(sorted_key)) + 1).tolist(), len(order)]
+    out: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo < hi:  # only an empty axis has an empty span
+            idx = order[lo:hi]
+            a, x = divmod(int(sorted_key[lo]), d_size)
+            out.append((a, x, sp[idx], dp[idx]))
+    return out
+
+
 class RoutingPlan:
     """The exact message plan between two :class:`End` s of one frame."""
 
@@ -311,7 +355,7 @@ class RoutingPlan:
             tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
         ) = None
         self._pointwise_cache: dict[int, Cost] | None = None
-        self._groups_cache: tuple[_AxisGroups, _AxisGroups] | None = None
+        self._messages_cache: list[Message] | None = None
 
     # -- the plan -----------------------------------------------------------
 
@@ -460,58 +504,24 @@ class RoutingPlan:
 
     # -- data movement ------------------------------------------------------
 
-    @staticmethod
-    def _group_axis(
-        so: np.ndarray, do: np.ndarray, sp: np.ndarray, dp: np.ndarray, d_size: int
-    ) -> _AxisGroups:
-        """Group one frame axis by (source coord, destination coord) pair.
-
-        One stable argsort over ``src_owner * d_size + dst_owner`` replaces
-        the reference's per-pair ``np.nonzero((so == a) & (do == x))``
-        scans.  Keys iterate in ``np.nonzero`` row-major order and the
-        position arrays ascend within each group (the stable sort keeps
-        the original ascending frame indices), so the routed assignments
-        are identical element for element.
-        """
-        key = so * d_size + do
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        groups: _AxisGroups = {}
-        if len(sorted_key) == 0:
-            return groups
-        starts = np.flatnonzero(np.diff(sorted_key)) + 1
-        bounds = np.concatenate(([0], starts, [len(sorted_key)]))
-        for i in range(len(bounds) - 1):
-            idx = order[bounds[i] : bounds[i + 1]]
-            a, x = divmod(int(sorted_key[bounds[i]]), d_size)
-            groups[(a, x)] = (sp[idx], dp[idx])
-        return groups
-
-    def _groups(self) -> tuple[_AxisGroups, _AxisGroups]:
-        """Per-plan (row groups, column groups) for :meth:`apply` — both
-        axes' intersections are computed once per plan, not per call."""
-        cached = self._groups_cache
+    def messages(self) -> list[Message]:
+        """The plan as one message list: every nonempty (row pair x column
+        pair), on-rank copies included, row pairs outer and column pairs
+        inner — the enumeration order of :meth:`pairs`.  Built on first
+        use and cached on the plan (so the plan LRU keeps it)."""
+        cached = self._messages_cache
         if cached is None:
             sro, srp, sco, scp, dro, drp, dco, dcp = self._maps
             d_pr, d_pc = self.dst.axis_sizes()
-            cached = self._groups_cache = (
-                self._group_axis(sro, dro, srp, drp, d_pr),
-                self._group_axis(sco, dco, scp, dcp, d_pc),
-            )
+            src_ranks = self.src.rank_matrix().tolist()
+            dst_ranks = self.dst.rank_matrix().tolist()
+            col_pairs = _axis_pairs(sco, dco, scp, dcp, d_pc)
+            cached = self._messages_cache = [
+                Message(src_ranks[a][b], dst_ranks[x][y], rs, cs, rd, cd)
+                for a, x, rs, rd in _axis_pairs(sro, dro, srp, drp, d_pr)
+                for b, y, cs, cd in col_pairs
+            ]
         return cached
-
-    def transfer_groups(self) -> tuple[_AxisGroups, _AxisGroups]:
-        """The per-axis apply groups, publicly.
-
-        ``(row groups, column groups)``: each maps a ``(src coord, dst
-        coord)`` pair to its ``(source positions, destination positions)``
-        index arrays, in the deterministic enumeration order
-        :meth:`apply` routes in.  The MPI backend builds its per-message
-        payload selectors from exactly these groups, so what goes over
-        the wire is — pair for pair, element for element — what the
-        simulator routes.
-        """
-        return self._groups()
 
     def apply(
         self, blocks: Blocks, out: dict[int, np.ndarray] | None = None
@@ -525,28 +535,26 @@ class RoutingPlan:
         matrix routed into itself), the source is snapshotted first so
         reads never observe partial writes.  Returns ``out``.
         """
+        grid = self.dst.grid
         if out is None:
             out = {
-                self.dst.grid.rank(coord): np.zeros(
-                    self.dst.layout.local_shape(coord, self.dst.full_shape)
-                )
-                for coord in self.dst.grid.coords()
+                rank: np.zeros(self.dst.layout.local_shape(coord, self.dst.full_shape))
+                for rank, coord in zip(grid.ranks(), grid.coords())
             }
-        elif any(dst_b is src_b for dst_b in out.values() for src_b in blocks.values()):
-            blocks = {r: b.copy() for r, b in blocks.items()}
-        row_groups, col_groups = self._groups()
-        dst_ranks = self.dst.rank_matrix()
-        dst_transpose = self.dst.transpose
-        for (a, x), (rs, rd) in row_groups.items():
-            for (b, y), (cs, cd) in col_groups.items():
-                src_view = self.src.local_view(blocks, a, b)
-                dst_block = out[int(dst_ranks[x, y])]
-                # Write through the frame orientation: for a transposed
-                # destination end the block is stored layout-oriented, so
-                # the frame view is its transpose (fancy assignment into a
-                # .T view writes the underlying block).
-                dst_view = dst_block.T if dst_transpose else dst_block
-                dst_view[np.ix_(rd, cd)] = src_view[np.ix_(rs, cs)]
+        else:
+            src_ids = {id(b) for b in blocks.values()}
+            if any(id(b) in src_ids for b in out.values()):
+                blocks = {r: b.copy() for r, b in blocks.items()}
+        src_t, dst_t = self.src.transpose, self.dst.transpose
+        for m in self.messages():
+            src_view = blocks[m.src].T if src_t else blocks[m.src]
+            # a transposed end stores its blocks layout-oriented, so the
+            # frame view is the transpose (fancy assignment into a .T view
+            # writes the underlying block)
+            dst_view = out[m.dst].T if dst_t else out[m.dst]
+            dst_view[m.dst_rows[:, None], m.dst_cols] = src_view[
+                m.src_rows[:, None], m.src_cols
+            ]
         return out
 
 
@@ -567,7 +575,7 @@ def routing_plan(src: End, dst: End, shape: tuple[int, int]) -> RoutingPlan:
     Keyed by both ends' full :meth:`End.fingerprint` plus the frame shape
     — equal fingerprints derive identical owner maps and rank matrices,
     so a cached plan is interchangeable with a fresh one (including its
-    memoized pair arrays, per-rank traffic and apply groups, which is the
+    memoized pair arrays, per-rank traffic and messages, which is the
     point: a stream of requests staging the same operands onto congruent
     subgrids builds each plan once).  Plans are index maps only — they
     hold no matrix data — so reuse across requests is safe by
@@ -602,29 +610,6 @@ def plan_cache_stats() -> dict[str, int]:
     }
 
 
-def set_plan_cache_capacity(capacity: int) -> int:
-    """Resize the :func:`routing_plan` LRU; returns the previous capacity.
-
-    The cache is process-global (plans are pure index maps, shareable
-    across machines), so the capacity is too: sizing it to the working
-    set of distinct transitions trades memory for repeat-stream hit
-    rate.  Shrinking evicts the least recently used plans immediately;
-    ``0`` keeps the cache permanently empty (every call builds a fresh
-    plan, hit/miss counters still advance).
-    """
-    require(
-        int(capacity) >= 0,
-        ParameterError,
-        f"plan cache capacity must be >= 0, got {capacity}",
-    )
-    global _PLAN_CACHE_MAX
-    previous = _PLAN_CACHE_MAX
-    _PLAN_CACHE_MAX = int(capacity)
-    while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-        _PLAN_CACHE.popitem(last=False)
-    return previous
-
-
 def clear_plan_cache() -> None:
     """Drop all memoized plans and reset the counters."""
     global _PLAN_CACHE_HITS, _PLAN_CACHE_MISSES
@@ -633,23 +618,19 @@ def clear_plan_cache() -> None:
     _PLAN_CACHE_MISSES = 0
 
 
-def _owner_groups(owners: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """``(coord, ascending frame indices)`` per distinct owner coordinate.
-
-    One stable argsort replaces the ``np.unique`` + per-coord ``np.nonzero``
-    scans: coordinates ascend and each index array is exactly what
-    ``np.nonzero(owners == coord)[0]`` returned, so gathered/scattered
-    elements land identically.
-    """
-    order = np.argsort(owners, kind="stable")
-    sorted_owners = owners[order]
-    if len(sorted_owners) == 0:
-        return []
-    starts = np.flatnonzero(np.diff(sorted_owners)) + 1
-    bounds = np.concatenate(([0], starts, [len(sorted_owners)]))
+def _frame_messages(
+    end: End, shape: tuple[int, int]
+) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The messages between an end and a dense frame of ``shape``:
+    ``(rank, block rows, block cols, frame rows, frame cols)`` per owning
+    rank — :func:`_axis_pairs` with a one-coordinate dense side."""
+    ro, rp, co, cp = end.frame_maps(shape)
+    ranks = end.rank_matrix().tolist()
+    col_pairs = _axis_pairs(co, 0, cp, np.arange(shape[1]), 1)
     return [
-        (int(sorted_owners[bounds[i]]), order[bounds[i] : bounds[i + 1]])
-        for i in range(len(bounds) - 1)
+        (ranks[a][b], rs, cs, rd, cd)
+        for a, _, rs, rd in _axis_pairs(ro, 0, rp, np.arange(shape[0]), 1)
+        for b, _, cs, cd in col_pairs
     ]
 
 
@@ -662,13 +643,10 @@ def gather_frame(end: End, blocks: Blocks, shape: tuple[int, int] | None = None)
     caller's business, exactly as it was for ``to_global``.
     """
     fm, fn = end.frame_shape(shape)
-    ro, rp, co, cp = end.frame_maps((fm, fn))
     out = np.zeros((fm, fn))
-    col_sel = _owner_groups(co)
-    for a, ridx in _owner_groups(ro):
-        for b, cidx in col_sel:
-            view = end.local_view(blocks, a, b)
-            out[np.ix_(ridx, cidx)] = view[np.ix_(rp[ridx], cp[cidx])]
+    for rank, rs, cs, rd, cd in _frame_messages(end, (fm, fn)):
+        view = blocks[rank].T if end.transpose else blocks[rank]
+        out[rd[:, None], cd] = view[rs[:, None], cs]
     return out
 
 
@@ -684,11 +662,7 @@ def scatter_frame(
     caller's charge.  Returns ``out``.
     """
     frame = np.asarray(frame)
-    fm, fn = end.frame_shape(frame.shape)
-    ro, rp, co, cp = end.frame_maps((fm, fn))
-    col_sel = _owner_groups(co)
-    for a, ridx in _owner_groups(ro):
-        for b, cidx in col_sel:
-            view = end.local_view(out, a, b)
-            view[np.ix_(rp[ridx], cp[cidx])] = frame[np.ix_(ridx, cidx)]
+    for rank, rs, cs, rd, cd in _frame_messages(end, end.frame_shape(frame.shape)):
+        view = out[rank].T if end.transpose else out[rank]
+        view[rs[:, None], cs] = frame[rd[:, None], cd]
     return out

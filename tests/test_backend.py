@@ -7,8 +7,9 @@ Three layers of guarantees:
   single bit: solver outputs, simulated times and replay makespans are
   pinned against goldens captured on the pre-backend tree.
 * **MPI wiring without MPI** — the Alltoallv plan compiler
-  (:func:`plan_messages` / :func:`build_alltoallv_rounds` /
-  :func:`round_buffers`) is pure and testable in-process, and
+  (:meth:`RoutingPlan.messages` / :func:`build_alltoallv_rounds` /
+  :func:`round_buffers`) is pure and testable in-process, every
+  process's packed buffers are cross-checked for worlds of 2-4, and
   :class:`MPIBackend` runs end-to-end over :class:`LoopbackComm`.
 * **Real-MPI parity** — when ``mpi4py`` and ``mpirun`` exist, a 4-process
   run must produce the same solution the simulator does (skipped
@@ -41,13 +42,11 @@ from repro.backend.mpi import (
     LoopbackComm,
     MPIBackend,
     build_alltoallv_rounds,
-    plan_messages,
     round_buffers,
     virtual_rank_map,
 )
-from repro.dist import CyclicLayout, DistMatrix, redistribute
-from repro.dist import routing
-from repro.dist.routing import End, routing_plan
+from repro.dist import BlockedLayout, CyclicLayout, DistMatrix, redistribute
+from repro.dist.routing import End, RoutingPlan
 from repro.machine import CostParams, Machine
 from repro.machine.validate import ParameterError
 from repro.trsm.solver import trsm
@@ -163,33 +162,6 @@ class TestClusterConfig:
         assert cluster.backend is backend
         assert cluster.machine.backend is backend
 
-    def test_plan_cache_size_resizes_the_global_lru(self):
-        before = routing.plan_cache_stats()["capacity"]
-        try:
-            assert routing.set_plan_cache_capacity(7) == before
-            assert routing.plan_cache_stats()["capacity"] == 7
-            Cluster(8)  # building a cluster leaves the process-global size alone
-            assert routing.plan_cache_stats()["capacity"] == 7
-        finally:
-            routing.set_plan_cache_capacity(before)
-
-    def test_shrinking_capacity_evicts_lru_entries(self):
-        before = routing.plan_cache_stats()["capacity"]
-        routing.clear_plan_cache()
-        try:
-            m = Machine(4, params=UNIT)
-            g = m.grid(2, 2)
-            layout = CyclicLayout(2, 2)
-            for n in (4, 6, 8):
-                end = End(g, layout, (n, n))
-                routing_plan(end, end, (n, n))
-            assert routing.plan_cache_stats()["entries"] == 3
-            routing.set_plan_cache_capacity(1)
-            assert routing.plan_cache_stats()["entries"] == 1
-        finally:
-            routing.set_plan_cache_capacity(before)
-            routing.clear_plan_cache()
-
 
 # ---------------------------------------------------------------------------
 # the Alltoallv plan compiler (pure, no MPI required)
@@ -203,23 +175,44 @@ def disjoint_grid_plan():
     layout = CyclicLayout(2, 2)
     src = End(g1, layout, (4, 4))
     dst = End(g2, layout, (4, 4))
-    return routing.RoutingPlan(src, dst, (4, 4))
+    return RoutingPlan(src, dst, (4, 4))
+
+
+def uneven_plan():
+    """7x9 cyclic -> blocked on one 2x4 grid: off-rank messages of
+    unequal sizes beside on-rank copies."""
+    g = Machine(8, params=UNIT).grid(2, 4)
+    src = End(g, CyclicLayout(2, 4), (7, 9))
+    dst = End(g, BlockedLayout(2, 4), (7, 9))
+    return RoutingPlan(src, dst, (7, 9))
+
+
+def wire_messages(plan):
+    """What MPIBackend sends: the plan's messages that leave their rank."""
+    return [m for m in plan.messages() if m.src != m.dst]
+
+
+def words(msg) -> int:
+    return len(msg.src_rows) * len(msg.src_cols)
 
 
 class TestPlanCompiler:
-    def test_plan_messages_enumerates_off_vrank_traffic(self):
+    def test_wire_messages_are_the_off_rank_traffic(self):
         plan = disjoint_grid_plan()
-        messages = plan_messages(plan)
-        assert len(messages) == 4
+        messages = wire_messages(plan)
+        assert len(messages) == 4 == len(plan.messages())
         for msg in messages:
-            assert msg.src_vrank != msg.dst_vrank
-            assert msg.words == 4
+            assert words(msg) == 4
+        assert [(m.src, m.dst, words(m)) for m in messages] == plan.pairs()
 
     def test_identity_plan_has_no_messages(self):
+        """No wire messages, that is: all four are on-rank copies."""
         m = Machine(4, params=UNIT)
         g = m.grid(2, 2)
         end = End(g, CyclicLayout(2, 2), (4, 4))
-        assert plan_messages(routing.RoutingPlan(end, end, (4, 4))) == []
+        plan = RoutingPlan(end, end, (4, 4))
+        assert len(plan.messages()) == 4
+        assert wire_messages(plan) == []
 
     def test_virtual_rank_map_folds_round_robin(self):
         assert virtual_rank_map(8, 3).tolist() == [0, 1, 2, 0, 1, 2, 0, 1]
@@ -229,7 +222,7 @@ class TestPlanCompiler:
     @pytest.mark.parametrize("cap", [1, 3, 5, 2**31 - 1])
     def test_rounds_respect_per_process_budgets(self, cap):
         plan = disjoint_grid_plan()
-        messages = plan_messages(plan)
+        messages = wire_messages(plan)
         world = 2
         vmap = virtual_rank_map(8, world)
         rounds = build_alltoallv_rounds(messages, vmap, world, cap=cap)
@@ -241,16 +234,16 @@ class TestPlanCompiler:
             for seg in segments:
                 assert 1 <= seg.words <= cap
                 msg = messages[seg.message]
-                send[int(vmap[msg.src_vrank])] += seg.words
-                recv[int(vmap[msg.dst_vrank])] += seg.words
+                send[int(vmap[msg.src])] += seg.words
+                recv[int(vmap[msg.dst])] += seg.words
                 total += seg.words
             assert send.max(initial=0) <= cap
             assert recv.max(initial=0) <= cap
-        assert total == sum(m.words for m in messages)
+        assert total == sum(words(m) for m in messages)
 
     def test_segments_cover_each_message_in_order(self):
         plan = disjoint_grid_plan()
-        messages = plan_messages(plan)
+        messages = wire_messages(plan)
         vmap = virtual_rank_map(8, 2)
         rounds = build_alltoallv_rounds(messages, vmap, 2, cap=3)
         progress = {i: 0 for i in range(len(messages))}
@@ -258,18 +251,18 @@ class TestPlanCompiler:
             for seg in segments:
                 assert seg.offset == progress[seg.message]
                 progress[seg.message] += seg.words
-        assert progress == {i: m.words for i, m in enumerate(messages)}
+        assert progress == {i: words(m) for i, m in enumerate(messages)}
 
     def test_round_buffers_world_of_one_is_a_self_copy(self):
         plan = disjoint_grid_plan()
-        messages = plan_messages(plan)
+        messages = wire_messages(plan)
         vmap = virtual_rank_map(8, 1)
         blocks = {
             r: np.arange(4.0).reshape(2, 2) + 10 * r for r in range(8)
         }
-        from repro.backend.mpi import message_payload
-
-        payloads = {i: message_payload(plan, m, blocks) for i, m in enumerate(messages)}
+        payloads = [
+            blocks[m.src][m.src_rows[:, None], m.src_cols].ravel() for m in messages
+        ]
         (rounds,) = [build_alltoallv_rounds(messages, vmap, 1, cap=2**31 - 1)][0]
         sendbuf, scounts, sdispls, rcounts, rdispls, expected = round_buffers(
             rounds, messages, payloads, vmap, 1, 0
@@ -277,7 +270,44 @@ class TestPlanCompiler:
         assert scounts.dtype == np.int32 and sdispls.dtype == np.int32
         assert np.array_equal(scounts, rcounts)
         assert np.array_equal(sendbuf, expected)
-        assert int(scounts.sum()) == sum(m.words for m in messages)
+        assert int(scounts.sum()) == sum(words(m) for m in messages)
+
+    @pytest.mark.parametrize("world", [2, 3, 4])
+    @pytest.mark.parametrize("cap", [1, 3, 2**31 - 1])
+    def test_every_process_packs_what_its_peers_expect(self, world, cap):
+        """The multi-process Alltoallv contract, checked without MPI: in
+        every round, process q's expected slice from p is exactly process
+        p's send slice to q, and each message's words arrive once, in
+        order."""
+        plan = uneven_plan()
+        messages = wire_messages(plan)
+        assert len({words(m) for m in messages}) > 1
+        vmap = virtual_rank_map(8, world)
+        # distinct values per message and word, so a misplaced word shows
+        payloads = [
+            1000.0 * i + np.arange(words(m), dtype=np.float64)
+            for i, m in enumerate(messages)
+        ]
+        received = {q: [] for q in range(world)}
+        for segments in build_alltoallv_rounds(messages, vmap, world, cap=cap):
+            bufs = [
+                round_buffers(segments, messages, payloads, vmap, world, q)
+                for q in range(world)
+            ]
+            for p, (sendbuf, scounts, sdispls, _, _, _) in enumerate(bufs):
+                assert scounts.dtype == np.int32 and sdispls.dtype == np.int32
+                assert len(sendbuf) == int(scounts.sum(dtype=np.int64)) <= cap
+                for q, (_, _, _, rcounts, rdispls, expected) in enumerate(bufs):
+                    assert len(expected) == int(rcounts.sum(dtype=np.int64)) <= cap
+                    assert scounts[q] == rcounts[p]
+                    sent = sendbuf[sdispls[q] : sdispls[q] + scounts[q]]
+                    due = expected[rdispls[p] : rdispls[p] + rcounts[p]]
+                    assert np.array_equal(sent, due)
+            for q, (*_, expected) in enumerate(bufs):
+                received[q].append(expected)
+        for i, m in enumerate(messages):
+            got = np.concatenate(received[int(vmap[m.dst])])
+            assert np.array_equal(got[got // 1000 == i], payloads[i])
 
     def test_invalid_cap_rejected(self):
         with pytest.raises(ParameterError):

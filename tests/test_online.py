@@ -565,6 +565,14 @@ class TestDaemon:
             # range killed the line loop
             '{"op": "trsm", "n": 64, "k": 8, "sla": 1' + "0" * 400 + "}",
             '{"op": "trsm", "n": 64, "k": 8, "deadline": 1' + "0" * 400 + "}",
+            # time fields took booleans and strings as seconds (true: a
+            # 1 s SLA, false: deadline 0.0), a negative sla set the
+            # deadline before arrival, and "x" was an untyped ValueError
+            '{"op": "trsm", "n": 64, "k": 8, "sla": true}',
+            '{"op": "trsm", "n": 64, "k": 8, "sla": "5e-5"}',
+            '{"op": "trsm", "n": 64, "k": 8, "deadline": false}',
+            '{"op": "trsm", "n": 64, "k": 8, "sla": -1}',
+            '{"op": "trsm", "n": 64, "k": 8, "deadline": "x"}',
         ):
             out = d.handle(bad)
             assert out["ok"] is False and out["op"] == "trsm"

@@ -16,6 +16,7 @@ Covers the PR-2 contract:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from repro.dist import (
     redistribute,
     route_embed,
     route_submatrix,
+    scatter_frame,
     transpose_matrix,
 )
 from repro.dist.layout import AxisMap, Layout, axis_cache_size, clear_layout_caches
@@ -348,6 +350,37 @@ class TestGatherFrame:
         D = DistMatrix.from_global(machine, grid, BlockedLayout(2, 2), A)
         frame = gather_frame(End.window_of(D, 3, 2), D.blocks, shape=(4, 5))
         assert np.array_equal(frame, A[3:7, 2:7])
+
+    @pytest.mark.parametrize("kind", ["window", "transposed", "selection"])
+    def test_scatter_inverts_gather(self, kind):
+        """scatter_frame(gather_frame(...)) writes back exactly the frame's
+        elements, whatever the end's frame geometry."""
+        machine = Machine(6, params=UNIT)
+        grid = machine.grid(2, 3)
+        layout = BlockCyclicLayout(2, 3, br=2, bc=1)
+        A = np.arange(99.0).reshape(9, 11) + 1.0
+        D = DistMatrix.from_global(machine, grid, layout, A)
+        rows, cols = np.array([0, 2, 3, 8]), np.array([1, 4, 5, 6, 10])
+        if kind == "window":
+            end, shape, mask = End.window_of(D, 3, 2), (4, 5), np.s_[3:7, 2:7]
+            expected = A[3:7, 2:7]
+        elif kind == "transposed":
+            end = End(grid, layout, A.shape, offset=(1, 2), transpose=True)
+            shape, mask = (6, 7), np.s_[1:8, 2:8]
+            expected = A[1:8, 2:8].T
+        else:
+            end = End(grid, layout, A.shape, rows=rows, cols=cols)
+            shape, mask = None, np.ix_(rows, cols)
+            expected = A[mask]
+        frame = gather_frame(end, D.blocks, shape=shape)
+        assert np.array_equal(frame, expected)
+        out = {r: np.zeros_like(b) for r, b in D.blocks.items()}
+        assert scatter_frame(end, frame, out) is out
+        back = DistMatrix(machine, grid, layout, A.shape, out).to_global()
+        want = np.zeros_like(A)
+        want[mask] = A[mask]
+        assert np.array_equal(back, want)
+        assert machine.time() == 0.0
 
 
 class TestPlanGeometry:

@@ -3,9 +3,10 @@
 PR 6's throughput work is only admissible because nothing observable
 changed.  This suite pins that:
 
-* **vectorized routing parity** — the argsort/group-by implementations of
-  ``pairs``/``cost``/``charge_pointwise``/``apply`` are bit-identical to
-  the pinned pre-refactor loops in ``tests/routing_reference.py``,
+* **vectorized routing parity** — the vectorized ``pairs``/``cost``/
+  ``charge_pointwise`` and the message-list ``apply`` are bit-identical to
+  the pinned pre-refactor loops in ``tests/routing_reference.py``, the
+  off-rank messages carry exactly the words ``pairs`` charges,
   property-tested across grids, layout families, shapes and transposed
   destinations — and checked over every plan a served stream leaves in
   the plan LRU;
@@ -94,6 +95,16 @@ class TestVectorizedRoutingParity:
         assert plan.pairs() == reference_pairs(plan)
         assert plan.cost() == reference_cost(plan)
         assert plan._pointwise_costs() == reference_pointwise_costs(plan)
+        # what goes on the wire is what the model charges
+        messages = plan.messages()
+        assert [
+            (m.src, m.dst, len(m.src_rows) * len(m.src_cols))
+            for m in messages
+            if m.src != m.dst
+        ] == plan.pairs()
+        for m in messages:
+            assert len(m.src_rows) == len(m.dst_rows)
+            assert len(m.src_cols) == len(m.dst_cols)
 
     @settings(max_examples=50, deadline=None)
     @given(t=transitions())
@@ -171,20 +182,18 @@ class TestPlanCache:
         stats = routing.plan_cache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1 and stats["entries"] == 1
 
-    def test_disabled_cache_builds_fresh_plans(self):
+    def test_disabled_cache_builds_fresh_plans(self, monkeypatch):
+        routing.clear_plan_cache()
+        monkeypatch.setattr(routing, "_PLAN_CACHE_MAX", 0)
         machine = Machine(4, params=UNIT)
         grid = machine.grid(2, 2)
         src = End(grid, CyclicLayout(2, 2), (8, 8))
         dst = End(grid, BlockedLayout(2, 2), (8, 8))
-        previous = routing.set_plan_cache_capacity(0)
-        try:
-            p1 = routing.routing_plan(src, dst, (8, 8))
-            p2 = routing.routing_plan(src, dst, (8, 8))
-            assert p1 is not p2
-            assert p1.cost() == p2.cost()
-            assert routing.plan_cache_stats()["entries"] == 0
-        finally:
-            routing.set_plan_cache_capacity(previous)
+        p1 = routing.routing_plan(src, dst, (8, 8))
+        p2 = routing.routing_plan(src, dst, (8, 8))
+        assert p1 is not p2
+        assert p1.cost() == p2.cost()
+        assert routing.plan_cache_stats()["entries"] == 0
 
     def test_lru_evicts_the_oldest_entry(self, monkeypatch):
         routing.clear_plan_cache()
@@ -211,17 +220,15 @@ class TestPlanCache:
         assert capacity >= 0  # clearing resets counters, not the capacity
         assert stats == {"hits": 0, "misses": 0, "entries": 0}
 
-    def test_cache_on_off_schedules_identical(self):
+    def test_cache_on_off_schedules_identical(self, monkeypatch):
         stream = poisson_stream(
             count=20, rate=2e5, n_range=(32, 64), k_range=(4, 8), seed=3
         )
         routing.clear_plan_cache()
         on = schedule_stream(stream, p=16)
-        previous = routing.set_plan_cache_capacity(0)
-        try:
-            off = schedule_stream(stream, p=16)
-        finally:
-            routing.set_plan_cache_capacity(previous)
+        routing.clear_plan_cache()
+        monkeypatch.setattr(routing, "_PLAN_CACHE_MAX", 0)
+        off = schedule_stream(stream, p=16)
         assert flatten(on) == flatten(off)
 
 
