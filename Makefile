@@ -8,13 +8,17 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Fail-fast subset: the dist-layer contracts (layouts, routing plans
+## Fail-fast subset: the machine's ledger contract (one (4, p) clock/S/W/F
+## ledger charged in one vector step, bit-identical to the pinned per-rank
+## loops), the dist-layer contracts (layouts, routing plans
 ## and their message list), the backend seam (SimBackend goldens, the
 ## Alltoallv packing cross-checked across processes, loopback MPI) plus
 ## the scheduler and packing-policy contracts (allocator invariants, LPT
 ## parity goldens, horizon goldens, optimal ground truth).
 test-fast:
-	$(PYTHON) -m pytest -x -q tests/test_layout.py tests/test_distmatrix.py \
+	$(PYTHON) -m pytest -x -q tests/test_counters.py tests/test_machine.py \
+		tests/test_machine_stateful.py tests/test_memory.py \
+		tests/test_ledger_parity.py tests/test_layout.py tests/test_distmatrix.py \
 		tests/test_redistribute.py tests/test_triangular_helpers.py \
 		tests/test_row_block.py tests/test_layout_equivalences.py \
 		tests/test_routing.py tests/test_backend.py \

@@ -1,11 +1,12 @@
 """Per-rank cost counters.
 
-The :class:`CounterSet` holds, for every virtual rank, the *path* counters
-(S, W, F) accumulated along that rank's execution path.  At a group
-synchronization the counters of the slowest participant propagate to the
-whole group, so at the end of a run the counters of the rank with the
-maximal clock are the costs *along the critical path* — the quantity the
-paper's tables report.
+The :class:`CounterSet` is one ``(4, p)`` ledger: for every virtual rank a
+column holding its clock and the *path* counters (S, W, F) accumulated
+along that rank's execution path.  A charge is one scatter of a ``(4, m)``
+(seconds, S, W, F) block into the ledger.  A group synchronization copies
+the slowest participant's column to the whole group, so at the end of a
+run the counters of the rank with the maximal clock are the costs *along
+the critical path* — the quantity the paper's tables report.
 """
 
 from __future__ import annotations
@@ -16,51 +17,42 @@ from repro.machine.cost import Cost
 
 
 class CounterSet:
-    """Vectorized per-rank clocks and (S, W, F) path counters."""
+    """One ledger of per-rank clocks and (S, W, F) path counters."""
 
     def __init__(self, n_ranks: int):
         if n_ranks < 1:
             raise ValueError("need at least one rank")
         self.n_ranks = n_ranks
-        self.clock = np.zeros(n_ranks)
-        self.S = np.zeros(n_ranks)
-        self.W = np.zeros(n_ranks)
-        self.F = np.zeros(n_ranks)
+        #: rows (clock, S, W, F), one column per rank; the named rows are views
+        self.ledger = np.zeros((4, n_ranks))
+        self.clock, self.S, self.W, self.F = self.ledger
         # Totals over all ranks (volume accounting, not critical path).
         self.total = Cost.zero()
 
-    def charge(self, ranks: np.ndarray, cost: Cost, seconds: float) -> None:
-        """Add ``cost`` to each rank in ``ranks`` and advance their clocks."""
-        self.S[ranks] += cost.S
-        self.W[ranks] += cost.W
-        self.F[ranks] += cost.F
-        self.clock[ranks] += seconds
-        self.total = self.total + cost * len(ranks)
+    def charge(self, ranks: np.ndarray, block: np.ndarray) -> None:
+        """Add column ``j`` of the ``(4, m)`` (seconds, S, W, F) ``block`` to
+        rank ``ranks[j]``; a ``(4, 1)`` block is added to every rank."""
+        self.ledger[:, ranks] += block
+        # plain float adds in rank order: a (4, 1) column counts len(ranks) times
+        reps = len(ranks) // block.shape[1]
+        S, W, F = self.total.S, self.total.W, self.total.F
+        for _, s, w, f in block.T.tolist():
+            S, W, F = S + s * reps, W + w * reps, F + f * reps
+        self.total = Cost(S, W, F)
 
     def sync(self, ranks: np.ndarray) -> None:
-        """Advance every rank in the group to the group's max clock.
+        """Copy the group's slowest rank's column to every rank in the group.
 
-        The path counters of the slowest rank propagate to the whole group so
-        that the eventual max-clock rank carries critical-path counters.
+        Clocks advance to the group's max, and the path counters of the
+        slowest rank propagate so that the eventual max-clock rank carries
+        critical-path counters.
         """
         if len(ranks) <= 1:
             return
-        clocks = self.clock[ranks]
-        imax = int(np.argmax(clocks))
-        tmax = clocks[imax]
-        rmax = ranks[imax]
-        self.clock[ranks] = tmax
-        self.S[ranks] = self.S[rmax]
-        self.W[ranks] = self.W[rmax]
-        self.F[ranks] = self.F[rmax]
+        rmax = ranks[int(np.argmax(self.clock[ranks]))]
+        self.ledger[:, ranks] = self.ledger[:, rmax, None]
 
     def critical_path(self) -> tuple[float, Cost]:
         """(max clock, path cost of the max-clock rank)."""
-        imax = int(np.argmax(self.clock))
-        return float(self.clock[imax]), Cost(
-            float(self.S[imax]), float(self.W[imax]), float(self.F[imax])
-        )
-
-    def max_counters(self) -> Cost:
-        """Componentwise maxima over ranks (upper bound on any path)."""
-        return Cost(float(self.S.max()), float(self.W.max()), float(self.F.max()))
+        t, S, W, F = self.ledger[:, int(np.argmax(self.clock))].tolist()
+        return t, Cost(S, W, F)

@@ -9,7 +9,10 @@ per-rank clocks/counters and provides:
   cost to every member.  All collectives go through this.  ``label`` names
   the charge at its call site; the machine keeps no per-charge log (every
   routed transition is logged, labelled, by ``backend.measurements()``);
-* ``charge_local(rank_costs)`` — per-rank compute charges without sync;
+* ``charge_local(rank_costs)`` — per-rank compute charges without sync.
+  Either charge is one vector step over its group: one scatter of a
+  ``(4, m)`` (seconds, S, W, F) block into the counters' ledger, one into
+  the active phase table and one per distinct active region;
 * ``phase(name)`` — context manager labelling subsequent charges, used by the
   per-phase cost benches (inversion / solve / update in Section VII);
 * ``region(name)`` — like ``phase`` but *cumulative across nesting*: a charge
@@ -131,9 +134,8 @@ class Machine:
             return
         if sync:
             self.counters.sync(ranks)
-        seconds = cost.time(self.params)
-        self.counters.charge(ranks, cost, seconds)
-        self._phase_add(ranks, cost)
+        column = [[cost.time(self.params)], [cost.S], [cost.W], [cost.F]]
+        self._charge(ranks, np.array(column, dtype=float))
 
     def charge_local(self, rank_costs: dict[int, Cost], label: str = "") -> None:
         """Charge per-rank compute costs (no synchronization).
@@ -141,10 +143,13 @@ class Machine:
         Used for local flops where different ranks may do different amounts
         of work (e.g. triangular blocks).
         """
-        for rank, cost in rank_costs.items():
-            ranks = np.asarray([rank], dtype=np.int64)
-            self.counters.charge(ranks, cost, cost.time(self.params))
-            self._phase_add(ranks, cost)
+        if not rank_costs:
+            return
+        ranks = np.fromiter(rank_costs, dtype=np.int64, count=len(rank_costs))
+        S, W, F = np.array([(c.S, c.W, c.F) for c in rank_costs.values()], dtype=float).T
+        p = self.params
+        # Cost.time's operation order, elementwise: clocks stay bit-identical
+        self._charge(ranks, np.stack((p.alpha * S + p.beta * W + p.gamma * F, S, W, F)))
 
     def advance_group(self, group: Sequence[int], t: float) -> None:
         """Advance the group's clocks to at least simulated time ``t``.
@@ -225,23 +230,25 @@ class Machine:
             acc = acc[:, idx]
         return Cost(float(acc[0].max()), float(acc[1].max()), float(acc[2].max()))
 
-    def _phase_add(self, ranks: np.ndarray, cost: Cost) -> None:
+    def _charge(self, ranks: np.ndarray, block: np.ndarray) -> None:
+        """Scatter a ``(4, m)`` (seconds, S, W, F) block (see
+        :meth:`CounterSet.charge`) into the counters, the active phase table
+        and each distinct active region table — one scatter per table."""
+        self.counters.charge(ranks, block)
         phase = self.current_phase()
         if phase:
-            self._bump(self._phase_acc, phase, ranks, cost)
+            self._bump(self._phase_acc, phase, ranks, block)
         for name in set(self._region_stack):
-            self._bump(self._region_acc, name, ranks, cost)
+            self._bump(self._region_acc, name, ranks, block)
 
     def _bump(
-        self, table: dict[str, np.ndarray], name: str, ranks: np.ndarray, cost: Cost
+        self, table: dict[str, np.ndarray], name: str, ranks: np.ndarray, block: np.ndarray
     ) -> None:
         acc = table.get(name)
         if acc is None:
             acc = np.zeros((3, self.n_ranks))
             table[name] = acc
-        acc[0, ranks] += cost.S
-        acc[1, ranks] += cost.W
-        acc[2, ranks] += cost.F
+        acc[:, ranks] += block[1:]
 
     # -- results -------------------------------------------------------------------
 
@@ -260,20 +267,9 @@ class Machine:
         """(S, W, F) along the critical path (counters of the slowest rank)."""
         return self.counters.critical_path()[1]
 
-    def max_counters(self) -> Cost:
-        """Componentwise per-rank maxima of (S, W, F)."""
-        return self.counters.max_counters()
-
     def total_volume(self) -> Cost:
         """Sum of all charges over all ranks (communication volume view)."""
         return self.counters.total
-
-    def reset(self) -> None:
-        """Zero all clocks, counters, memory and phase attributions."""
-        self.counters = CounterSet(self.n_ranks)
-        self.memory.reset()
-        self._phase_acc.clear()
-        self._region_acc.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Machine(n_ranks={self.n_ranks}, params={self.params.name!r})"

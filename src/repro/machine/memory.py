@@ -41,6 +41,3 @@ class MemoryTracker:
     def peak_words(self) -> float:
         """Largest per-rank high water (words)."""
         return float(self.peak.max())
-
-    def reset(self) -> None:
-        self.peak[:] = 0.0

@@ -187,23 +187,20 @@ def _base_case(L: DistMatrix, B: DistMatrix) -> DistMatrix:
     machine.memory.observe_group(group, float(L_full.size))
 
     X = DistMatrix.zeros(machine, grid, B.layout, B.shape)
+    rank = grid.rank_array.tolist()
+    row_idx = [B.layout.row_indices(x, n) for x in range(pr)]
     for y in range(pc):
-        col_group = [grid.rank((x, y)) for x in range(pr)]
+        col_group = [rank[x][y] for x in range(pr)]
         gcols = B.layout.col_indices(y, k)  # global columns of this grid column
         # All-to-all: rank (x, y) sends the sub-columns destined for each x'.
-        blocks = {
-            grid.rank((x, y)): [B.blocks[grid.rank((x, y))][:, xp::pr] for xp in range(pr)]
-            for x in range(pr)
-        }
+        blocks = {r: [B.blocks[r][:, xp::pr] for xp in range(pr)] for r in col_group}
         received = alltoall(machine, col_group, blocks, label="rectrsm.base_fwd")
         solved: dict[int, np.ndarray] = {}
-        for xp in range(pr):
-            dest = grid.rank((xp, y))
+        for xp, dest in enumerate(col_group):
             sub_gcols = gcols[xp::pr]
             cols_full = np.zeros((n, len(sub_gcols)))
-            for x in range(pr):
-                rows = B.layout.row_indices(x, n)
-                cols_full[rows, :] = received[dest][x]
+            for rows, part in zip(row_idx, received[dest]):
+                cols_full[rows, :] = part
             xsol = trsm_lower_sequential(L_full, cols_full, check=False)
             machine.charge(
                 [dest],
@@ -213,16 +210,9 @@ def _base_case(L: DistMatrix, B: DistMatrix) -> DistMatrix:
             )
             solved[dest] = xsol
         # All-to-all back to the cyclic layout.
-        back = {
-            grid.rank((xp, y)): [
-                solved[grid.rank((xp, y))][B.layout.row_indices(x, n), :]
-                for x in range(pr)
-            ]
-            for xp in range(pr)
-        }
+        back = {r: [solved[r][rows, :] for rows in row_idx] for r in col_group}
         returned = alltoall(machine, col_group, back, label="rectrsm.base_bwd")
-        for x in range(pr):
-            dest = grid.rank((x, y))
+        for dest in col_group:
             mine = np.zeros_like(B.blocks[dest])
             for xp in range(pr):
                 mine[:, xp::pr] = returned[dest][xp]

@@ -223,6 +223,32 @@ class TestOtherRequests:
         with pytest.raises(ParameterError):
             cluster.submit("solve please")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("arrival", float("inf")),
+            ("arrival", -1.0),
+            ("arrival", float("nan")),
+            ("arrival", True),
+            ("arrival", "0"),
+            ("deadline", float("nan")),
+            ("deadline", False),
+        ],
+    )
+    def test_submit_refuses_times_no_clock_holds(self, field, value):
+        """A refused request leaves the rest of the batch untouched."""
+        cluster = Cluster(4)
+        L = random_lower_triangular(16, seed=0)
+        B = random_dense(16, 4, seed=1)
+        rid = cluster.submit(TrsmRequest(L=L, B=B, arrival=1e-6, deadline=float("inf")))
+        with pytest.raises(ParameterError, match=field):
+            cluster.submit(TrsmRequest(L=L, B=B, **{field: value}))
+        assert cluster.pending() == 1
+        out = cluster.run()
+        record = out.record(rid)
+        assert out.measured_makespan < 1.0
+        assert 0.0 < record.latency_seconds() < 1.0 and record.sla_met() is True
+
     def test_host_rejects_vectors(self):
         cluster = Cluster(4)
         with pytest.raises(ParameterError):

@@ -88,13 +88,6 @@ class TestCharging:
         tv = m.total_volume()
         assert (tv.S, tv.W) == (4, 8)
 
-    def test_reset(self):
-        m = Machine(2, params=UNIT)
-        m.charge([0, 1], Cost(1, 1, 1))
-        m.reset()
-        assert m.time() == 0.0
-        assert m.critical_path() == Cost.zero()
-
 
 class TestPhases:
     def test_phase_attribution(self):

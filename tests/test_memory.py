@@ -31,12 +31,6 @@ class TestTracker:
         with pytest.raises(ValueError):
             t.observe(0, -1)
 
-    def test_reset(self):
-        t = MemoryTracker(1)
-        t.observe(0, 5)
-        t.reset()
-        assert t.peak_words() == 0
-
     def test_zero_ranks_rejected(self):
         with pytest.raises(ValueError):
             MemoryTracker(0)
@@ -50,12 +44,6 @@ class TestIntegration:
             machine, grid, CyclicLayout(2, 2), np.zeros((8, 8))
         )
         assert machine.memory.peak_words() == 16  # 8*8/4 per rank
-
-    def test_machine_reset_clears_memory(self):
-        machine = Machine(4, params=UNIT)
-        machine.memory.observe(0, 99)
-        machine.reset()
-        assert machine.memory.peak_words() == 0
 
     def _mm_peak(self, p1, sq, n=32, k=32):
         sp = p1 * sq

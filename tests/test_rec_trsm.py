@@ -1,5 +1,7 @@
 """Rec-TRSM (Section IV): correctness in all regimes + cost behaviour."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -174,3 +176,31 @@ class TestCostBehaviour:
         f1 = m1.critical_path().F
         f4 = m4.critical_path().F
         assert f4 < f1  # parallel run does less work per processor
+
+    @pytest.mark.parametrize(
+        "n,k,p,golden",
+        [
+            (
+                128, 32, 64,
+                ("0x1.bcc0000000000p+10", "0x1.c200000000000p+12",
+                 "0x1.f800000000000p+12", "0x1.d458e9427cbbbp-10",
+                 "58a166ae8ba1b56f"),
+            ),
+            (
+                64, 16, 16,
+                ("0x1.2b80000000000p+9", "0x1.3800000000000p+11",
+                 "0x1.7800000000000p+11", "0x1.3b6f9ce4e0666p-11",
+                 "b380ac2692567126"),
+            ),
+        ],
+    )
+    def test_measured_cost_golden(self, n, k, p, golden):
+        """Rec-TRSM's measured (S, W, F), clock and solution, pinned bitwise
+        on the Section IV grid with the default machine constants."""
+        machine = Machine(p, params=CostParams())
+        L = random_lower_triangular(n, seed=0)
+        B = random_dense(n, k, seed=1)
+        X = rec_trsm_global(machine, L, B).to_global()
+        c = machine.critical_path()
+        digest = hashlib.sha256(X.tobytes()).hexdigest()[:16]
+        assert (c.S.hex(), c.W.hex(), c.F.hex(), machine.time().hex(), digest) == golden
