@@ -11,7 +11,9 @@ test:
 ## Fail-fast subset: the machine's ledger contract (one (4, p) clock/S/W/F
 ## ledger charged in one vector step, bit-identical to the pinned per-rank
 ## loops), the dist-layer contracts (layouts, routing plans
-## and their message list), the backend seam (SimBackend goldens, the
+## and their message list, and the frame-copy contract: from_global/
+## to_global and gather/scatter_frame byte-identical to the pinned
+## per-coordinate loops, every block private), the backend seam (SimBackend goldens, the
 ## Alltoallv packing cross-checked across processes, loopback MPI) plus
 ## the scheduler and packing-policy contracts (allocator invariants, LPT
 ## parity goldens, horizon goldens, optimal ground truth).
@@ -21,6 +23,7 @@ test-fast:
 		tests/test_ledger_parity.py tests/test_layout.py tests/test_distmatrix.py \
 		tests/test_redistribute.py tests/test_triangular_helpers.py \
 		tests/test_row_block.py tests/test_layout_equivalences.py \
+		tests/test_layout_parity.py \
 		tests/test_routing.py tests/test_backend.py \
 		tests/test_sched.py tests/test_policies.py
 

@@ -11,9 +11,10 @@ couples four things:
 Distribution and assembly (:meth:`from_global` / :meth:`to_global`) are
 **free**: the simulation treats the initial data placement as given, exactly
 as the paper's Require clauses do ("initially distributed cyclically"), and
-``to_global`` is the debugging/verification view, not a collective.  All
-*charged* movement between grids and layouts lives in
-:mod:`repro.dist.redistribute`.
+``to_global`` is the debugging/verification view, not a collective.  Both
+are one frame helper of :mod:`repro.dist.routing` over the whole-matrix end
+(``scatter_frame`` into fresh ``zero_blocks``, and ``gather_frame``).  All
+*charged* movement between grids and layouts lives in :mod:`repro.dist.redistribute`.
 
 Construction registers each rank's block words with the machine's
 :class:`~repro.machine.memory.MemoryTracker`, so per-rank footprints of
@@ -39,6 +40,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from repro.dist.layout import Layout
+from repro.dist.routing import End, block_shapes, gather_frame, scatter_frame, zero_blocks
 from repro.machine.validate import GridError, ShapeError, require
 
 if TYPE_CHECKING:
@@ -61,17 +63,7 @@ class DistMatrix:
         shape: tuple[int, int],
         blocks: Mapping[int, np.ndarray],
     ) -> None:
-        require(
-            grid.ndim == 2,
-            GridError,
-            f"DistMatrix requires a 2D grid, got shape {grid.shape}",
-        )
-        require(
-            (layout.pr, layout.pc) == grid.shape,
-            GridError,
-            f"layout is for a {layout.pr} x {layout.pc} grid, "
-            f"but the grid has shape {grid.shape}",
-        )
+        _require_grid(grid, layout)
         rank_set = set(grid.ranks())
         require(
             set(blocks) == rank_set,
@@ -85,15 +77,7 @@ class DistMatrix:
         self.layout = layout
         self.shape = (int(shape[0]), int(shape[1]))
         self.blocks: dict[int, np.ndarray] = dict(blocks)
-        for coord in grid.coords():
-            block = self.blocks[grid.rank(coord)]
-            expected = layout.local_shape(coord, self.shape)
-            require(
-                block.shape == expected,
-                ShapeError,
-                f"block at {coord} has shape {block.shape}, layout expects "
-                f"{expected} for global shape {self.shape}",
-            )
+        self._check_blocks()
         for rank, block in self.blocks.items():
             machine.memory.observe(rank, float(block.size))
         #: process-lifetime-unique identity (content/placement provenance)
@@ -113,17 +97,7 @@ class DistMatrix:
         A: np.ndarray,
     ) -> "DistMatrix":
         """Distribute a global matrix (zero-cost initial placement)."""
-        require(
-            grid.ndim == 2,
-            GridError,
-            f"DistMatrix requires a 2D grid, got shape {grid.shape}",
-        )
-        require(
-            (layout.pr, layout.pc) == grid.shape,
-            GridError,
-            f"layout is for a {layout.pr} x {layout.pc} grid, "
-            f"but the grid has shape {grid.shape}",
-        )
+        _require_grid(grid, layout)
         A = np.asarray(A, dtype=np.float64)
         require(
             A.ndim == 2,
@@ -131,10 +105,8 @@ class DistMatrix:
             f"DistMatrix holds 2D matrices; got an array of ndim {A.ndim} "
             "(reshape vectors to (n, 1) first)",
         )
-        blocks = {
-            grid.rank(coord): layout.extract(A, coord) for coord in grid.coords()
-        }
-        return cls(machine, grid, layout, (A.shape[0], A.shape[1]), blocks)
+        blocks = scatter_frame(End(grid, layout, A.shape), A, zero_blocks(grid, layout, A.shape))
+        return cls(machine, grid, layout, A.shape, blocks)
 
     @classmethod
     def zeros(
@@ -145,7 +117,8 @@ class DistMatrix:
         shape: tuple[int, int],
     ) -> "DistMatrix":
         """An all-zero distributed matrix of the given global shape."""
-        return cls.from_global(machine, grid, layout, np.zeros(shape))
+        _require_grid(grid, layout)
+        return cls(machine, grid, layout, shape, zero_blocks(grid, layout, shape))
 
     # -- access -------------------------------------------------------------
 
@@ -185,10 +158,18 @@ class DistMatrix:
 
     def to_global(self) -> np.ndarray:
         """Assemble the global matrix (free; a verification/debug view)."""
-        out = np.zeros(self.shape)
-        for coord in self.grid.coords():
-            self.layout.place(out, coord, self.blocks[self.grid.rank(coord)])
-        return out
+        self._check_blocks()
+        return gather_frame(End.of(self), self.blocks, self.shape)
+
+    def _check_blocks(self) -> None:
+        """Every block has the shape the layout's per-axis counts give it."""
+        for coord, rank, expected in block_shapes(self.grid, self.layout, self.shape):
+            shape = self.blocks[rank].shape
+            if shape != expected:
+                raise ShapeError(
+                    f"block at {coord} has shape {shape}, layout expects "
+                    f"{expected} for global shape {self.shape}"
+                )
 
     def copy(self) -> "DistMatrix":
         """Deep copy: same machine/grid/layout, private block storage."""
@@ -205,6 +186,21 @@ class DistMatrix:
             f"DistMatrix(shape={self.shape}, grid={self.grid.shape}, "
             f"layout={self.layout!r})"
         )
+
+
+def _require_grid(grid: "ProcessorGrid", layout: Layout) -> None:
+    """A DistMatrix lives on a 2D grid of the layout's shape."""
+    require(
+        grid.ndim == 2,
+        GridError,
+        f"DistMatrix requires a 2D grid, got shape {grid.shape}",
+    )
+    require(
+        (layout.pr, layout.pc) == grid.shape,
+        GridError,
+        f"layout is for a {layout.pr} x {layout.pc} grid, "
+        f"but the grid has shape {grid.shape}",
+    )
 
 
 @dataclass(slots=True)

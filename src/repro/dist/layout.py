@@ -31,8 +31,9 @@ cache, so the two axes of a layout and different layouts sharing an axis
 rule share entries.  Each entry holds three read-only arrays:
 
 * the per-coordinate ascending index arrays (what
-  :meth:`Layout.row_indices` returns) — together they partition the
-  global index space exactly, which the builder checks;
+  :meth:`Layout.row_indices` returns, and what :mod:`repro.dist.routing`
+  cuts frame windows and block shapes from) — together they partition
+  the global index space exactly, which the builder checks;
 * the *owner* vector ``owners[g] = coordinate that owns global index g``;
 * the *position* vector ``pos[g] = offset of g within its owner's list``.
 
@@ -109,6 +110,11 @@ class AxisMap(NamedTuple("AxisMap", [("p", int), ("block", int), ("blocked", boo
         )
         return super().__new__(cls, int(p), int(block), bool(blocked))
 
+    @property
+    def stride(self) -> int | None:
+        """Gap between a coordinate's consecutive indices (``None``: runs of ``block > 1``)."""
+        return 1 if self.blocked or self.p == 1 else (self.p if self.block == 1 else None)
+
     def _owned(self, c: int, size: int) -> np.ndarray:
         """Ascending indices of ``range(size)`` dealt to coordinate ``c``."""
         if self.blocked:
@@ -158,7 +164,7 @@ class AxisMap(NamedTuple("AxisMap", [("p", int), ("block", int), ("blocked", boo
 class Layout(NamedTuple):
     """A 2D index map over a ``pr x pc`` grid: one :class:`AxisMap` per axis.
 
-    Everything (extraction, placement, window queries, local shapes)
+    Everything (index maps, owner maps, window queries, local shapes)
     derives from the two axis maps.  Layouts are cheap immutable values,
     shared freely between :class:`~repro.dist.distmatrix.DistMatrix`
     instances and used directly as cache keys.
@@ -217,33 +223,11 @@ class Layout(NamedTuple):
         i0, i1 = np.searchsorted(self.row_indices(x, m), (lo, hi))
         return slice(int(i0), int(i1))
 
-    # -- data movement helpers ----------------------------------------------
-
     def local_shape(self, coord: tuple[int, int], shape: tuple[int, int]) -> tuple[int, int]:
         """Shape of the local block at ``coord`` for a global ``shape``."""
         x, y = coord
         m, n = shape
         return (len(self.row_indices(x, m)), len(self.col_indices(y, n)))
-
-    def extract(self, A: np.ndarray, coord: tuple[int, int]) -> np.ndarray:
-        """The local block of global matrix ``A`` at grid coordinate ``coord``."""
-        x, y = coord
-        m, n = A.shape
-        return A[np.ix_(self.row_indices(x, m), self.col_indices(y, n))]
-
-    def place(self, out: np.ndarray, coord: tuple[int, int], block: np.ndarray) -> None:
-        """Inverse of :meth:`extract`: scatter ``block`` into global ``out``."""
-        x, y = coord
-        m, n = out.shape
-        rows = self.row_indices(x, m)
-        cols = self.col_indices(y, n)
-        require(
-            block.shape == (len(rows), len(cols)),
-            ShapeError,
-            f"block at {coord} has shape {block.shape}, layout expects "
-            f"({len(rows)}, {len(cols)})",
-        )
-        out[np.ix_(rows, cols)] = block
 
     def transposed(self) -> "Layout":
         """The layout of the transposed matrix on the transposed grid: the
@@ -297,10 +281,6 @@ def expected_local_words(layout: Layout, shape: tuple[int, int]) -> int:
     key = (layout, m, n)
     words = _WORDS_CACHE.get(key)
     if words is None:
-        row_owners, _ = layout.row_owner_map(m)
-        col_owners, _ = layout.col_owner_map(n)
-        max_rows = int(np.bincount(row_owners, minlength=layout.pr).max()) if m else 0
-        max_cols = int(np.bincount(col_owners, minlength=layout.pc).max()) if n else 0
-        words = max_rows * max_cols
+        words = max(map(len, layout.rows.maps(m)[0])) * max(map(len, layout.cols.maps(n)[0]))
         _cache_put(_WORDS_CACHE, key, words)
     return words

@@ -113,20 +113,15 @@ def transpose_matrix(D: DistMatrix, label: str = "transpose") -> DistMatrix:
         # Pairwise exchange: rank (x, y)'s new block is the transpose of the
         # source block at (y, x); sendrecv charges the larger payload of
         # each off-diagonal pair, diagonal blocks transpose locally (free).
+        rank = grid.rank_array.tolist()
         blocks: dict[int, np.ndarray] = {}
         for x in range(pr):
-            blocks[grid.rank((x, x))] = D.local((x, x)).T.copy()
+            blocks[rank[x][x]] = D.blocks[rank[x][x]].T.copy()
             for y in range(x + 1, pc):
-                sendrecv(
-                    machine,
-                    grid.rank((x, y)),
-                    grid.rank((y, x)),
-                    D.local((x, y)),
-                    D.local((y, x)),
-                    label=label,
-                )
-                blocks[grid.rank((x, y))] = D.local((y, x)).T.copy()
-                blocks[grid.rank((y, x))] = D.local((x, y)).T.copy()
+                a, b = rank[x][y], rank[y][x]
+                sendrecv(machine, a, b, D.blocks[a], D.blocks[b], label=label)
+                blocks[a] = D.blocks[b].T.copy()
+                blocks[b] = D.blocks[a].T.copy()
         return DistMatrix(machine, grid, D.layout.transposed(), (n, m), blocks)
 
     # No pairing: route the transposed view exactly (the transposed layout

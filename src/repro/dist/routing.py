@@ -33,9 +33,11 @@ from one stable argsort/group-by per frame axis and cached on the plan —
 and every data mover reads that list: :meth:`RoutingPlan.apply` copies
 each message's elements block to block (which is what lets the hot paths
 in :mod:`repro.dist.redistribute` and :mod:`repro.mm.mm3d` skip the
-``DistMatrix.to_global()`` scratch assembly), the MPI backend sends the
-off-rank ones, and :func:`gather_frame`/:func:`scatter_frame` run the
-same group-by against a dense frame.
+``DistMatrix.to_global()`` scratch assembly) and the MPI backend sends the
+off-rank ones.  :func:`gather_frame`/:func:`scatter_frame` move a frame
+between blocks and a dense array (whole-matrix placement and assembly
+included): a window axis is sliced from the layout's cached index arrays,
+and only an explicit row/column selection is grouped.
 
 Two serve-scale mechanisms sit on top (both bit-identical to the original
 per-pair loops, which are pinned verbatim under ``tests/`` as the parity
@@ -55,11 +57,11 @@ oracle the hypothesis suite compares every plan against):
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.dist.layout import Layout, expected_local_words
+from repro.dist.layout import AxisMap, Layout, expected_local_words
 from repro.machine import collective_models
 from repro.machine.cost import Cost
 from repro.machine.validate import ShapeError, require
@@ -70,6 +72,8 @@ if TYPE_CHECKING:
     from repro.machine.topology import ProcessorGrid
 
 Blocks = Mapping[int, np.ndarray]
+#: a frame axis's indices along its matrix axis: a window or a selection
+FrameKey = slice | np.ndarray
 
 #: per-(sender, receiver) word counts and bincount keys must stay
 #: addressable by 32-bit message-count APIs; guarded at plan construction
@@ -167,6 +171,34 @@ class End:
         )
         return shape
 
+    def frame_axes(
+        self, shape: tuple[int, int]
+    ) -> tuple[tuple[AxisMap, int, FrameKey], tuple[AxisMap, int, FrameKey]]:
+        """The frame's (row, col) axes as ``(axis map, matrix extent, key)``:
+        ``key`` is the window ``slice`` along that matrix axis, or the
+        explicit ``rows``/``cols`` selection."""
+        fm, fn = self.frame_shape(shape)
+        M, N = self.full_shape
+        r0, c0 = self.offset
+        rows, cols = self.layout
+        axes = (
+            (rows, M, slice(r0, r0 + fm) if self.rows is None else self.rows),
+            (cols, N, slice(c0, c0 + fn) if self.cols is None else self.cols),
+        )
+        if self.transpose:  # frame rows follow matrix columns and vice versa
+            axes = ((cols, N, slice(c0, c0 + fm)), (rows, M, slice(r0, r0 + fn)))
+        require(
+            all(
+                key.stop <= size
+                if isinstance(key, slice)
+                else key.size == 0 or (0 <= key.min() and key.max() < size)
+                for _, size, key in axes
+            ),
+            ShapeError,
+            f"frame {shape} at {self.offset} exceeds {self.full_shape}",
+        )
+        return axes
+
     def frame_maps(
         self, shape: tuple[int, int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -174,51 +206,14 @@ class End:
 
         Returns ``(row_owners, row_pos, col_owners, col_pos)``: for each
         frame row (column), which coordinate along the matching grid axis
-        owns it and at which local offset.  Built by slicing the layout's
-        cached owner maps — no per-call allocation beyond the slices.
+        owns it and at which local offset.  Built by keying the layout's
+        cached owner maps with :meth:`frame_axes` — a window is a zero-copy
+        slice view.
         """
-        fm, fn = self.frame_shape(shape)
-        M, N = self.full_shape
-        r0, c0 = self.offset
-        if self.transpose:
-            # Frame rows follow matrix columns and vice versa.
-            require(
-                c0 + fm <= N and r0 + fn <= M,
-                ShapeError,
-                f"transposed frame {shape} at {self.offset} exceeds {self.full_shape}",
-            )
-            col_owners, col_pos = self.layout.col_owner_map(N)
-            row_owners, row_pos = self.layout.row_owner_map(M)
-            return (
-                col_owners[c0 : c0 + fm],
-                col_pos[c0 : c0 + fm],
-                row_owners[r0 : r0 + fn],
-                row_pos[r0 : r0 + fn],
-            )
-        row_owners, row_pos = self.layout.row_owner_map(M)
-        col_owners, col_pos = self.layout.col_owner_map(N)
-        if self.rows is None and self.cols is None:
-            # contiguous window: zero-copy slice views of the cached maps
-            require(
-                r0 + fm <= M and c0 + fn <= N,
-                ShapeError,
-                f"frame {shape} at {self.offset} exceeds {self.full_shape}",
-            )
-            return (
-                row_owners[r0 : r0 + fm],
-                row_pos[r0 : r0 + fm],
-                col_owners[c0 : c0 + fn],
-                col_pos[c0 : c0 + fn],
-            )
-        ri = self.rows if self.rows is not None else np.arange(fm)
-        ci = self.cols if self.cols is not None else np.arange(fn)
-        require(
-            (ri.size == 0 or (0 <= ri.min() and ri.max() < M))
-            and (ci.size == 0 or (0 <= ci.min() and ci.max() < N)),
-            ShapeError,
-            f"frame selection exceeds matrix of shape {self.full_shape}",
-        )
-        return row_owners[ri], row_pos[ri], col_owners[ci], col_pos[ci]
+        (row_axis, M, rk), (col_axis, N, ck) = self.frame_axes(shape)
+        _, row_owners, row_pos = row_axis.maps(M)
+        _, col_owners, col_pos = col_axis.maps(N)
+        return row_owners[rk], row_pos[rk], col_owners[ck], col_pos[ck]
 
     def axis_sizes(self) -> tuple[int, int]:
         """Coordinate counts along the frame's (row, col) axes."""
@@ -226,21 +221,11 @@ class End:
             return (self.layout.pc, self.layout.pr)
         return (self.layout.pr, self.layout.pc)
 
-    def rank(self, a: int, b: int) -> int:
-        """Machine rank of frame-axis coordinates ``(a, b)``."""
-        coord = (b, a) if self.transpose else (a, b)
-        return self.grid.rank(coord)
-
     def rank_matrix(self) -> np.ndarray:
-        """Rank lookup in frame-axis orientation: ``rank_matrix()[a, b]``
-        equals :meth:`rank` ``(a, b)`` (vectorized, no per-pair calls)."""
+        """Rank lookup in frame-axis orientation: ``rank_matrix()[a, b]`` is
+        the rank at grid coordinate ``(a, b)``, ``(b, a)`` if transposed."""
         ranks = self.grid.rank_array
         return ranks.T if self.transpose else ranks
-
-    def local_view(self, blocks: Blocks, a: int, b: int) -> np.ndarray:
-        """The local block at frame coords ``(a, b)``, frame-oriented."""
-        block = blocks[self.rank(a, b)]
-        return block.T if self.transpose else block
 
     def fingerprint(self) -> tuple:
         """Hashable identity of everything a routing plan derives from.
@@ -535,12 +520,8 @@ class RoutingPlan:
         matrix routed into itself), the source is snapshotted first so
         reads never observe partial writes.  Returns ``out``.
         """
-        grid = self.dst.grid
         if out is None:
-            out = {
-                rank: np.zeros(self.dst.layout.local_shape(coord, self.dst.full_shape))
-                for rank, coord in zip(grid.ranks(), grid.coords())
-            }
+            out = zero_blocks(self.dst.grid, self.dst.layout, self.dst.full_shape)
         else:
             src_ids = {id(b) for b in blocks.values()}
             if any(id(b) in src_ids for b in out.values()):
@@ -618,35 +599,86 @@ def clear_plan_cache() -> None:
     _PLAN_CACHE_MISSES = 0
 
 
+def block_shapes(
+    grid: "ProcessorGrid", layout: Layout, shape: tuple[int, int]
+) -> Iterator[tuple[tuple[int, int], int, tuple[int, int]]]:
+    """``(coord, rank, local block shape)`` per coordinate of a 2D ``grid``
+    in C order: one read of the rank table and of each axis's counts."""
+    rows = [len(idx) for idx in layout.rows.maps(shape[0])[0]]
+    cols = [len(idx) for idx in layout.cols.maps(shape[1])[0]]
+    for x, (ranks, m) in enumerate(zip(grid.rank_array.tolist(), rows)):
+        for y, (rank, n) in enumerate(zip(ranks, cols)):
+            yield (x, y), rank, (m, n)
+
+
+def zero_blocks(
+    grid: "ProcessorGrid", layout: Layout, shape: tuple[int, int]
+) -> dict[int, np.ndarray]:
+    """Fresh zero blocks of a global ``shape`` under ``layout``, by rank."""
+    return {rank: np.zeros(s) for _, rank, s in block_shapes(grid, layout, shape)}
+
+
+def _frame_axis(
+    axis: AxisMap, size: int, key: FrameKey
+) -> list[tuple[int, FrameKey, FrameKey]]:
+    """One frame axis against a dense side: ``(coord, block key, frame
+    key)`` per coordinate owning part of it, coordinates ascending.
+
+    A window is cut from each coordinate's cached ascending index array by
+    two binary searches, so its block key is a basic slice, and so is its
+    frame key when the axis deals evenly spaced indices
+    (:attr:`AxisMap.stride`).  A selection is grouped by :func:`_axis_pairs`.
+    """
+    index, owners, pos = axis.maps(size)
+    if not isinstance(key, slice):
+        pairs = _axis_pairs(owners[key], 0, pos[key], np.arange(len(key)), 1)
+        return [(c, bp, fp) for c, _, bp, fp in pairs]
+    out: list[tuple[int, FrameKey, FrameKey]] = []
+    step = axis.stride
+    for c, idx in enumerate(index):
+        i0, i1 = np.searchsorted(idx, (key.start, key.stop)).tolist()
+        if i0 < i1:
+            lo, hi = int(idx[i0]) - key.start, int(idx[i1 - 1]) - key.start + 1
+            fk = slice(lo, hi, step) if step else idx[i0:i1] - key.start
+            out.append((c, slice(i0, i1), fk))
+    return out
+
+
+def _ix(rows: FrameKey, cols: FrameKey) -> tuple[FrameKey, FrameKey]:
+    """A 2D index from two axis keys (two index arrays: their outer product)."""
+    both = isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray)
+    return (rows[:, None], cols) if both else (rows, cols)
+
+
 def _frame_messages(
     end: End, shape: tuple[int, int]
-) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> list[tuple[int, tuple[FrameKey, FrameKey], tuple[FrameKey, FrameKey]]]:
     """The messages between an end and a dense frame of ``shape``:
-    ``(rank, block rows, block cols, frame rows, frame cols)`` per owning
-    rank — :func:`_axis_pairs` with a one-coordinate dense side."""
-    ro, rp, co, cp = end.frame_maps(shape)
+    ``(rank, block key, frame key)`` per owning rank, one
+    :func:`_frame_axis` per axis; ``frame[frame key]`` is the frame-oriented
+    ``block[block key]``."""
+    (row_axis, M, rk), (col_axis, N, ck) = end.frame_axes(shape)
     ranks = end.rank_matrix().tolist()
-    col_pairs = _axis_pairs(co, 0, cp, np.arange(shape[1]), 1)
+    cols = _frame_axis(col_axis, N, ck)
     return [
-        (ranks[a][b], rs, cs, rd, cd)
-        for a, _, rs, rd in _axis_pairs(ro, 0, rp, np.arange(shape[0]), 1)
-        for b, _, cs, cd in col_pairs
+        (ranks[a][b], _ix(rs, cs), _ix(rd, cd))
+        for a, rs, rd in _frame_axis(row_axis, M, rk)
+        for b, cs, cd in cols
     ]
 
 
 def gather_frame(end: End, blocks: Blocks, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Assemble an end's frame into a dense local array (cost-free plumbing).
 
-    The routing counterpart of slicing ``to_global()``: only the frame's
-    elements are touched, so hot paths that need one slab of a distributed
-    matrix (MM line 5) no longer assemble the whole thing.  Charging is the
-    caller's business, exactly as it was for ``to_global``.
+    Only the frame's elements are touched: ``DistMatrix.to_global`` is the
+    whole-matrix frame, and hot paths that need one slab of a distributed
+    matrix (MM line 5) gather just that.  Charging is the caller's business.
     """
     fm, fn = end.frame_shape(shape)
     out = np.zeros((fm, fn))
-    for rank, rs, cs, rd, cd in _frame_messages(end, (fm, fn)):
+    for rank, block_key, frame_key in _frame_messages(end, (fm, fn)):
         view = blocks[rank].T if end.transpose else blocks[rank]
-        out[rd[:, None], cd] = view[rs[:, None], cs]
+        out[frame_key] = view[block_key]
     return out
 
 
@@ -655,14 +687,13 @@ def scatter_frame(
 ) -> dict[int, np.ndarray]:
     """Inverse of :func:`gather_frame`: write a dense frame into an end's blocks.
 
-    Only the frame's elements are written, so hot paths that produce one
-    slab of a distributed result (MM line 7) scatter it straight into the
-    destination blocks instead of assembling a global scratch matrix first.
-    Cost-free plumbing, exactly like ``gather_frame`` — the movement is the
-    caller's charge.  Returns ``out``.
+    Only the frame's elements are written: ``DistMatrix.from_global`` is the
+    whole-matrix frame, and hot paths that produce one slab (MM line 7)
+    scatter it straight into the destination blocks.  Cost-free plumbing,
+    like ``gather_frame`` — the movement is the caller's charge.  Returns ``out``.
     """
     frame = np.asarray(frame)
-    for rank, rs, cs, rd, cd in _frame_messages(end, end.frame_shape(frame.shape)):
+    for rank, block_key, frame_key in _frame_messages(end, end.frame_shape(frame.shape)):
         view = out[rank].T if end.transpose else out[rank]
-        view[rs[:, None], cs] = frame[rd[:, None], cd]
+        view[block_key] = frame[frame_key]
     return out

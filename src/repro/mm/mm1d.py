@@ -39,7 +39,7 @@ def mm1d(A: DistMatrix, X: DistMatrix, scale: float = 1.0) -> DistMatrix:
         f"inner dimensions disagree: A is {A.shape}, X is {X.shape}",
     )
     p = grid.shape[1]
-    group = [grid.rank((0, y)) for y in range(p)]
+    group = grid.ranks()  # the 1 x p grid's ranks, y ascending
 
     # Allgather the column blocks of A; every rank reassembles the full A.
     contribs = {r: A.blocks[r] for r in group}
@@ -55,8 +55,7 @@ def mm1d(A: DistMatrix, X: DistMatrix, scale: float = 1.0) -> DistMatrix:
     flops: dict[int, object] = {}
     from repro.machine.cost import Cost
 
-    for y in range(p):
-        r = grid.rank((0, y))
+    for r in group:
         xb = X.blocks[r]
         out_blocks[r] = scale * (A_full @ xb)
         flops[r] = Cost(0.0, 0.0, float(m) * n * xb.shape[1])

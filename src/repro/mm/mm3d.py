@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.dist.distmatrix import DistMatrix
 from repro.dist.layout import CyclicLayout
-from repro.dist.routing import End, gather_frame, scatter_frame
+from repro.dist.routing import End, gather_frame, scatter_frame, zero_blocks
 from repro.machine import collective_models
 from repro.machine.collectives import allgather_blocks, reduce_scatter
 from repro.machine.cost import Cost
@@ -182,10 +182,7 @@ def mm3d(A: DistMatrix, X: DistMatrix, p1: int, scale: float = 1.0) -> DistMatri
     # (scatter_frame, the routing counterpart of the line-5 gather) — no
     # global ``Bg`` scratch and no ``to_global``/``from_global`` assembly
     # anywhere on the MM hot path.
-    out_blocks = {
-        grid.rank(coord): np.zeros(X.layout.local_shape(coord, (m, k)))
-        for coord in grid.coords()
-    }
+    out_blocks = zero_blocks(grid, X.layout, (m, k))
     for x1 in range(p1):
         for x2 in range(sq):
             for y2 in range(sq):

@@ -264,7 +264,8 @@ def it_inv_trsm(
     # After the exchange, rank (x, 0, z) holds the panel produced at
     # (0, x, z), i.e. X(row class x, column slab z) — exactly B's layout
     # on B's grid, whatever row partition it prescribed.
-    blocks = {B.grid.rank(xz): panel for xz, panel in Xpanel.items()}
+    b_rank = B.grid.rank_array.tolist()
+    blocks = {b_rank[x][z]: panel for (x, z), panel in Xpanel.items()}
     return DistMatrix(machine, B.grid, B.layout, B.shape, blocks)
 
 

@@ -121,10 +121,11 @@ def _partition_columns(L: DistMatrix, B: DistMatrix, n0: int) -> DistMatrix:
     sub_layout = CyclicLayout(pr, pr)
 
     # Replicate L onto each subgrid: allgather over the z fibers.
+    rank = grid.rank_array.tolist()
     Lz_blocks: dict[int, np.ndarray] = {}
     for x in range(pr):
         for y in range(pr):
-            group = [grid.rank((x, y + pr * z)) for z in range(q)]
+            group = [rank[x][y + pr * z] for z in range(q)]
             contribs = {r: L.blocks[r] for r in group}
             got = allgather_blocks(machine, group, contribs, label="rectrsm.partcols")
             rows = L.layout.row_indices(x, n)
@@ -136,8 +137,8 @@ def _partition_columns(L: DistMatrix, B: DistMatrix, n0: int) -> DistMatrix:
                 ci = np.arange(z, target.shape[1], q)[: blk.shape[1]]
                 if blk.size:
                     target[:, ci] = blk
-            for z in range(q):
-                Lz_blocks[grid.rank((x, y + pr * z))] = target
+            for r in group:
+                Lz_blocks[r] = target
 
     # Each subgrid keeps its own columns of B (already in cyclic sub-layout).
     X = DistMatrix.zeros(machine, grid, B.layout, B.shape)
@@ -151,7 +152,7 @@ def _partition_columns(L: DistMatrix, B: DistMatrix, n0: int) -> DistMatrix:
             subgrid,
             sub_layout,
             (n, n),
-            {subgrid.rank((x, y)): Lz_blocks[subgrid.rank((x, y))] for x in range(pr) for y in range(pr)},
+            {r: Lz_blocks[r] for r in subgrid.ranks()},
         )
         Bz = DistMatrix(
             machine,

@@ -9,7 +9,10 @@ and asserts bit-identical pairs, costs, pointwise charges and routed blocks.
 
 An oracle *beside* the fast path: each function takes a built
 :class:`~repro.dist.routing.RoutingPlan` and recomputes one of its answers
-the old way.  Nothing in ``src/`` imports this module.
+the old way.  Nothing in ``src/`` imports this module.  The per-pair rank
+and block lookups the loops use (``_rank``/``_local_view``, once
+``End.rank``/``End.local_view``) live here too: nothing in ``src/`` calls
+them any more.
 """
 
 from __future__ import annotations
@@ -21,7 +24,19 @@ import numpy as np
 from repro.machine.cost import Cost
 
 if TYPE_CHECKING:
-    from repro.dist.routing import Blocks, RoutingPlan
+    from repro.dist.routing import Blocks, End, RoutingPlan
+
+
+def _rank(end: "End", a: int, b: int) -> int:
+    """Machine rank of frame-axis coordinates ``(a, b)`` (per-pair lookup)."""
+    coord = (b, a) if end.transpose else (a, b)
+    return end.grid.rank(coord)
+
+
+def _local_view(end: "End", blocks: "Blocks", a: int, b: int) -> np.ndarray:
+    """The local block at frame coords ``(a, b)``, frame-oriented."""
+    block = blocks[_rank(end, a, b)]
+    return block.T if end.transpose else block
 
 
 def reference_pairs(plan: "RoutingPlan") -> list[tuple[int, int, int]]:
@@ -30,8 +45,8 @@ def reference_pairs(plan: "RoutingPlan") -> list[tuple[int, int, int]]:
     R, C = plan._R, plan._C
     for a, x in zip(*np.nonzero(R)):
         for b, y in zip(*np.nonzero(C)):
-            sr = plan.src.rank(int(a), int(b))
-            dr = plan.dst.rank(int(x), int(y))
+            sr = _rank(plan.src, int(a), int(b))
+            dr = _rank(plan.dst, int(x), int(y))
             if sr != dr:
                 out.append((sr, dr, int(R[a, x] * C[b, y])))
     return out
@@ -110,8 +125,8 @@ def reference_apply(
                 cidx = np.nonzero((sco == b) & (dco == y))[0]
                 hit = col_cache[key] = (scp[cidx], dcp[cidx])
             cs, cd = hit
-            src_view = plan.src.local_view(blocks, int(a), int(b))
-            dst_block = out[plan.dst.rank(int(x), int(y))]
+            src_view = _local_view(plan.src, blocks, int(a), int(b))
+            dst_block = out[_rank(plan.dst, int(x), int(y))]
             dst_view = dst_block.T if plan.dst.transpose else dst_block
             dst_view[np.ix_(rd, cd)] = src_view[np.ix_(rs, cs)]
     return out

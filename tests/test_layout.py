@@ -5,13 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dist import DistMatrix
 from repro.dist.layout import (
     BlockCyclicLayout,
     BlockedLayout,
     CyclicLayout,
     expected_local_words,
 )
+from repro.dist.routing import End, gather_frame, scatter_frame, zero_blocks
+from repro.machine import Machine
+from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ShapeError
+
+
+def extract_all(lay, A):
+    """Every local block of ``A`` under ``lay`` on a fresh grid, by coordinate."""
+    grid = ProcessorGrid.build((lay.pr, lay.pc))
+    blocks = scatter_frame(End(grid, lay, A.shape), A, zero_blocks(grid, lay, A.shape))
+    return {coord: blocks[grid.rank(coord)] for coord in grid.coords()}
 
 
 class TestCyclicLayout:
@@ -23,7 +34,7 @@ class TestCyclicLayout:
         # L[x, y](i, j) = L(i*pr + x, j*pc + y)
         lay = CyclicLayout(2, 3)
         A = np.arange(36.0).reshape(6, 6)
-        block = lay.extract(A, (1, 2))
+        block = extract_all(lay, A)[(1, 2)]
         for i in range(block.shape[0]):
             for j in range(block.shape[1]):
                 assert block[i, j] == A[i * 2 + 1, j * 3 + 2]
@@ -77,20 +88,24 @@ class TestBlockCyclicLayout:
 
 
 class TestExtractPlace:
+    """Local blocks leave and re-enter a global matrix through the frame
+    helpers over the whole-matrix end."""
+
     def test_roundtrip(self):
         lay = CyclicLayout(2, 3)
+        grid = ProcessorGrid.build((2, 3))
         A = np.arange(30.0).reshape(5, 6)
-        out = np.zeros_like(A)
-        for x in range(2):
-            for y in range(3):
-                lay.place(out, (x, y), lay.extract(A, (x, y)))
-        assert np.array_equal(out, A)
+        end = End(grid, lay, A.shape)
+        blocks = scatter_frame(end, A, zero_blocks(grid, lay, A.shape))
+        assert np.array_equal(gather_frame(end, blocks, A.shape), A)
 
     def test_place_shape_mismatch(self):
         lay = CyclicLayout(2, 2)
-        A = np.zeros((4, 4))
+        grid = ProcessorGrid.build((2, 2))
+        D = DistMatrix.from_global(Machine(4), grid, lay, np.zeros((4, 4)))
+        D.blocks[grid.rank((0, 0))] = np.zeros((3, 3))
         with pytest.raises(ShapeError):
-            lay.place(A, (0, 0), np.zeros((3, 3)))
+            D.to_global()
 
     def test_expected_local_words_is_max(self):
         lay = CyclicLayout(2, 2)

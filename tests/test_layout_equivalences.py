@@ -17,7 +17,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dist import DistMatrix
 from repro.dist.layout import BlockCyclicLayout, BlockedLayout, CyclicLayout
+from repro.machine import Machine
+from repro.machine.topology import ProcessorGrid
 
 GRIDS = st.tuples(st.integers(1, 5), st.integers(1, 5))
 EDGE_GRIDS = st.sampled_from([(1, 1), (1, 4), (4, 1), (1, 7), (7, 1)])
@@ -56,11 +59,12 @@ class TestBlockCyclicDegeneratesToCyclic:
     def test_unit_blocks_extract_like_cyclic(self, grid, m):
         pr, pc = grid
         A = np.arange(float(m * m)).reshape(m, m)
-        bc = BlockCyclicLayout(pr, pc, br=1, bc=1)
-        cy = CyclicLayout(pr, pc)
-        for x in range(pr):
-            for y in range(pc):
-                assert np.array_equal(bc.extract(A, (x, y)), cy.extract(A, (x, y)))
+        grid = ProcessorGrid.build((pr, pc))
+        machine = Machine(pr * pc)
+        bc = DistMatrix.from_global(machine, grid, BlockCyclicLayout(pr, pc, br=1, bc=1), A)
+        cy = DistMatrix.from_global(machine, grid, CyclicLayout(pr, pc), A)
+        for r in grid.ranks():
+            assert np.array_equal(bc.blocks[r], cy.blocks[r])
 
 
 class TestBlockCyclicDegeneratesToBlocked:
