@@ -16,7 +16,9 @@ test:
 ## per-coordinate loops, every block private), the backend seam (SimBackend goldens, the
 ## Alltoallv packing cross-checked across processes, loopback MPI) plus
 ## the scheduler and packing-policy contracts (allocator invariants, LPT
-## parity goldens, horizon goldens, optimal ground truth).
+## parity goldens, horizon goldens, optimal ground truth), and Rec-TRSM's
+## base-case contract (one stacked solve against the pinned rank-by-rank
+## base case: ledger bytes identical, values within rounding).
 test-fast:
 	$(PYTHON) -m pytest -x -q tests/test_counters.py tests/test_machine.py \
 		tests/test_machine_stateful.py tests/test_memory.py \
@@ -25,7 +27,7 @@ test-fast:
 		tests/test_row_block.py tests/test_layout_equivalences.py \
 		tests/test_layout_parity.py \
 		tests/test_routing.py tests/test_backend.py \
-		tests/test_sched.py tests/test_policies.py
+		tests/test_sched.py tests/test_policies.py tests/test_rec_trsm_parity.py
 
 ## The benchmark harness's own tests.  benchmarks/perf/trace.py rebinds
 ## the program's entry points by name, so a refactor that renames or

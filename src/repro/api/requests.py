@@ -280,6 +280,11 @@ class TrsmRequest(Request):
             ParameterError,
             f"unknown tune mode {self.tune!r}",
         )
+        require(
+            self.algorithm != "recursive" or self.n0 is None,
+            ParameterError,
+            "n0 is It-Inv-TRSM's inverted-block size; algorithm='recursive' takes none",
+        )
         self.n = _order_of(self.L, self.n0)
         self.k = _rhs_cols(self.B, self.n)
         self._choices = {}

@@ -11,16 +11,18 @@ Communication schedule (line numbers match the paper's pseudo-code):
 
 * **line 2** — allgather ``A'[x1,y1] = A[x1::p1, y1::p1]`` over each
   ``(x2, y2)`` fiber of ``p2`` processors (real ``allgather_blocks`` +
-  cyclic reassembly with stride ``sqrt(p2)``);
+  strided-slice reassembly with stride ``sqrt(p2)``);
 * **lines 3-4** — transposes that move ``X`` from the 2D cyclic layout to
   the ``(y1, z)`` slab layout.  Line 3 is a ``p1 x sqrt(p2)``-grid
   transpose (all-to-all bound, vanishes when ``p2 == 1``); line 4 a
   square-grid pairwise exchange;
 * **line 5** — allgather ``X'''[y1,z] = X[y1::p1, cols_z]`` over each
-  ``x1`` fiber of ``p1`` processors;
+  ``x1`` fiber of ``p1`` processors (charged; the gathered pieces
+  re-interleave into exactly the slab line 4 left, used as is);
 * **line 6** — local multiply ``A'[x1,y1] @ X'''[y1,z]``;
 * **line 7** — scatter-reduce of the partial products over the ``y1``
-  fibers (real ``reduce_scatter``: sums then splits row slabs);
+  fibers (charged as a reduce-scatter; the split row runs together are
+  the summed slab, which line 8 scatters as is);
 * **line 8** — transpose ``B`` back to the 2D cyclic layout (all-to-all
   bound).
 
@@ -30,7 +32,7 @@ costs while the slab pieces are routed directly between the owning blocks
 (:func:`repro.dist.routing.gather_frame` on the way in,
 :func:`~repro.dist.routing.scatter_frame` on the way out — no
 ``to_global()``/``from_global`` scratch assembly anywhere on the hot
-path); lines 2, 5 and 7 use the real collectives.
+path); line 2 uses the real collective.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from repro.dist.distmatrix import DistMatrix
 from repro.dist.layout import CyclicLayout
 from repro.dist.routing import End, gather_frame, scatter_frame, zero_blocks
 from repro.machine import collective_models
-from repro.machine.collectives import allgather_blocks, reduce_scatter
+from repro.machine.collectives import allgather_blocks
 from repro.machine.cost import Cost
 from repro.machine.validate import GridError, ParameterError, ShapeError, require
 from repro.util.mathutil import split_indices
@@ -109,13 +111,9 @@ def mm3d(A: DistMatrix, X: DistMatrix, p1: int, scale: float = 1.0) -> DistMatri
             Aq = np.zeros((len(A_rows[x1]), len(A_cols[y1])))
             for x2 in range(sq):
                 for y2 in range(sq):
-                    blk = blocks[r4(x1, x2, y1, y2)]
                     # global row g = (x1 + p1*x2) + sp*t sits at A' row
                     # (g - x1)/p1 = x2 + sq*t; likewise for columns.
-                    ri = np.arange(x2, len(A_rows[x1]), sq)[: blk.shape[0]]
-                    ci = np.arange(y2, len(A_cols[y1]), sq)[: blk.shape[1]]
-                    if blk.size:
-                        Aq[np.ix_(ri, ci)] = blk
+                    Aq[x2::sq, y2::sq] = blocks[r4(x1, x2, y1, y2)]
             Ap[(x1, y1)] = Aq
             # p2-fold replication of A: the working-set cost of going 3D
             machine.memory.observe_group(group, float(Aq.size))
@@ -150,14 +148,11 @@ def mm3d(A: DistMatrix, X: DistMatrix, p1: int, scale: float = 1.0) -> DistMatri
             )
             group = [r4(x1, x2, y1, y2) for x1 in range(p1)]
             # After the line-3/4 transposes, the x1-th member holds the
-            # column-interleaved piece slab[:, x1::p1].
-            contribs = {r4(x1, x2, y1, y2): slab[:, x1::p1] for x1 in range(p1)}
-            got = allgather_blocks(machine, group, contribs, label="mm3d.line5")
-            assembled = np.zeros_like(slab)
-            for x1 in range(p1):
-                assembled[:, x1::p1] = got[group[0]][r4(x1, x2, y1, y2)]
-            X3[(y1, z)] = assembled
-            machine.memory.observe_group(group, float(assembled.size))
+            # column-interleaved piece slab[:, x1::p1]; gathering the p1
+            # pieces re-interleaves exactly ``slab``.
+            machine.charge(group, collective_models.allgather(p1, slab.size), label="mm3d.line5")
+            X3[(y1, z)] = slab
+            machine.memory.observe_group(group, float(slab.size))
 
     # ---- line 6: local multiply ------------------------------------------------
     Bpart: dict[int, np.ndarray] = {}
@@ -188,23 +183,17 @@ def mm3d(A: DistMatrix, X: DistMatrix, p1: int, scale: float = 1.0) -> DistMatri
             for y2 in range(sq):
                 z = x2 + sq * y2
                 group = [r4(x1, x2, y1, y2) for y1 in range(p1)]
-                contribs = {r: Bpart[r] for r in group}
-                slabs = reduce_scatter(
-                    machine, group, contribs, axis=0, label="mm3d.line7"
-                )
+                # The y1-th member keeps the next contiguous run of the
+                # summed A' rows, so together the runs are the summed slab.
+                frame = Bpart[group[0]]
+                for r in group[1:]:
+                    frame = frame + Bpart[r]
+                rs = collective_models.reduce_scatter(p1, frame.size)
+                machine.charge(group, rs, label="mm3d.line7")
                 lo, hi = col_slabs[z]
-                # The y1-th chunk holds the next contiguous run of A' rows,
-                # so concatenating restores the full (x1, z) slab frame.
-                frame = np.concatenate([slabs[group[y1]] for y1 in range(p1)], axis=0)
                 if frame.size:
                     scatter_frame(
-                        End(
-                            grid,
-                            X.layout,
-                            (m, k),
-                            rows=A_rows[x1],
-                            cols=np.arange(lo, hi),
-                        ),
+                        End(grid, X.layout, (m, k), rows=A_rows[x1], cols=np.arange(lo, hi)),
                         frame,
                         out_blocks,
                     )

@@ -13,7 +13,9 @@ Solves ``L X = B`` for ``L`` lower triangular (``n x n``) and ``B`` dense
 2. **base case** (``n <= n0`` or a single processor): allgather ``L``
    (``W = n^2``), all-to-all ``B`` within each grid column so every
    processor owns full columns, solve locally with the blocked sequential
-   kernel, all-to-all back;
+   kernel, all-to-all back.  That is what is *charged*, per grid column;
+   what is *executed* is one solve of ``B``'s stacked columns (the ranks'
+   column sets are disjoint), each rank getting a copy of its slice;
 3. **recursive case** (square grid): solve ``L11 X1 = B1``, update
    ``B2' = B2 - L21 @ X1`` with the Section III MM (a-priori optimal
    split), solve ``L22 X2 = B2'``.
@@ -30,14 +32,15 @@ import math
 import numpy as np
 
 from repro.dist.distmatrix import DistMatrix
-from repro.dist.layout import CyclicLayout
+from repro.dist.layout import CyclicLayout, Layout
 from repro.dist.redistribute import embed_submatrix, extract_submatrix
 from repro.dist.triangular import (
     require_lower_triangular,
     require_nonsingular_triangular,
     require_square,
 )
-from repro.machine.collectives import allgather_blocks, alltoall
+from repro.machine import collective_models
+from repro.machine.collectives import allgather_blocks
 from repro.machine.cost import Cost
 from repro.machine.machine import Machine
 from repro.machine.topology import ProcessorGrid
@@ -72,7 +75,6 @@ def rec_trsm(
     _depth: int = 0,
 ) -> DistMatrix:
     """Solve ``L X = B``; result distributed exactly like ``B``."""
-    machine = L.machine
     n = require_square(L, "L")
     require(
         B.shape[0] == n,
@@ -128,15 +130,11 @@ def _partition_columns(L: DistMatrix, B: DistMatrix, n0: int) -> DistMatrix:
             group = [rank[x][y + pr * z] for z in range(q)]
             contribs = {r: L.blocks[r] for r in group}
             got = allgather_blocks(machine, group, contribs, label="rectrsm.partcols")
-            rows = L.layout.row_indices(x, n)
-            target = np.zeros((len(rows), len(np.arange(y, n, pr))))
+            target = np.zeros((len(L.layout.row_indices(x, n)), len(range(y, n, pr))))
             for z in range(q):
-                blk = got[group[0]][group[z]]
                 # global col c = (y + pr*z) + pc*t sits at slot (c - y)/pr
                 # = z + q*t within the cols-congruent-to-y-mod-pr list.
-                ci = np.arange(z, target.shape[1], q)[: blk.shape[1]]
-                if blk.size:
-                    target[:, ci] = blk
+                target[:, z::q] = got[group[0]][group[z]]
             for r in group:
                 Lz_blocks[r] = target
 
@@ -168,16 +166,19 @@ def _partition_columns(L: DistMatrix, B: DistMatrix, n0: int) -> DistMatrix:
 
 
 # ---------------------------------------------------------------------------
-# case 2: base case — local solves on full columns
+# case 2: base case — one stacked local solve, charged per grid column
 # ---------------------------------------------------------------------------
 
 
 def _base_case(L: DistMatrix, B: DistMatrix) -> DistMatrix:
+    """Charged per grid column in the paper's order: an all-to-all handing
+    ``x'`` the ``w_x'`` columns it solves (``gcols[x'::pr]``), ``n^2 w_x'/2``
+    flops per rank, an all-to-all back.  Executed: ``B``'s columns stacked
+    once, one solve (the column sets are disjoint), a private copy per rank."""
     machine = L.machine
     grid = L.grid
     pr, pc = grid.shape
     n = L.shape[0]
-    k = B.shape[1]
 
     # Allgather L onto every rank.
     group = grid.ranks()
@@ -187,38 +188,42 @@ def _base_case(L: DistMatrix, B: DistMatrix) -> DistMatrix:
     # every rank holds the full base-case triangle
     machine.memory.observe_group(group, float(L_full.size))
 
-    X = DistMatrix.zeros(machine, grid, B.layout, B.shape)
+    keys = _block_keys(grid, B.layout, B.shape)
+    B_full = np.empty(B.shape)
+    for r, key in keys.items():
+        B_full[key] = B.blocks[r]
+    X_full = trsm_lower_sequential(L_full, B_full, check=False)
+
     rank = grid.rank_array.tolist()
-    row_idx = [B.layout.row_indices(x, n) for x in range(pr)]
     for y in range(pc):
         col_group = [rank[x][y] for x in range(pr)]
-        gcols = B.layout.col_indices(y, k)  # global columns of this grid column
-        # All-to-all: rank (x, y) sends the sub-columns destined for each x'.
-        blocks = {r: [B.blocks[r][:, xp::pr] for xp in range(pr)] for r in col_group}
-        received = alltoall(machine, col_group, blocks, label="rectrsm.base_fwd")
-        solved: dict[int, np.ndarray] = {}
-        for xp, dest in enumerate(col_group):
-            sub_gcols = gcols[xp::pr]
-            cols_full = np.zeros((n, len(sub_gcols)))
-            for rows, part in zip(row_idx, received[dest]):
-                cols_full[rows, :] = part
-            xsol = trsm_lower_sequential(L_full, cols_full, check=False)
-            machine.charge(
-                [dest],
-                Cost(S=0.0, W=0.0, F=float(n) * n * len(sub_gcols) / 2.0),
-                label="rectrsm.base_solve",
-                sync=False,
-            )
-            solved[dest] = xsol
-        # All-to-all back to the cyclic layout.
-        back = {r: [solved[r][rows, :] for rows in row_idx] for r in col_group}
-        returned = alltoall(machine, col_group, back, label="rectrsm.base_bwd")
-        for dest in col_group:
-            mine = np.zeros_like(B.blocks[dest])
-            for xp in range(pr):
-                mine[:, xp::pr] = returned[dest][xp]
-            X.blocks[dest] = mine
-    return X
+        ky = B.blocks[col_group[0]].shape[1]  # columns of this grid column
+        w = [len(range(xp, ky, pr)) for xp in range(pr)]  # columns x' solves
+        fwd = max(B.blocks[r].size for r in col_group)
+        machine.charge(col_group, collective_models.alltoall(pr, fwd), label="rectrsm.base_fwd")
+        flops = {r: Cost(0.0, 0.0, float(n) * n * wx / 2.0) for r, wx in zip(col_group, w)}
+        machine.charge_local(flops, label="rectrsm.base_solve")
+        machine.charge(
+            col_group, collective_models.alltoall(pr, n * w[0]), label="rectrsm.base_bwd"
+        )
+
+    blocks = {r: X_full[key].copy() for r, key in keys.items()}
+    return DistMatrix(machine, grid, B.layout, B.shape, blocks)
+
+
+def _block_keys(grid: ProcessorGrid, layout: Layout, shape: tuple[int, int]) -> dict[int, tuple]:
+    """Each rank's block of a global ``shape`` as an index: a basic strided
+    slice on an axis with a stride, else the axis's cached index array
+    (crossed by ``np.ix_`` when neither axis has a stride)."""
+    axes = []
+    for a, size in zip(layout, shape):
+        index = a.maps(size)[0]
+        if a.stride:
+            index = [slice(i[0], i[-1] + 1, a.stride) if len(i) else slice(0) for i in index]
+        axes.append(index)
+    cross = not (layout.rows.stride or layout.cols.stride)
+    keys = (np.ix_(r, c) if cross else (r, c) for r in axes[0] for c in axes[1])
+    return dict(zip(grid.ranks(), keys))
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,22 @@ class TestOtherRequests:
                 TrsmRequest(L=L, B=B)
         assert cluster.run().record(rid).residual < 1e-10
 
+    def test_trsm_request_refuses_n0_with_recursive(self):
+        """Regression: ``n0`` (It-Inv-TRSM's inverted-block size) was
+        accepted with ``algorithm="recursive"`` and silently dropped: the
+        solve ran at the default cutoff, neither executed nor priced with
+        it.  ``"auto"`` keeps taking it (iterative on more than one rank)."""
+        from repro import trsm
+
+        L = random_lower_triangular(16, seed=0)
+        B = random_dense(16, 4, seed=1)
+        with pytest.raises(ParameterError, match="n0"):
+            TrsmRequest(L=L, B=B, algorithm="recursive", n0=1)
+        with pytest.raises(ParameterError, match="n0"):
+            trsm(L, B, p=16, algorithm="recursive", n0=1)
+        assert trsm(L, B, p=16, algorithm="recursive").residual < 1e-10
+        assert trsm(L, B, p=1, algorithm="auto", n0=4).residual < 1e-10
+
     def test_submit_rejects_untyped_requests(self):
         cluster = Cluster(4)
         with pytest.raises(ParameterError):

@@ -192,6 +192,12 @@ class TestCostBehaviour:
                  "0x1.7800000000000p+11", "0x1.3b6f9ce4e0666p-11",
                  "b380ac2692567126"),
             ),
+            (
+                64, 16, 256,
+                ("0x1.23e0000000000p+11", "0x1.4d80000000000p+11",
+                 "0x1.0800000000000p+11", "0x1.326aaa509d930p-9",
+                 "5e368811517a28fd"),
+            ),
         ],
     )
     def test_measured_cost_golden(self, n, k, p, golden):
