@@ -16,9 +16,12 @@ test:
 ## per-coordinate loops, every block private), the backend seam (SimBackend goldens, the
 ## Alltoallv packing cross-checked across processes, loopback MPI) plus
 ## the scheduler and packing-policy contracts (allocator invariants, LPT
-## parity goldens, horizon goldens, optimal ground truth), and Rec-TRSM's
+## parity goldens, horizon goldens, optimal ground truth), Rec-TRSM's
 ## base-case contract (one stacked solve against the pinned rank-by-rank
-## base case: ledger bytes identical, values within rounding).
+## base case: ledger bytes identical, values within rounding), and the
+## local-kernel contract (one local triangular kernel, inversion a solve
+## against the identity, values within rounding of the pinned loops; no
+## scipy.linalg in sys.modules after a solve).
 test-fast:
 	$(PYTHON) -m pytest -x -q tests/test_counters.py tests/test_machine.py \
 		tests/test_machine_stateful.py tests/test_memory.py \
@@ -27,7 +30,8 @@ test-fast:
 		tests/test_row_block.py tests/test_layout_equivalences.py \
 		tests/test_layout_parity.py \
 		tests/test_routing.py tests/test_backend.py \
-		tests/test_sched.py tests/test_policies.py tests/test_rec_trsm_parity.py
+		tests/test_sched.py tests/test_policies.py tests/test_rec_trsm_parity.py \
+		tests/test_kernel_parity.py tests/test_serve_path_imports.py
 
 ## The benchmark harness's own tests.  benchmarks/perf/trace.py rebinds
 ## the program's entry points by name, so a refactor that renames or

@@ -9,9 +9,12 @@ blocked formulations, plus a simulator-overhead measurement.
 import numpy as np
 import pytest
 
-from repro.inversion.sequential import invert_lower_triangular
+from repro.inversion.sequential import (
+    forward_substitution,
+    invert_lower_triangular,
+    trsm_lower_sequential,
+)
 from repro.machine import Machine
-from repro.trsm.sequential import forward_substitution, trsm_lower_sequential
 from repro.util.randmat import random_dense, random_lower_triangular
 
 N = 192
@@ -31,7 +34,7 @@ def test_forward_substitution_wallclock(benchmark, operands):
 
 def test_blocked_trsm_wallclock(benchmark, operands):
     L, B = operands
-    X = benchmark(lambda: trsm_lower_sequential(L, B, block=48, check=False))
+    X = benchmark(lambda: trsm_lower_sequential(L, B, check=False))
     assert np.allclose(L @ X, B, atol=1e-9)
 
 
@@ -50,7 +53,7 @@ def test_blocked_beats_unblocked(benchmark):
     B = random_dense(N, K, seed=1)
     kernels = (
         lambda: forward_substitution(L, B),
-        lambda: trsm_lower_sequential(L, B, block=48, check=False),
+        lambda: trsm_lower_sequential(L, B, check=False),
     )
 
     def sample(fn, calls):
@@ -77,9 +80,10 @@ def test_blocked_beats_unblocked(benchmark):
     assert t_blocked < t_unblocked * 1.2
 
 
-def test_recursive_inversion_wallclock(benchmark, operands):
+def test_inversion_wallclock(benchmark, operands):
+    """Inversion is the blocked solve against the identity (no recursion)."""
     L, _ = operands
-    X = benchmark(lambda: invert_lower_triangular(L, base_size=32, check=False))
+    X = benchmark(lambda: invert_lower_triangular(L, check=False))
     assert np.allclose(L @ X, np.eye(N), atol=1e-8)
 
 

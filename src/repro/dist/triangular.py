@@ -12,7 +12,8 @@ validate distributed and global operands with the same call.
 ``require_lower_triangular`` and ``require_nonsingular_triangular`` take
 either too: on a ``DistMatrix`` every rank checks the entries of its own
 block against their global indices, so the precondition costs no
-``to_global()`` assembly.
+``to_global()`` assembly.  ``require_finite``, the local kernels' guard,
+takes an array.
 """
 
 from __future__ import annotations
@@ -81,28 +82,43 @@ def require_lower_triangular(
     )
 
 
+def require_finite(A: np.ndarray, name: str = "matrix") -> None:
+    """Raise :class:`ShapeError` if ``A`` has a NaN or infinite entry."""
+    bad = np.argwhere(~np.isfinite(A))
+    if bad.size:
+        raise ShapeError(f"{name} has a non-finite entry at index {tuple(bad[0].tolist())}")
+
+
+def _bad_diagonal(index: np.ndarray, values: np.ndarray) -> list[tuple[int, float]]:
+    """``(global index, value)`` of each zero or non-finite diagonal entry."""
+    bad = ~(np.isfinite(values) & (values != 0.0))
+    return list(zip(index[bad].tolist(), values[bad].tolist()))
+
+
 def require_nonsingular_triangular(A: np.ndarray | DistMatrix, name: str = "matrix") -> None:
-    """Raise :class:`ShapeError` if any diagonal entry of ``A`` is zero.
+    """Raise :class:`ShapeError` if any diagonal entry of ``A`` is zero or
+    non-finite.
 
     A triangular matrix is singular exactly when its diagonal has a zero;
     this is the cheap a-priori check every solve performs before starting
-    to move data.  On a ``DistMatrix`` each rank inspects the global
-    diagonal entries its own block holds; the error names the first
-    (global) singular index either way.
+    to move data.  A NaN or infinite pivot is refused with it: no solve
+    through it is meaningful.  On a ``DistMatrix`` each rank inspects the
+    global diagonal entries its own block holds; the error names the first
+    (global) offending index and its value either way.
     """
     if isinstance(A, DistMatrix):
-        singular: list[int] = []
+        bad: list[tuple[int, float]] = []
         for block, rows, cols in _owned_blocks(A):
             diag, ri, ci = np.intersect1d(rows, cols, assume_unique=True, return_indices=True)
-            singular.extend(diag[~(np.abs(block[ri, ci]) > 0.0)].tolist())
-        first = min(singular, default=None)
+            bad.extend(_bad_diagonal(diag, block[ri, ci]))
     else:
-        d = np.abs(np.diag(np.asarray(A)))
-        first = None if bool(np.all(d > 0.0)) else int(np.argmin(d))
+        d = np.diag(np.asarray(A))
+        bad = _bad_diagonal(np.arange(d.size), d)
+    first, value = min(bad, default=(None, None))
     require(
         first is None,
         ShapeError,
-        f"{name} is singular: zero on the diagonal at index {first}",
+        f"{name} is singular or non-finite: diagonal entry {value} at index {first}",
     )
 
 

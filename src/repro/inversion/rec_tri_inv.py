@@ -93,7 +93,7 @@ def rec_tri_inv(
     p = grid.size
     sp = grid.shape[0]
     if sp < 2 or n <= max(base_n, 1) or n < 2:
-        return _invert_base_case(L)
+        return _base_case(L)
 
     h = n // 2
 
@@ -131,7 +131,7 @@ def rec_tri_inv(
     return out
 
 
-def _invert_base_case(L: DistMatrix) -> DistMatrix:
+def _base_case(L: DistMatrix) -> DistMatrix:
     """Allgather the block and invert redundantly on every subgrid rank."""
     machine = L.machine
     grid = L.grid

@@ -1,7 +1,9 @@
 """Triangular solve with multiple right-hand sides (the paper's subject).
 
-* :mod:`repro.trsm.sequential` — forward substitution and the blocked
-  BLAS-3 sequential TRSM (local kernel + reference);
+* ``trsm_lower_sequential`` and ``forward_substitution`` — the blocked
+  BLAS-3 sequential TRSM (the local kernel) and its row-by-row form,
+  re-exported from :mod:`repro.inversion.sequential`, where inversion is
+  the same kernel against the identity;
 * :mod:`repro.trsm.heath_romine` — the classical single-RHS parallel
   baseline (Section II-C3);
 * :mod:`repro.trsm.recursive` — ``Rec-TRSM`` (Section IV), the paper's
@@ -16,7 +18,7 @@
   entry point with a-priori regime/parameter selection.
 """
 
-from repro.trsm.sequential import trsm_lower_sequential, forward_substitution
+from repro.inversion.sequential import trsm_lower_sequential, forward_substitution
 from repro.trsm.heath_romine import heath_romine_trsv
 from repro.trsm.recursive import rec_trsm, rec_trsm_global
 from repro.trsm.diagonal_inverter import diagonal_inverter

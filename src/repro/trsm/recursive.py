@@ -39,6 +39,7 @@ from repro.dist.triangular import (
     require_nonsingular_triangular,
     require_square,
 )
+from repro.inversion.sequential import trsm_lower_sequential
 from repro.machine import collective_models
 from repro.machine.collectives import allgather_blocks
 from repro.machine.cost import Cost
@@ -47,7 +48,6 @@ from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import GridError, ShapeError, require
 from repro.mm.dispatch import choose_mm_split
 from repro.mm.mm3d import mm3d
-from repro.trsm.sequential import trsm_lower_sequential
 from repro.util.mathutil import next_power_of_two, prev_power_of_two
 
 

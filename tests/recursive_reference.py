@@ -20,7 +20,7 @@ import numpy as np
 from repro.dist.distmatrix import DistMatrix
 from repro.machine.collectives import allgather_blocks, alltoall
 from repro.machine.cost import Cost
-from repro.trsm.sequential import trsm_lower_sequential
+from repro.inversion.sequential import trsm_lower_sequential
 
 
 def reference_base_case(L: DistMatrix, B: DistMatrix) -> DistMatrix:

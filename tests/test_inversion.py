@@ -9,7 +9,6 @@ from repro.dist import CyclicLayout, DistMatrix
 from repro.inversion import (
     NU,
     invert_lower_triangular,
-    invert_unit_lower_triangular,
     rec_tri_inv,
     rec_tri_inv_cost,
     rec_tri_inv_recurrence,
@@ -22,7 +21,6 @@ from repro.util.checking import backward_error
 from repro.util.randmat import (
     ill_conditioned_lower_triangular,
     random_lower_triangular,
-    random_unit_lower_triangular,
 )
 
 UNIT = CostParams(alpha=1.0, beta=1.0, gamma=1.0, name="unit")
@@ -39,12 +37,6 @@ class TestSequentialInversion:
         L = random_lower_triangular(20, seed=0)
         X = invert_lower_triangular(L)
         assert np.allclose(np.triu(X, 1), 0)
-
-    def test_base_size_does_not_change_result(self):
-        L = random_lower_triangular(40, seed=1)
-        X1 = invert_lower_triangular(L, base_size=1)
-        X2 = invert_lower_triangular(L, base_size=64)
-        assert np.allclose(X1, X2, atol=1e-12)
 
     def test_rejects_non_triangular(self):
         with pytest.raises(ShapeError):
@@ -67,10 +59,19 @@ class TestSequentialInversion:
         X = invert_lower_triangular(L)
         assert backward_error(L, X) < 1e-12
 
-    def test_unit_lower_triangular(self):
-        L = random_unit_lower_triangular(25, seed=2)
-        X = invert_unit_lower_triangular(L)
-        assert np.allclose(L @ X, np.eye(25), atol=1e-12)
+    @pytest.mark.parametrize("where", [(2, 0), (1, 1)])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, where, value):
+        L = random_lower_triangular(4, seed=0)
+        L[where] = value
+        with pytest.raises(ShapeError, match="non-finite"):
+            invert_lower_triangular(L)
+
+    def test_check_false_skips_validation(self):
+        L = random_lower_triangular(4, seed=0)
+        L[2, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.isinf(invert_lower_triangular(L, check=False)).any()
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 30))

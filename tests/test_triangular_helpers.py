@@ -36,6 +36,19 @@ class TestStructureChecks:
         with pytest.raises(ShapeError):
             require_nonsingular_triangular(L)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_diagonal_is_not_called_a_zero(self, value):
+        from repro.dist import CyclicLayout, DistMatrix
+        from repro.machine import Machine
+
+        machine = Machine(4)
+        L = np.eye(4)
+        L[1, 1] = value
+        D = DistMatrix.from_global(machine, machine.grid(2, 2), CyclicLayout(2, 2), L)
+        for A in (L, D):
+            with pytest.raises(ShapeError, match=f"non-finite: diagonal entry {value} at index 1$"):
+                require_nonsingular_triangular(A, "L")
+
     def test_distributed_operand_is_checked_block_by_block(self):
         """A DistMatrix gets the same verdicts and messages as its global
         matrix, from the entries each rank owns (no assembly)."""
