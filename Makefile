@@ -21,7 +21,10 @@ test:
 ## base case: ledger bytes identical, values within rounding), and the
 ## local-kernel contract (one local triangular kernel, inversion a solve
 ## against the identity, values within rounding of the pinned loops; no
-## scipy.linalg in sys.modules after a solve).
+## scipy.linalg in sys.modules after a solve), and the pricing contracts
+## (memoized placement prices bitwise those of DirectPricing, memo on/off
+## schedules flatten-identical; the allocator's preview is the pinned
+## fit scan after every lease, release and clone).
 test-fast:
 	$(PYTHON) -m pytest -x -q tests/test_counters.py tests/test_machine.py \
 		tests/test_machine_stateful.py tests/test_memory.py \
@@ -31,7 +34,8 @@ test-fast:
 		tests/test_layout_parity.py \
 		tests/test_routing.py tests/test_backend.py \
 		tests/test_sched.py tests/test_policies.py tests/test_rec_trsm_parity.py \
-		tests/test_kernel_parity.py tests/test_serve_path_imports.py
+		tests/test_kernel_parity.py tests/test_serve_path_imports.py \
+		tests/test_pricing_parity.py tests/test_allocator_parity.py
 
 ## The benchmark harness's own tests.  benchmarks/perf/trace.py rebinds
 ## the program's entry points by name, so a refactor that renames or

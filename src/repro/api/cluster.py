@@ -57,7 +57,6 @@ True
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +73,7 @@ from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ParameterError, require
 from repro.sched.policies import PackingPolicy, make_policy
 from repro.sched.scheduler import Scheduler
+from repro.util.checking import require_times
 from repro.util.mathutil import is_power_of_two
 
 
@@ -227,11 +227,6 @@ class ClusterOutcome:
         return self.serial_seconds / self.modeled_makespan
 
 
-def _is_seconds(value: object) -> bool:
-    """A real number of seconds, as the daemon reads one: never a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 class Cluster:
     """A simulated machine serving a queue of heterogeneous requests."""
 
@@ -342,18 +337,7 @@ class Cluster:
             f"submit() takes a Request (TrsmRequest, MMRequest, InvRequest, "
             f"PreparedSolveRequest), got {type(request).__name__}",
         )
-        # a clock holds only a finite time >= 0; NaN never compares
-        arrival, deadline = request.arrival, request.deadline
-        require(
-            _is_seconds(arrival) and math.isfinite(arrival) and arrival >= 0,
-            ParameterError,
-            f"arrival must be a finite number of seconds >= 0, got {arrival!r}",
-        )
-        require(
-            deadline is None or (_is_seconds(deadline) and not math.isnan(deadline)),
-            ParameterError,
-            f"deadline must be a number of seconds (not NaN) or None, got {deadline!r}",
-        )
+        require_times(request.arrival, request.deadline)
         self._queue.append(request)
         rid = self._next_rid
         self._next_rid += 1

@@ -236,13 +236,9 @@ class ServeDaemon:
         with it.
         """
         now = self.sim_now()
+        # n, k >= 1 and seed >= 0 are StreamRequest's own checks
         n = _whole(msg, "n")
         k = _whole(msg, "k", 1)
-        require(
-            n >= 1 and k >= 1,
-            ParameterError,
-            f"trsm needs n >= 1 and k >= 1, got n={n}, k={k}",
-        )
         words = n * n + n * k
         require(
             words <= MAX_OPERAND_WORDS,
@@ -251,7 +247,6 @@ class ServeDaemon:
             f"serves at most {MAX_OPERAND_WORDS}",
         )
         seed = _whole(msg, "seed", 0)
-        require(seed >= 0, ParameterError, f"trsm needs seed >= 0, got {seed}")
         priority = _whole(msg, "priority", 0)
         tenant = str(msg.get("tenant", "default"))
         if msg.get("deadline") is not None:

@@ -166,6 +166,10 @@ class CachePlan:
     def __contains__(self, key: CacheKey) -> bool:
         return key in self._ranks
 
+    def hits(self, keys: Iterable[CacheKey]) -> tuple[bool, ...]:
+        """``tuple(key in self for key in keys)``: which keys are resident."""
+        return tuple(map(self._ranks.__contains__, keys))
+
     def price(
         self, raw_targets: Iterable[tuple[CacheKey, object, Cost]]
     ) -> tuple[Cost, Cost, tuple]:

@@ -17,6 +17,7 @@ from repro.api.requests import PreparedSolveRequest, TrsmRequest
 from repro.machine.cost import CostParams
 from repro.machine.validate import ParameterError, require
 from repro.sched.scheduler import Schedule, Scheduler
+from repro.util.checking import require_times, require_whole
 from repro.util.randmat import random_dense, random_lower_triangular
 
 
@@ -24,6 +25,8 @@ from repro.util.randmat import random_dense, random_lower_triangular
 class StreamRequest:
     """One synthetic solve in the stream: shape plus arrival time.
 
+    Construction refuses what no solve accepts (:class:`ParameterError`),
+    and stores integral ``n``/``k``/``seed`` as ``int``.
     ``priority``/``deadline``/``tenant`` are the online-serving fields
     (see :mod:`repro.api.online`); their defaults reproduce the offline
     streams bit for bit.
@@ -36,6 +39,11 @@ class StreamRequest:
     priority: int = 0
     deadline: float | None = None
     tenant: str = "default"
+
+    def __post_init__(self) -> None:
+        for name, least in (("n", 1), ("k", 1), ("seed", 0)):
+            object.__setattr__(self, name, require_whole(getattr(self, name), name, least))
+        require_times(self.arrival, self.deadline)
 
 
 def poisson_stream(

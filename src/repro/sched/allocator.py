@@ -14,11 +14,13 @@ of level ``l = h.bit_length() - 1`` hold ``root.size >> l`` ranks each.
 The state is one set of free blocks per level, the split set and the
 leases: preview and allocation scan at most ``log2(p) + 1`` levels for
 the smallest free block that fits (lowest index first), and ``clone``
-copies sets.  Allocation splits that block down to the requested size;
-release coalesces buddies ``h``, ``h ^ 1`` back up, so a drained pool
-always returns to the single free root (the invariant
-``tests/test_sched.py`` property-tests).  Each block's grid is built once,
-in a table every clone of the pool shares.
+copies sets.  Preview keeps the scan's answer per size in a fit table
+(empty in a clone), cleared at the top of ``lease_exact`` and ``release``
+before any set is touched.  Allocation splits that block down to the
+requested size; release coalesces buddies ``h``, ``h ^ 1`` back up, so a
+drained pool always returns to the single free root (the invariant
+``tests/test_sched.py`` property-tests).  Each block's grid is built
+once, in a table every clone of the pool shares.
 
 Grids handed out are plain :class:`ProcessorGrid` views — reshape them to
 whatever topology the algorithm wants (``p1 x p1 x p2`` for It-Inv-TRSM, a
@@ -52,6 +54,8 @@ class SubgridAllocator:
         self._free: list[set[int]] = [{1}] + [set() for _ in range(self._depth)]
         self._split: set[int] = set()
         self._leases: dict[ProcessorGrid, int] = {}
+        #: size -> preview answer for the current state (the fit table)
+        self._fits: dict[int, ProcessorGrid | None] = {}
         #: optional hook called with every block *destroyed* by the pool —
         #: a free block split down to serve a smaller lease, or a buddy
         #: pair coalesced back into its parent on release.  The operand
@@ -92,7 +96,10 @@ class SubgridAllocator:
         when no free block can currently serve the size; ``size`` must be
         one :meth:`allocate` accepts.
         """
-        return self._fit(size)
+        fits = self._fits
+        if size not in fits:
+            fits[size] = self._fit(size)
+        return fits[size]
 
     def allocate(self, size: int) -> ProcessorGrid | None:
         """Lease a subgrid of exactly ``size`` ranks (``None`` if full).
@@ -117,6 +124,7 @@ class SubgridAllocator:
         block this pool or a clone of it has handed out, or overlaps an
         existing lease.
         """
+        self._fits.clear()
         h = self._index.get(grid, 0)  # 0, not a block, is in no set
         level = h.bit_length() - 1
         for k in range(level, 0, -1):
@@ -165,6 +173,7 @@ class SubgridAllocator:
 
     def release(self, grid: ProcessorGrid) -> None:
         """Return a leased subgrid; buddy pairs coalesce back toward the root."""
+        self._fits.clear()
         h = self._leases.pop(grid, 0)
         if not h:
             raise ParameterError(f"{grid!r} is not leased from this pool")

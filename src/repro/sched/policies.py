@@ -40,7 +40,7 @@ from repro.machine.cost import Cost, CostParams
 from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ParameterError, require
 from repro.sched.allocator import SubgridAllocator
-from repro.sched.pricing import DirectPricing, PricingMemo
+from repro.sched.pricing import DirectPricing, Placement, PricingMemo
 
 if TYPE_CHECKING:
     from repro.sched.scheduler import SchedulableRequest
@@ -126,19 +126,11 @@ class PolicyContext:
         grid = self.allocator.preview(size)
         if grid is None:
             return None
-        staging, saved, targets = self.pricing.staging(req, grid)
-        modeled = self.pricing.modeled_cost(req, size)
-        duration = staging.time(self.params) + modeled.time(self.params)
-        return Candidate(
-            size=size,
-            grid=grid,
-            staging=staging,
-            saved=saved,
-            targets=targets,
-            modeled=modeled,
-            duration=duration,
-            finish=self.now + duration,
-        )
+        return self._candidate(size, grid, self.pricing.placement(req, size, grid))
+
+    def _candidate(self, size: int, grid: ProcessorGrid, price: Placement) -> Candidate:
+        staging, saved, targets, modeled, duration = price
+        return Candidate(size, grid, staging, saved, targets, modeled, duration, self.now + duration)
 
     def best_candidate(
         self,
@@ -154,26 +146,27 @@ class PolicyContext:
         every policy *pack* instead of grabbing the whole machine.
         Near-ties (1 ppm) take the smaller subgrid.  ``deadline`` drops
         candidates finishing after it (how the window search guards its
-        next planned start).
+        next planned start).  Only the winner becomes a :class:`Candidate`.
         """
-        best: tuple[float, Candidate] | None = None
+        now, capacity = self.now, self.allocator.capacity
+        best: tuple | None = None  # (score, size, grid, placement)
         for size in self.pricing.sizes(req):
-            cand = self.price(req, size)
-            if cand is None:
+            grid = self.allocator.preview(size)
+            if grid is None:
                 continue
-            if deadline is not None and cand.finish > deadline:
+            price = self.pricing.placement(req, size, grid)
+            duration = price[4]
+            finish = now + duration
+            if deadline is not None and finish > deadline:
                 continue
-            score = max(
-                cand.finish,
-                self.now + (rest_area + size * cand.duration) / self.allocator.capacity,
-            )
+            score = max(finish, now + (rest_area + size * duration) / capacity)
             if (
                 best is None
                 or score < best[0] * (1.0 - _TIE)
-                or (score <= best[0] * (1.0 + _TIE) and size < best[1].size)
+                or (score <= best[0] * (1.0 + _TIE) and size < best[1])
             ):
-                best = (score, cand)
-        return None if best is None else best[1]
+                best = (score, size, grid, price)
+        return None if best is None else self._candidate(*best[1:])
 
     def first_fit(
         self,
@@ -285,7 +278,7 @@ def _search_window(
     time of the planned window plus the seeded running work (the event
     timeline scale the plan-following tolerance derives from).
     """
-    params, capacity = ctx.params, ctx.allocator.capacity
+    capacity = ctx.allocator.capacity
     items = list(items)
     req_by = dict(items)
     arrival = {i: req.arrival for i, req in items}
@@ -299,17 +292,14 @@ def _search_window(
 
     # Durations are pure in (request, concrete grid): memoize across
     # the whole search (staging plans are the expensive part).
-    exec_memo: dict[tuple[int, int], float] = {
-        (i, s): pricing.exec_seconds(req, s) for i, req in items for s in sizes[i]
-    }
-    stage_memo: dict[tuple[int, ProcessorGrid], float] = {}
+    dur_memo: dict[tuple[int, ProcessorGrid], float] = {}
 
     def duration_of(i: int, size: int, grid: ProcessorGrid) -> float:
         key = (i, grid)
-        staged = stage_memo.get(key)
-        if staged is None:
-            staged = stage_memo[key] = pricing.staging(req_by[i], grid)[0].time(params)
-        return staged + exec_memo[(i, size)]
+        duration = dur_memo.get(key)
+        if duration is None:
+            duration = dur_memo[key] = pricing.placement(req_by[i], size, grid)[4]
+        return duration
 
     # Staging-inclusive lower bounds, priced on a drained pool's
     # canonical blocks (our cyclic layouts route the same word counts

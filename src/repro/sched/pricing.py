@@ -26,14 +26,14 @@ What is and is not cached:
   ``(cache key, target grid, migration cost)`` triples per concrete
   subgrid, whose routing plans are the expensive part (and are
   themselves shared via :func:`repro.dist.routing.routing_plan`);
-* **replayed fresh on every call**: the cache hit/miss decisions.  The
-  scheduler's :class:`~repro.api.opcache.CachePlan` view mutates as
-  placements commit and blocks coalesce, so :meth:`PricingMemo.staging`
-  prices the memoized targets against the *current* view
-  (:meth:`CachePlan.price <repro.api.opcache.CachePlan.price>`, the one
-  copy of the hit logic) — the same call :class:`DirectPricing` makes on
-  freshly derived targets, so the two agree by construction (the parity
-  suite in ``tests/test_throughput.py`` pins this);
+* **cached per hit pattern**: a placement's whole price, per ``(share
+  key, block, hit pattern)``, the pattern being which of its staging keys
+  the cache view holds *now* (:meth:`CachePlan.hits
+  <repro.api.opcache.CachePlan.hits>`).  Exact, because :meth:`CachePlan.price
+  <repro.api.opcache.CachePlan.price>` (the one copy of the hit logic)
+  reads the view only through ``key in view``; :class:`DirectPricing`
+  derives the same price afresh on every call, and
+  ``tests/test_pricing_parity.py`` pins the two bit for bit;
 * **invalidated implicitly**: a memo lives for one ``schedule()`` pass.
   Operand generations (part of every cache key) only change when
   execution mutates a matrix, which never happens while a pass is
@@ -65,18 +65,25 @@ if TYPE_CHECKING:
     from repro.sched.scheduler import SchedulableRequest, StagingTarget
 
 
-def _staging_price(
-    view: "CachePlan | None", targets: "Sequence[StagingTarget]"
-) -> tuple[Cost, Cost, tuple]:
-    """``(charged, saved, per-target decisions)`` of one placement's
-    staging targets: priced by the cache view as it stands now, or — no
-    cache — every migration charged in full, summed in staging order."""
+#: ``(charged, saved, per-target decisions, modeled cost, duration)``
+Placement = tuple[Cost, Cost, tuple, Cost, float]
+
+
+def _placement(
+    view: "CachePlan | None",
+    targets: "Sequence[StagingTarget]",
+    modeled: Cost,
+    params: CostParams,
+) -> Placement:
+    """One placement's price: its staging targets priced by the cache view
+    as it stands now (no cache: every migration in full, summed in order)."""
     if view is not None:
-        return view.price(targets)
-    total = Cost.zero()
-    for _key, _grid, cost in targets:
-        total = total + cost
-    return total, Cost.zero(), ()
+        charged, saved, decisions = view.price(targets)
+    else:
+        charged, saved, decisions = Cost.zero(), Cost.zero(), ()
+        for _key, _grid, cost in targets:
+            charged = charged + cost
+    return charged, saved, decisions, modeled, charged.time(params) + modeled.time(params)
 
 
 class DirectPricing:
@@ -128,11 +135,13 @@ class DirectPricing:
         """Minimum rank-seconds the queue minus ``index`` still owes."""
         return sum(self.min_area(r) for j, r in self._pending.items() if j != index)
 
-    def staging(
-        self, req: "SchedulableRequest", grid: "ProcessorGrid"
-    ) -> tuple[Cost, Cost, tuple]:
-        """``(charged, saved, per-target decisions)`` for one placement."""
-        return _staging_price(self.view, req.staging_targets(grid, self.params))
+    def placement(
+        self, req: "SchedulableRequest", size: int, grid: "ProcessorGrid"
+    ) -> Placement:
+        """``(charged, saved, decisions, modeled, duration)`` of placing
+        ``req`` at ``size`` on ``grid``, derived afresh."""
+        targets = req.staging_targets(grid, self.params)
+        return _placement(self.view, targets, self.modeled_cost(req, size), self.params)
 
 
 class PricingMemo:
@@ -154,10 +163,9 @@ class PricingMemo:
         "_keys",
         "_sizes",
         "_modeled",
-        "_seconds",
         "_min_seconds",
         "_min_area",
-        "_targets",
+        "_rows",
         "_area_by_index",
         "_area_total",
     )
@@ -176,10 +184,10 @@ class PricingMemo:
         self._keys: dict[int, tuple[tuple, object]] = {}
         self._sizes: dict[tuple, list[int]] = {}
         self._modeled: dict[tuple, Cost] = {}
-        self._seconds: dict[tuple, float] = {}
         self._min_seconds: dict[tuple, float] = {}
         self._min_area: dict[tuple, float] = {}
-        self._targets: dict[tuple, tuple] = {}
+        #: (share key, block) -> (targets, their keys, {hit pattern: price})
+        self._rows: dict[tuple, tuple[tuple, list, dict[tuple, Placement]]] = {}
         self._area_by_index: dict[int, float] = {}
         self._area_total = 0.0
 
@@ -213,13 +221,8 @@ class PricingMemo:
         return got
 
     def exec_seconds(self, req: "SchedulableRequest", size: int) -> float:
-        key = (self._key_of(req), size)
-        got = self._seconds.get(key)
-        if got is None:
-            got = self._seconds[key] = self.modeled_cost(req, size).time(
-                self.params
-            )
-        return got
+        # only the per-request minima below read it, and they are memoized
+        return self.modeled_cost(req, size).time(self.params)
 
     def min_exec_seconds(self, req: "SchedulableRequest") -> float:
         key = self._key_of(req)
@@ -256,24 +259,28 @@ class PricingMemo:
         """Minimum rank-seconds the queue minus ``index`` still owes."""
         return self._area_total - self._area_by_index[index]
 
-    # -- staging -------------------------------------------------------------
+    # -- placements ----------------------------------------------------------
 
-    def staging(
-        self, req: "SchedulableRequest", grid: "ProcessorGrid"
-    ) -> tuple[Cost, Cost, tuple]:
-        """``(charged, saved, per-target decisions)`` for one placement.
-
-        The targets on the concrete subgrid ``grid`` are memoized (the
-        routing plans behind their costs are the expensive part); the
-        cache view prices them as it stands *now*.
-        """
+    def placement(
+        self, req: "SchedulableRequest", size: int, grid: "ProcessorGrid"
+    ) -> Placement:
+        """The price of placing ``req`` at ``size`` on ``grid``: its staging
+        targets are memoized (one memo hit or miss), the price per hit
+        pattern of their keys in the cache view as it stands *now*."""
         key = (self._key_of(req), grid)
-        targets = self._targets.get(key)
-        if targets is None:
+        row = self._rows.get(key)
+        if row is None:
             self.misses += 1
-            targets = self._targets[key] = tuple(
-                req.staging_targets(grid, self.params)
-            )
+            targets = tuple(req.staging_targets(grid, self.params))
+            row = self._rows[key] = (targets, [t[0] for t in targets], {})
         else:
             self.hits += 1
-        return _staging_price(self.view, targets)
+        targets, keys, prices = row
+        view = self.view
+        pattern = () if view is None else view.hits(keys)
+        price = prices.get(pattern)
+        if price is None:
+            price = prices[pattern] = _placement(
+                view, targets, self.modeled_cost(req, size), self.params
+            )
+        return price

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.dist.triangular import require_finite
 from repro.machine.cost import Cost, CostParams
 from repro.machine.machine import Machine
 from repro.machine.validate import ParameterError, ShapeError, require
@@ -111,6 +112,9 @@ def trsm(
         ShapeError,
         f"B has shape {B.shape}, L has {L.shape[0]} rows",
     )
+    # a NaN or inf entry would come back as a non-finite X or residual
+    require_finite(L, "L")
+    require_finite(B, "B")
     vector = B.ndim == 1
     B2 = B.reshape(L.shape[0], -1)
 

@@ -6,12 +6,18 @@ costs ``n^2 k`` flops (the paper's ``F_MM``), a triangular-times-dense product
 costs half that, and triangular inversion of an ``n x n`` block costs
 ``n^3 / 8`` flops per the paper's ``F_Inv`` (to leading order per processor
 group; the sequential total is ``n^3/6`` multiply-adds — the paper's
-constants are what our analytic models reproduce).
+constants are what our analytic models reproduce).  The request doors'
+field checks live here too.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
+
+from repro.machine.validate import ParameterError
 
 
 def relative_residual(L: np.ndarray, X: np.ndarray, B: np.ndarray) -> float:
@@ -52,3 +58,36 @@ def backward_error(L: np.ndarray, Linv: np.ndarray) -> float:
 def flops_tri_inv_seq(n: int) -> float:
     """Multiply-add count of sequential triangular inversion: n^3 / 6."""
     return float(n) ** 3 / 6.0
+
+
+# -- request-field checks (Cluster.submit, StreamRequest) ---------------------
+
+
+def _is_real(value: object) -> bool:
+    """A real number (numpy's included), never a bool: ``True`` is not 1 s."""
+    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def require_whole(value: object, name: str, least: int) -> int:
+    """``value`` as an ``int``: integral (``64.0`` and numpy ints are), not a
+    bool, at least ``least``.  The passing path formats no message."""
+    if not (
+        type(value) is int
+        or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+        or (_is_real(value) and math.isfinite(value) and float(value).is_integer())
+    ):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def require_times(arrival: object, deadline: object) -> None:
+    """A clock holds only a finite ``arrival`` >= 0 (NaN never compares); a
+    ``deadline`` is ``None`` (best effort) or a number that is not NaN."""
+    if not (_is_real(arrival) and math.isfinite(arrival) and arrival >= 0):
+        raise ParameterError(f"arrival must be a finite number of seconds >= 0, got {arrival!r}")
+    if not (deadline is None or (_is_real(deadline) and not math.isnan(deadline))):
+        raise ParameterError(
+            f"deadline must be a number of seconds (not NaN) or None, got {deadline!r}"
+        )

@@ -12,7 +12,7 @@ from repro.api import (
     TrsmRequest,
 )
 from repro.api.opcache import cache_key
-from repro.api.serve import poisson_stream, replay
+from repro.api.serve import StreamRequest, poisson_stream, replay, schedule_stream
 from repro.dist.distmatrix import DistMatrix
 from repro.machine.cost import CostParams
 from repro.machine.machine import Machine
@@ -130,7 +130,7 @@ class TestSchedulingDemo:
         B = cluster.host(random_dense(n, k, seed=1))
         req = TrsmRequest(L=L, B=B)
         grid = cluster.pool.preview(4)
-        staged, _saved, _ = DirectPricing(cluster.params, cluster.p).staging(req, grid)
+        staged = DirectPricing(cluster.params, cluster.p).placement(req, 4, grid)[0]
         targets = resident_placements(req, grid, cluster.params)
         assert targets, "resident operands must produce staging targets"
         priced = req.staging_targets(grid, cluster.params)
@@ -302,6 +302,45 @@ class TestServeStream:
         assert rec.measured_start >= 5.0
         assert rec.measured_finish > rec.measured_start
         assert outcome.measured_makespan >= 5.0
+
+    @pytest.mark.parametrize("door", [replay, schedule_stream])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n", 0),
+            ("n", 32.5),
+            ("n", True),
+            ("n", float("inf")),
+            ("k", -1),
+            ("k", 2.5),
+            ("seed", -1),
+            ("seed", False),
+            ("seed", "3"),
+            ("arrival", -1.0),
+            ("arrival", True),
+            ("arrival", float("nan")),
+            ("arrival", float("inf")),
+            ("arrival", "0"),
+            ("deadline", float("nan")),
+        ],
+    )
+    def test_stream_door_refuses_bad_fields(self, door, field, value):
+        """Each bad field is a ParameterError naming it at the door replay
+        and schedule_stream take, not a bare ValueError or TypeError (or a
+        silent NaN clock) from deep inside."""
+        entry = {"n": 16, "k": 4, "arrival": 0.0, "seed": 0, field: value}
+        with pytest.raises(ParameterError, match=field):
+            door([StreamRequest(**entry)], p=4)
+
+    def test_stream_door_takes_numpy_scalars(self):
+        """synthetic_stream's numpy ints and floats pass the door as ints
+        and seconds; integral fields are stored as ``int``."""
+        entry = StreamRequest(
+            n=np.int64(16), k=np.float64(4.0), arrival=np.float64(0.0), seed=np.int32(3)
+        )
+        assert (entry.n, entry.k, entry.seed) == (16, 4, 3)
+        assert all(type(v) is int for v in (entry.n, entry.k, entry.seed))
+        assert len(schedule_stream([entry], p=4).assignments) == 1
 
 
 class TestRegionAccounting:

@@ -51,9 +51,9 @@ class TestSingularAndMalformedOperands:
         L = random_lower_triangular(8, seed=0)
         B = random_dense(8, 2, seed=1)
         B[3, 1] = np.nan
-        res = trsm(L, B, p=4)
-        # the solve runs (NaN is data), but verification must flag it
-        assert not np.isfinite(res.residual) or res.residual > 1
+        # refused at the call, naming the entry, before any rank solves
+        with pytest.raises(ShapeError, match=r"B has a non-finite entry at index \(3, 1\)"):
+            trsm(L, B, p=4)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises((ShapeError, ValueError, IndexError)):

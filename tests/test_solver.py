@@ -125,6 +125,26 @@ class TestValidation:
         with pytest.raises(ShapeError, match=r"\(8, 4\)"):
             trsm(random_lower_triangular(16, seed=0), random_dense(8, 4, seed=1), p=4)
 
+    @pytest.mark.parametrize("algorithm", ["iterative", "recursive"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_l_refused_with_its_index(self, algorithm, bad):
+        """Regression: an infinite entry below L's diagonal returned a
+        TrsmResult whose X was not finite."""
+        L = random_lower_triangular(16, seed=0)
+        L[5, 0] = bad
+        with pytest.raises(ShapeError, match=r"L has a non-finite entry at index \(5, 0\)"):
+            trsm(L, random_dense(16, 4, seed=1), p=4, algorithm=algorithm)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_non_finite_b_refused_with_its_index(self, vector):
+        """Regression: one NaN in B returned ``residual = nan``."""
+        B = random_dense(16, 4, seed=1)
+        B[3, 0] = np.nan
+        B = B[:, 0] if vector else B
+        where = r"\(3,\)" if vector else r"\(3, 0\)"
+        with pytest.raises(ShapeError, match=rf"B has a non-finite entry at index {where}"):
+            trsm(random_lower_triangular(16, seed=0), B, p=4)
+
 
 class TestCrossAlgorithmAgreement:
     @pytest.mark.parametrize("n,k,p", [(32, 8, 4), (48, 12, 16), (24, 48, 4)])
