@@ -24,7 +24,10 @@ test:
 ## scipy.linalg in sys.modules after a solve), and the pricing contracts
 ## (memoized placement prices bitwise those of DirectPricing, memo on/off
 ## schedules flatten-identical; the allocator's preview is the pinned
-## fit scan after every lease, release and clone).
+## fit scan after every lease, release and clone), and the request-schema
+## contract (every door — daemon line, replay, schedule_stream,
+## Cluster.submit, synthetic_stream — accepts a field value or refuses it
+## with a ParameterError naming the field, the same verdict at each).
 test-fast:
 	$(PYTHON) -m pytest -x -q tests/test_counters.py tests/test_machine.py \
 		tests/test_machine_stateful.py tests/test_memory.py \
@@ -35,7 +38,8 @@ test-fast:
 		tests/test_routing.py tests/test_backend.py \
 		tests/test_sched.py tests/test_policies.py tests/test_rec_trsm_parity.py \
 		tests/test_kernel_parity.py tests/test_serve_path_imports.py \
-		tests/test_pricing_parity.py tests/test_allocator_parity.py
+		tests/test_pricing_parity.py tests/test_allocator_parity.py \
+		tests/test_request_doors.py
 
 ## The benchmark harness's own tests.  benchmarks/perf/trace.py rebinds
 ## the program's entry points by name, so a refactor that renames or

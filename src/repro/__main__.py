@@ -50,13 +50,9 @@ def _require_p_bounds(p_min: int, p_max: int) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     from repro import HARDWARE_PRESETS, random_dense, random_lower_triangular, trsm
-    from repro.machine.validate import ParameterError, require
+    from repro.util.checking import check_fields
 
-    require(
-        args.n >= 1 and args.k >= 1 and args.p >= 1,
-        ParameterError,
-        "n, k, p must be >= 1",
-    )
+    check_fields(args, ("n", "k", "seed"))  # p: trsm's own power-of-two check
     params = HARDWARE_PRESETS[args.machine]
     L = random_lower_triangular(args.n, seed=args.seed)
     B = random_dense(args.n, args.k, seed=args.seed + 1)

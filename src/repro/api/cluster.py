@@ -73,7 +73,6 @@ from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ParameterError, require
 from repro.sched.policies import PackingPolicy, make_policy
 from repro.sched.scheduler import Scheduler
-from repro.util.checking import require_times
 from repro.util.mathutil import is_power_of_two
 
 
@@ -337,7 +336,6 @@ class Cluster:
             f"submit() takes a Request (TrsmRequest, MMRequest, InvRequest, "
             f"PreparedSolveRequest), got {type(request).__name__}",
         )
-        require_times(request.arrival, request.deadline)
         self._queue.append(request)
         rid = self._next_rid
         self._next_rid += 1

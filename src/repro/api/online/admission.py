@@ -193,8 +193,8 @@ class AdmissionController:
             f"admission clock must be monotone (got {now!r} after {self._clock!r})",
         )
         self._clock = now
-        tenant = str(getattr(request, "tenant", "default"))
-        priority = int(getattr(request, "priority", 0))
+        tenant = getattr(request, "tenant", "default")
+        priority = getattr(request, "priority", 0)
         if len(self._heap) >= self.config.max_queue_depth:
             return self._reject("queue_full")
         bucket = self._bucket(tenant)

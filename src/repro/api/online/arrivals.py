@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from repro.machine.validate import ParameterError, require
+from repro.util.checking import require_whole
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -40,7 +41,7 @@ __all__ = [
 
 
 def _rng_of(seed: int, rng: np.random.Generator | None) -> np.random.Generator:
-    return np.random.default_rng(seed) if rng is None else rng
+    return np.random.default_rng(require_whole(seed, "seed", 0)) if rng is None else rng
 
 
 def poisson_arrivals(
@@ -56,7 +57,7 @@ def poisson_arrivals(
     thread one generator through arrivals and shape draws (how
     :func:`synthetic_stream` keeps the historical streams bit-identical).
     """
-    require(count >= 1, ParameterError, "need at least one arrival")
+    count = require_whole(count, "count", 1)
     require(rate >= 0.0, ParameterError, f"rate must be >= 0, got {rate}")
     if rate == 0.0:
         return np.zeros(count)
@@ -80,7 +81,7 @@ def lognormal_arrivals(
     are shorter than the mean and rare gaps run an order of magnitude
     longer.
     """
-    require(count >= 1, ParameterError, "need at least one arrival")
+    count = require_whole(count, "count", 1)
     require(rate > 0.0, ParameterError, f"rate must be > 0, got {rate}")
     require(sigma > 0.0, ParameterError, f"sigma must be > 0, got {sigma}")
     r = _rng_of(seed, rng)
@@ -104,7 +105,7 @@ def diurnal_arrivals(
     process at the peak rate, so the output is an exact draw from the
     inhomogeneous process.
     """
-    require(count >= 1, ParameterError, "need at least one arrival")
+    count = require_whole(count, "count", 1)
     require(rate > 0.0, ParameterError, f"rate must be > 0, got {rate}")
     require(0.0 <= depth < 1.0, ParameterError, f"depth must be in [0, 1), got {depth}")
     require(period > 0.0, ParameterError, f"period must be > 0, got {period}")
@@ -195,14 +196,15 @@ def synthetic_stream(
     """
     from repro.api.serve import StreamRequest
 
-    require(count >= 1, ParameterError, "need at least one request")
+    count = require_whole(count, "count", 1)
+    seed = require_whole(seed, "seed", 0)
     require(bool(tenants), ParameterError, "need at least one tenant")
     require(bool(priorities), ParameterError, "need at least one priority class")
     rng = np.random.default_rng(seed)
     ns = _pow2_choices(*n_range)
     ks = _pow2_choices(*k_range)
     arrivals = make_arrivals(process, count, rate, rng=rng, **knobs)
-    uniform_priority = len(set(priorities)) == 1
+    uniform_priority = all(p == priorities[0] for p in priorities)
     out = []
     for i in range(count):
         n = int(rng.choice(ns))
@@ -210,9 +212,7 @@ def synthetic_stream(
         # only consume extra draws when the stream actually mixes
         # priority classes: the default path must replay the historical
         # RNG sequence exactly
-        priority = (
-            priorities[0] if uniform_priority else int(rng.choice(priorities))
-        )
+        priority = priorities[0] if uniform_priority else rng.choice(priorities)
         arrival = float(arrivals[i])
         out.append(
             StreamRequest(

@@ -18,9 +18,11 @@ Protocol: one JSON object per line, one JSON response per line.
 * ``{"op": "trsm", "n": 128, "k": 16, "seed": 0, "priority": 1,
   "sla": 2e-4, "tenant": "acme"}`` — offer one solve.  ``sla`` is
   deadline slack in simulated seconds (``deadline = arrival + sla``);
-  an absolute ``deadline`` is accepted too.  The response carries the
-  typed admission decision (``admitted`` + rid, ``rejected`` + reason,
-  or ``deferred`` + retry time);
+  an absolute ``deadline`` is accepted too.  A line that breaks the
+  request schema (:mod:`repro.util.checking`) or ``MAX_OPERAND_WORDS`` is
+  refused before admission; else the response carries the typed
+  decision (``admitted`` + rid, ``rejected`` + reason, or ``deferred`` +
+  retry time);
 * ``{"op": "flush"}`` — run everything admitted so far as one batch and
   return its outcome (per-request residuals and latencies, makespan,
   occupancy, cache rates).  Batches also flush automatically whenever
@@ -41,7 +43,6 @@ and load-test entries alike enter admission through one door,
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -58,6 +59,7 @@ from repro.dist.routing import plan_cache_stats
 from repro.machine.cost import CostParams
 from repro.machine.validate import ParameterError, require
 from repro.sched.policies import make_policy
+from repro.util.checking import require_seconds
 
 __all__ = ["DaemonConfig", "ServeDaemon"]
 
@@ -122,36 +124,6 @@ class _Totals:
     staging_misses: int = 0
     pricing_hits: int = 0
     pricing_misses: int = 0
-
-
-def _whole(msg: dict, name: str, default: int | None = None) -> int:
-    """An integral protocol field: ``64`` and ``64.0`` are, ``true`` (which
-    ``int()`` reads as 1), ``32.9`` and ``Infinity`` are not."""
-    value = msg[name] if default is None else msg.get(name, default)
-    require(
-        not isinstance(value, bool)
-        and not (isinstance(value, float) and not value.is_integer()),
-        ParameterError,
-        f"trsm needs an integer {name}, got {value!r}",
-    )
-    return int(value)
-
-
-def _seconds(msg: dict, name: str) -> float:
-    """A time field as a float: a JSON number, not ``true`` or ``"5e-5"``.
-    A JSON integer too large for a float (which ``float()`` raises
-    ``OverflowError`` on) reads as infinite, so the finiteness check
-    refuses it like ``1e999``."""
-    value = msg[name]
-    require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        ParameterError,
-        f"trsm needs a number of seconds for {name}, got {value!r}",
-    )
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
 
 
 def _line(obj: dict) -> str:
@@ -229,51 +201,32 @@ class ServeDaemon:
         return {"ok": False, "error": f"unknown op {op!r}"}
 
     def _handle_trsm(self, msg: dict) -> dict:
-        """Parse and validate one ``trsm`` line, then the admit door.
+        """One ``trsm`` line as a :class:`StreamRequest`, then the admit door.
 
-        Anything no solve accepts is refused here, *before* admission:
-        admitted, it would fail the next flush for every request batched
-        with it.
-        """
+        The request schema refuses what no solve accepts, and the operand
+        cap what this daemon will not allocate, *before* admission:
+        admitted, it would fail the next flush for its whole batch."""
         now = self.sim_now()
-        # n, k >= 1 and seed >= 0 are StreamRequest's own checks
-        n = _whole(msg, "n")
-        k = _whole(msg, "k", 1)
-        words = n * n + n * k
+        deadline = msg.get("deadline")
+        if deadline is None and msg.get("sla") is not None:
+            deadline = now + require_seconds(msg["sla"], "sla")
+        entry = StreamRequest(
+            n=msg["n"],
+            k=msg.get("k", 1),
+            arrival=now,
+            seed=msg.get("seed", 0),
+            priority=msg.get("priority", 0),
+            deadline=deadline,
+            tenant=msg.get("tenant", "default"),
+        )
+        words = entry.n * entry.n + entry.n * entry.k
         require(
             words <= MAX_OPERAND_WORDS,
             ParameterError,
-            f"trsm operands of n={n}, k={k} take {words} words; this daemon "
-            f"serves at most {MAX_OPERAND_WORDS}",
+            f"trsm operands of n={entry.n}, k={entry.k} take {words} words; this "
+            f"daemon serves at most {MAX_OPERAND_WORDS}",
         )
-        seed = _whole(msg, "seed", 0)
-        priority = _whole(msg, "priority", 0)
-        tenant = str(msg.get("tenant", "default"))
-        if msg.get("deadline") is not None:
-            deadline = _seconds(msg, "deadline")
-        elif msg.get("sla") is not None:
-            sla = _seconds(msg, "sla")
-            # ``not <`` lets NaN through to the finiteness check below
-            require(not sla < 0.0, ParameterError, f"trsm needs sla >= 0, got {sla!r}")
-            deadline = now + sla
-        else:
-            deadline = None
-        require(
-            deadline is None or math.isfinite(deadline),
-            ParameterError,
-            "trsm needs a finite sla/deadline",
-        )
-        return self._admit(
-            StreamRequest(
-                n=n,
-                k=k,
-                arrival=now,
-                seed=seed,
-                priority=priority,
-                deadline=deadline,
-                tenant=tenant,
-            )
-        )
+        return self._admit(entry)
 
     def _admit(self, entry: StreamRequest) -> dict:
         """The admit door: offer ``entry`` to admission at its arrival time.

@@ -42,7 +42,7 @@ from repro.machine.cost import Cost, CostParams
 from repro.machine.topology import ProcessorGrid
 from repro.machine.validate import ParameterError, ShapeError, require
 from repro.tuning.parameters import TuningChoice, tuned_parameters
-from repro.util.checking import relative_residual
+from repro.util.checking import check_fields, relative_residual
 
 
 def _pow2_sizes(capacity: int) -> list[int]:
@@ -159,7 +159,8 @@ class Request:
     ``tenant`` names the admission-control fairness domain.  Like
     ``arrival``, none of them affects pricing — ``pricing_key`` excludes
     them by contract — and the defaults reproduce the offline behavior
-    bit for bit.
+    bit for bit.  Construction checks these five fields against the request
+    schema (:mod:`repro.util.checking`), then runs the type's :meth:`_bind`.
     """
 
     arrival: float = 0.0
@@ -173,11 +174,18 @@ class Request:
     _priced: ClassVar[tuple[str, ...]] = ()
     _operands: ClassVar[tuple[str, ...]] = ()
 
+    def __post_init__(self) -> None:
+        check_fields(self, ("arrival", "sizes", "priority", "deadline", "tenant"))
+        self._bind()
+
+    def _bind(self) -> None:
+        """The type's own construction: ``kind``, knobs, operand shapes."""
+
     def candidate_sizes(self, capacity: int) -> list[int]:
         base = self._natural_sizes(capacity)
         if self.sizes is None:
             return base
-        pinned = [int(s) for s in self.sizes if int(s) in base]
+        pinned = [s for s in self.sizes if s in base]
         require(
             bool(pinned),
             ParameterError,
@@ -268,7 +276,7 @@ class TrsmRequest(Request):
     _priced = ("n", "k", "algorithm", "tune", "n0", "base_n")
     _operands = ("L", "B")
 
-    def __post_init__(self) -> None:
+    def _bind(self) -> None:
         self.kind = "trsm"
         require(
             self.algorithm in ("auto", "iterative", "recursive"),
@@ -370,7 +378,7 @@ class MMRequest(Request):
     _priced = ("m", "n", "k", "p1")
     _operands = ("A", "X")
 
-    def __post_init__(self) -> None:
+    def _bind(self) -> None:
         self.kind = "mm"
         self.m, self.n = _shape_of(self.A)
         n2, self.k = _shape_of(self.X)
@@ -440,7 +448,7 @@ class InvRequest(Request):
     _priced = ("n", "n0", "k_hint", "base_n")
     _operands = ("L",)
 
-    def __post_init__(self) -> None:
+    def _bind(self) -> None:
         self.kind = "inv" if self.n0 is None else "diag_inv"
         self.n = _order_of(self.L, self.n0)
 
@@ -525,7 +533,7 @@ class PreparedSolveRequest(Request):
     _priced = ("n", "k")
     _operands = ("L", "Ltilde", "B")
 
-    def __post_init__(self) -> None:
+    def _bind(self) -> None:
         self.kind = "prepared_solve"
         self.n = int(self.prepared.n)
         self.k = _rhs_cols(self.B, self.n)

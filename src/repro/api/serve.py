@@ -17,7 +17,7 @@ from repro.api.requests import PreparedSolveRequest, TrsmRequest
 from repro.machine.cost import CostParams
 from repro.machine.validate import ParameterError, require
 from repro.sched.scheduler import Schedule, Scheduler
-from repro.util.checking import require_times, require_whole
+from repro.util.checking import check_fields
 from repro.util.randmat import random_dense, random_lower_triangular
 
 
@@ -25,8 +25,9 @@ from repro.util.randmat import random_dense, random_lower_triangular
 class StreamRequest:
     """One synthetic solve in the stream: shape plus arrival time.
 
-    Construction refuses what no solve accepts (:class:`ParameterError`),
-    and stores integral ``n``/``k``/``seed`` as ``int``.
+    Construction runs the request schema (:func:`repro.util.checking.check_fields`):
+    it refuses what no solve accepts (:class:`ParameterError` naming the
+    field) and stores counts as ``int`` and times as ``float``.
     ``priority``/``deadline``/``tenant`` are the online-serving fields
     (see :mod:`repro.api.online`); their defaults reproduce the offline
     streams bit for bit.
@@ -41,9 +42,7 @@ class StreamRequest:
     tenant: str = "default"
 
     def __post_init__(self) -> None:
-        for name, least in (("n", 1), ("k", 1), ("seed", 0)):
-            object.__setattr__(self, name, require_whole(getattr(self, name), name, least))
-        require_times(self.arrival, self.deadline)
+        check_fields(self, ("n", "k", "seed", "arrival", "priority", "deadline", "tenant"))
 
 
 def poisson_stream(

@@ -60,34 +60,77 @@ def flops_tri_inv_seq(n: int) -> float:
     return float(n) ** 3 / 6.0
 
 
-# -- request-field checks (Cluster.submit, StreamRequest) ---------------------
+# -- the request schema: one rule per field, every door runs them ------------
 
 
-def _is_real(value: object) -> bool:
-    """A real number (numpy's included), never a bool: ``True`` is not 1 s."""
-    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+def _finite(value: object) -> float | None:
+    """A real ``value`` (numpy's included) as a finite ``float``, or ``None``
+    for a bool (``True`` is not 1 s), a string, NaN, ±inf or an integer
+    past the float range."""
+    if type(value) is not float and (
+        not isinstance(value, numbers.Real) or isinstance(value, bool)
+    ):
+        return None
+    try:
+        seconds = float(value)
+    except OverflowError:
+        return None
+    return seconds if math.isfinite(seconds) else None
 
 
-def require_whole(value: object, name: str, least: int) -> int:
+def require_whole(value: object, name: str, least: int | None = None) -> int:
     """``value`` as an ``int``: integral (``64.0`` and numpy ints are), not a
-    bool, at least ``least``.  The passing path formats no message."""
+    bool, at least ``least`` (any sign when ``None``).  The passing path
+    formats no message."""
     if not (
         type(value) is int
         or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
-        or (_is_real(value) and math.isfinite(value) and float(value).is_integer())
+        or (_finite(value) is not None and float(value).is_integer())
     ):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ParameterError(f"{name} must be >= {least}, got {value!r}")
     return int(value)
 
 
-def require_times(arrival: object, deadline: object) -> None:
-    """A clock holds only a finite ``arrival`` >= 0 (NaN never compares); a
-    ``deadline`` is ``None`` (best effort) or a number that is not NaN."""
-    if not (_is_real(arrival) and math.isfinite(arrival) and arrival >= 0):
-        raise ParameterError(f"arrival must be a finite number of seconds >= 0, got {arrival!r}")
-    if not (deadline is None or (_is_real(deadline) and not math.isnan(deadline))):
-        raise ParameterError(
-            f"deadline must be a number of seconds (not NaN) or None, got {deadline!r}"
-        )
+def require_seconds(value: object, name: str, least: float | None = 0.0) -> float:
+    """``value`` as a finite ``float`` of seconds, at least ``least`` (any
+    sign when ``None``)."""
+    seconds = _finite(value)
+    if seconds is None or (least is not None and seconds < least):
+        bound = "" if least is None else f" >= {least:g}"
+        raise ParameterError(f"{name} must be a finite number of seconds{bound}, got {value!r}")
+    return seconds
+
+
+def _tenant(value: object, name: str) -> str:
+    if not isinstance(value, str):
+        raise ParameterError(f"{name} must be a str, got {value!r}")
+    return value
+
+
+def _sizes(value: object, name: str) -> tuple[int, ...] | None:
+    if not (value is None or (isinstance(value, tuple) and value)):
+        raise ParameterError(f"{name} must be None or a non-empty tuple, got {value!r}")
+    return None if value is None else tuple(require_whole(s, name, 1) for s in value)
+
+
+#: The request schema: the problem shape (an ``n x n`` ``L``, an ``n x k``
+#: ``B``) and the serving fields, one rule each, returning the stored value.
+FIELD_RULES = {
+    "n": lambda v, name: require_whole(v, name, 1),
+    "k": lambda v, name: require_whole(v, name, 1),
+    "seed": lambda v, name: require_whole(v, name, 0),
+    "priority": require_whole,
+    "arrival": require_seconds,
+    "deadline": lambda v, name: None if v is None else require_seconds(v, name, None),
+    "tenant": _tenant,
+    "sizes": _sizes,
+}
+
+
+def check_fields(obj: object, names: tuple[str, ...]) -> None:
+    """Run each named field's rule on ``obj`` and store what it returns
+    (frozen dataclasses too); the first bad field raises."""
+    for name in names:
+        object.__setattr__(obj, name, FIELD_RULES[name](getattr(obj, name), name))

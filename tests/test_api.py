@@ -256,7 +256,7 @@ class TestOtherRequests:
         cluster = Cluster(4)
         L = random_lower_triangular(16, seed=0)
         B = random_dense(16, 4, seed=1)
-        rid = cluster.submit(TrsmRequest(L=L, B=B, arrival=1e-6, deadline=float("inf")))
+        rid = cluster.submit(TrsmRequest(L=L, B=B, arrival=1e-6, deadline=1.0))
         with pytest.raises(ParameterError, match=field):
             cluster.submit(TrsmRequest(L=L, B=B, **{field: value}))
         assert cluster.pending() == 1

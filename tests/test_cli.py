@@ -234,6 +234,9 @@ class TestParser:
         ["solve", "--machine", "nope"],
         ["tune", "--machine", "nope"],
         ["solve", "-n", "0"],
+        ["solve", "-n", "16", "-k", "4", "-p", "4", "--seed", "-1"],
+        ["serve", "-p", "4", "--requests", "2", "--seed", "-1"],
+        ["serve", "-p", "4", "--requests", "0"],
         ["map", "--p-min", "64", "--p-max", "4"],
         ["map", "--p-min", "3"],
         ["map", "--ratio-min", "5", "--ratio-max", "-5"],
@@ -242,8 +245,9 @@ class TestParser:
     ids=" ".join,
 )
 def test_bad_arguments_exit_2_with_one_error_line(argv, capsys):
-    """A bad preset or out-of-range n, p or ratio bound is a usage error: exit 2
-    and one ``error:`` line on stderr, from argparse or from ``main``."""
+    """A bad preset, an out-of-range n, p, seed, request count or ratio bound
+    is a usage error: exit 2 and one ``error:`` line on stderr, from argparse
+    or from ``main`` (not numpy's ``ValueError`` traceback on a bad seed)."""
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's own usage error
